@@ -2,23 +2,24 @@
 harness that verifies the counts' scaling empirically."""
 
 from .core import (
-    CartesianResolver,
     ComparisonLedger,
-    DifferenceIndex,
-    Fragment,
     TaggedReal,
-    compare_sum,
+    as_reals,
+    box_order,
+    difference_ticks,
+    lower_bound,
     merge_sort_counted,
     mergesort_tick_count,
     sort_differences,
-    sort_fragment,
+    staircase_visits,
     tag_cols,
     tag_rows,
+    ternary_search,
+    upper_bound,
 )
 from .dominance import (
     BLUE,
     RED,
-    DominanceCostModel,
     LabeledPoint,
     c_epsilon,
     report_dominating_pairs,
@@ -41,6 +42,7 @@ from .threesum import (
     match_boxes,
     oracle_3sum,
     random_point_set,
+    resolve_subquadratic_params,
     select_best_point_set,
     solve_decision_tree,
     solve_quadratic,

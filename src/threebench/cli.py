@@ -5,7 +5,7 @@
     threebench bench --config <keyfile>
     threebench fit --csv <in>
 
-Exit codes: 0 = ran, 1 = usage error, 2 = oracle mismatch.
+Exit codes: 0 = ran, 1 = usage error or invalid input, 2 = oracle mismatch.
 """
 
 from __future__ import annotations
@@ -198,6 +198,9 @@ def main(argv=None) -> int:
         return _cmd_fit(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except harness.OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)

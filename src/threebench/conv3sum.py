@@ -1,17 +1,20 @@
 """Convolution form of 3SUM: is A(i) + A(j) = A(i+j) for some i, j?
 
 The blocked solver cuts the implicit (unsorted) sum matrix A+A into
-index-aligned boxes, pays once to sort the within-block difference lists,
-deduces every box's order for free, and then looks for each A(k) only in
-the boxes its antidiagonal crosses.
+index-aligned boxes and runs the grouped-search kernel of :mod:`core` on
+them: :func:`difference_ticks` pays once for the within-block difference
+lists, :func:`box_order` deduces a box's order for free, and two counted
+bounds locate each A(k) only in the boxes its antidiagonal crosses.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import ComparisonLedger, TaggedReal, merge_sort_counted, sort_differences
+from .core import (ComparisonLedger, as_reals, box_order, difference_ticks, lower_bound,
+                   upper_bound)
 
 
 def oracle_conv3sum(values: Sequence[float]) -> Optional[tuple[int, int]]:
@@ -32,30 +35,6 @@ def antidiagonal_cells(n: int, k: int) -> list[tuple[int, int]]:
     return [(i, k - i) for i in range(lo, hi + 1)]
 
 
-def _lower_bound(raws, key, ledger, arity=3):
-    lo, hi = 0, len(raws)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        ledger.tick(arity)
-        if raws[mid] >= key:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _upper_bound(raws, key, ledger, arity=3):
-    lo, hi = 0, len(raws)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        ledger.tick(arity)
-        if raws[mid] <= key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
                        ledger: ComparisonLedger, probe_log: Optional[dict] = None):
     """Blocked search; returns a witness (i, j) or None.
@@ -69,7 +48,7 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
     `probe_log`, when given, maps k to the list of candidate cells
     examined for that key.
     """
-    arr = [float(v) for v in values]
+    arr = as_reals(values)
     n = len(arr)
     if n == 0:
         return None
@@ -78,35 +57,14 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
         raise ValueError("group size must be >= 1")
     m = -(-n // g)
 
-    def block_vals(b):
-        return arr[b * g:min((b + 1) * g, n)]
-
-    groups = [[TaggedReal(v, x, 0) for x, v in enumerate(block_vals(b))] for b in range(m)] \
-        + [[TaggedReal(v, 0, y) for y, v in enumerate(block_vals(b))] for b in range(m)]
-    dindex = sort_differences(groups, ledger)
+    blocks = [arr[b * g:(b + 1) * g] for b in range(m)]
+    difference_ticks([(blk, range(len(blk)), role)
+                      for role in ("row", "col") for blk in blocks], ledger)
     ledger.snapshot("differences_sorted")
 
-    boxes: dict = {}
-
+    @lru_cache(maxsize=None)
     def box(bi, bj):
-        cached = boxes.get((bi, bj))
-        if cached is None:
-            vi = block_vals(bi)
-            vj = block_vals(bj)
-
-            def cmp(p, q, bi=bi, bj=bj):
-                if p == q:
-                    return 0
-                r1 = dindex.rank(bi, p[0], q[0])
-                r2 = dindex.rank(m + bj, q[1], p[1])
-                return -1 if r1 < r2 else (1 if r1 > r2 else 0)
-
-            order = merge_sort_counted(
-                [(x, y) for x in range(len(vi)) for y in range(len(vj))], cmp)
-            raws = [vi[x] + vj[y] for (x, y) in order]
-            cached = (order, raws)
-            boxes[(bi, bj)] = cached
-        return cached
+        return box_order(blocks[bi], blocks[bj])
 
     for k in range(n):
         key = arr[k]
@@ -123,8 +81,8 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
                 run.append(cells[idx])
                 idx += 1
             order, raws = box(bi, bj)
-            lb = _lower_bound(raws, key, ledger)
-            ub = _upper_bound(raws, key, ledger)
+            lb = lower_bound(raws, key, ledger)
+            ub = upper_bound(raws, key, ledger)
             if lb >= ub:
                 continue
             matched = {(bi * g + x, bj * g + y) for (x, y) in order[lb:ub]}

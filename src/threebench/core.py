@@ -1,17 +1,40 @@
 """Substrate shared by every solver: tie-broken reals, the comparison
-ledger, Fredman-trick comparators, and Cartesian-sum fragment sorting.
+ledger, the counted mergesort with its vectorised tick counter, and the
+grouped-search kernel every solver runs.
 
 A solver's "cost" here is the number of sign queries it issues on linear
 forms of the input reals.  Every such query must go through a
 :class:`ComparisonLedger` tick; index arithmetic and tie-breaking tag
 comparisons are free.  The tag scheme makes every Cartesian sum totally
 ordered, so downstream search logic never branches on equality.
+
+The grouped search (Fredman's trick) has four steps, one kernel each:
+:func:`difference_ticks` charges the one sort of the within-group
+difference lists; :func:`box_order` reads a box's sorted order off that
+sort for free; :func:`staircase_visits` lists the boxes a key's walk
+visits; and :func:`ternary_search`, :func:`lower_bound` and
+:func:`upper_bound` search a box at one tick per probe.  Solvers accept
+input reals through :func:`as_reals`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+
+
+def as_reals(values) -> list[float]:
+    """Input reals as Python floats; NaN and +-inf are refused."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("input reals must form a flat list")
+    if not np.isfinite(arr).all():
+        raise ValueError("input reals must be finite (no NaN or inf)")
+    return arr.tolist()
 
 
 @dataclass(frozen=True, order=True)
@@ -124,16 +147,6 @@ class ComparisonLedger:
         return {k: b.get(k, 0) - a.get(k, 0) for k in set(a) | set(b)}
 
 
-def compare_sum(a: TaggedReal, b: TaggedReal, c: TaggedReal, d: TaggedReal,
-                ledger: ComparisonLedger) -> int:
-    """Sign of (a+b) - (c+d), evaluated as (a-c) versus (d-b).
-
-    One 4-linear ledger tick per call.
-    """
-    ledger.tick(4)
-    return cmp_tagged(a - c, d - b)
-
-
 def merge_sort_counted(items: Sequence, compare: Callable) -> list:
     """Canonical bottom-up stable mergesort; `compare` is charged per call.
 
@@ -185,49 +198,12 @@ def sorted_counted(values: Sequence[float], ledger: ComparisonLedger,
     return merge_sort_counted(values, compare)
 
 
-@dataclass(frozen=True)
-class Fragment:
-    """A set of positions inside an |A| x |B| Cartesian-sum matrix."""
-
-    positions: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(set(self.positions)) != len(self.positions):
-            raise ValueError("fragment positions must be distinct")
-
-    def validate(self, nrows: int, ncols: int) -> None:
-        for (x, y) in self.positions:
-            if not (0 <= x < nrows and 0 <= y < ncols):
-                raise ValueError(f"position {(x, y)} out of range")
-
-
-class DifferenceIndex:
-    """Sorted union of within-group differences plus a rank lookup.
-
-    Built by :func:`sort_differences`.  ``rank(group, x, y)`` is the
-    position of ``groups[group][x] - groups[group][y]`` in the sorted
-    difference list.  Two ranks answer a four-variable sum comparison by
-    Fredman's trick without touching the ledger again.
-    """
-
-    def __init__(self, diffs: list[TaggedReal], ranks: dict[tuple[int, int, int], int],
-                 ledger: ComparisonLedger, group_sizes: list[int]):
-        self.diffs = diffs
-        self._ranks = ranks
-        self.ledger = ledger
-        self.group_sizes = group_sizes
-
-    def rank(self, group: int, x: int, y: int) -> int:
-        return self._ranks[(group, x, y)]
-
-    def __len__(self) -> int:
-        return len(self.diffs)
-
-
 def sort_differences(groups: Sequence[Sequence[TaggedReal]],
-                     ledger: ComparisonLedger, arity: int = 4) -> DifferenceIndex:
+                     ledger: ComparisonLedger, arity: int = 4) -> list[TaggedReal]:
     """Sort the union of all within-group difference lists.
 
+    The reference for :func:`difference_ticks`: group by group, each
+    contributes ``grp[x] - grp[y]`` for every ``(x, y)`` in row-major order.
     Every comparison made during the sort is a sign query on a difference
     of differences and ticks the ledger once; for plain inputs that form
     touches four reals, for composite inputs the caller passes the wider
@@ -235,90 +211,13 @@ def sort_differences(groups: Sequence[Sequence[TaggedReal]],
     """
     if not groups:
         raise ValueError("groups must be nonempty")
-    entries: list[tuple[TaggedReal, int, int, int]] = []
-    for gi, grp in enumerate(groups):
-        for x in range(len(grp)):
-            gx = grp[x]
-            for y in range(len(grp)):
-                entries.append((gx - grp[y], gi, x, y))
+    diffs = [gx - gy for grp in groups for gx in grp for gy in grp]
 
-    def compare(e1, e2):
+    def compare(a, b):
         ledger.tick(arity)
-        return cmp_tagged(e1[0], e2[0])
+        return cmp_tagged(a, b)
 
-    ordered = merge_sort_counted(entries, compare)
-    ranks = {(gi, x, y): pos for pos, (_, gi, x, y) in enumerate(ordered)}
-    return DifferenceIndex([e[0] for e in ordered], ranks, ledger,
-                           [len(g) for g in groups])
-
-
-class CartesianResolver:
-    """Maps global (row, col) positions onto a DifferenceIndex.
-
-    Row spans and column spans name which index group covers which
-    contiguous run of the row/column generator lists.  When both rows fall
-    in one row span and both columns in one column span, a sum comparison
-    resolves through two stored ranks, costing nothing.
-    """
-
-    def __init__(self, index: Optional[DifferenceIndex],
-                 row_spans: Iterable[tuple[int, int, int]] = (),
-                 col_spans: Iterable[tuple[int, int, int]] = ()):
-        self.index = index
-        self._rows = sorted(row_spans, key=lambda s: s[1])
-        self._cols = sorted(col_spans, key=lambda s: s[1])
-
-    def _locate(self, spans, pos):
-        for gid, start, length in spans:
-            if start <= pos < start + length:
-                return gid, pos - start
-        return None
-
-    def resolve(self, x: int, xp: int, y: int, yp: int) -> Optional[int]:
-        """Sign of (A[x]+B[y]) - (A[xp]+B[yp]) if the index can answer it."""
-        if self.index is None:
-            return None
-        rx = self._locate(self._rows, x)
-        rxp = self._locate(self._rows, xp)
-        if rx is None or rxp is None or rx[0] != rxp[0]:
-            return None
-        cy = self._locate(self._cols, y)
-        cyp = self._locate(self._cols, yp)
-        if cy is None or cyp is None or cy[0] != cyp[0]:
-            return None
-        # a_x + b_y < a_xp + b_yp  iff  a_x - a_xp < b_yp - b_y
-        r1 = self.index.rank(rx[0], rx[1], rxp[1])
-        r2 = self.index.rank(cy[0], cyp[1], cy[1])
-        if r1 == r2:
-            return 0
-        return -1 if r1 < r2 else 1
-
-
-def sort_fragment(A: Sequence[TaggedReal], B: Sequence[TaggedReal],
-                  fragment: Fragment, resolver: Optional[CartesianResolver],
-                  ledger: Optional[ComparisonLedger] = None
-                  ) -> list[tuple[int, int]]:
-    """Sort fragment positions by ascending tagged sum A[x] + B[y].
-
-    Comparisons answered by the resolver's difference index are free; the
-    rest go through :func:`compare_sum` and cost one 4-linear tick each.
-    """
-    fragment.validate(len(A), len(B))
-    if ledger is None:
-        if resolver is None or resolver.index is None:
-            raise ValueError("need a ledger when no difference index is given")
-        ledger = resolver.index.ledger
-
-    def compare(p1, p2):
-        if p1 == p2:
-            return 0
-        if resolver is not None:
-            r = resolver.resolve(p1[0], p2[0], p1[1], p2[1])
-            if r is not None:
-                return r
-        return compare_sum(A[p1[0]], B[p1[1]], A[p2[0]], B[p2[1]], ledger)
-
-    return merge_sort_counted(fragment.positions, compare)
+    return merge_sort_counted(diffs, compare)
 
 
 # -- vectorised tick counting -------------------------------------------------
@@ -330,23 +229,19 @@ def sort_fragment(A: Sequence[TaggedReal], B: Sequence[TaggedReal],
 # side empties.  Both t and run maxima are permutation-invariant, so the
 # count needs only the *unsorted* chunk contents at every width.
 
-import numpy as np
 
-
-def _merge_comparisons(lu, lt, ru, rt):
-    """Comparison count of merging two sorted runs given as (value, tag) arrays."""
-    la, lb = len(lu), len(ru)
-    if la == 0 or lb == 0:
-        return 0
-    lmax_u = lu.max()
-    lmax_t = lt[lu == lmax_u].max()
-    rmax_u = ru.max()
-    rmax_t = rt[ru == rmax_u].max()
-    if (lmax_u, lmax_t) <= (rmax_u, rmax_t):
-        cnt = int(((ru < lmax_u) | ((ru == lmax_u) & (rt < lmax_t))).sum())
-        return la + cnt
-    cnt = int(((lu < rmax_u) | ((lu == rmax_u) & (lt <= rmax_t))).sum())
-    return lb + cnt
+def _merge_comparisons(lu, lt, ru, rt) -> int:
+    """Comparisons of merging each row's left run with its right run, summed
+    over rows; the runs are given unsorted as 2-D (value, tag) arrays."""
+    lowest = np.iinfo(np.int64).min
+    lmax_u = lu.max(axis=1, keepdims=True)
+    lmax_t = np.where(lu == lmax_u, lt, lowest).max(axis=1, keepdims=True)
+    rmax_u = ru.max(axis=1, keepdims=True)
+    rmax_t = np.where(ru == rmax_u, rt, lowest).max(axis=1, keepdims=True)
+    left_first = ((lmax_u < rmax_u) | ((lmax_u == rmax_u) & (lmax_t <= rmax_t)))[:, 0]
+    cnt_r = ((ru < lmax_u) | ((ru == lmax_u) & (rt < lmax_t))).sum(axis=1)
+    cnt_l = ((lu < rmax_u) | ((lu == rmax_u) & (lt <= rmax_t))).sum(axis=1)
+    return int(np.where(left_first, lu.shape[1] + cnt_r, ru.shape[1] + cnt_l).sum())
 
 
 def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None) -> int:
@@ -365,30 +260,162 @@ def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None) -> in
     total = 0
     width = 1
     while width < n:
-        nblocks = (n + 2 * width - 1) // (2 * width)
-        full = 2 * width * (nblocks - 1)
-        if nblocks > 1:
-            bu = u[:full].reshape(nblocks - 1, 2 * width)
-            bt = tags[:full].reshape(nblocks - 1, 2 * width)
-            lu, ru = bu[:, :width], bu[:, width:]
-            lt, rt = bt[:, :width], bt[:, width:]
-            lmax_u = lu.max(axis=1)
-            lmax_t = np.where(lu == lmax_u[:, None], lt, np.iinfo(np.int64).min).max(axis=1)
-            rmax_u = ru.max(axis=1)
-            rmax_t = np.where(ru == rmax_u[:, None], rt, np.iinfo(np.int64).min).max(axis=1)
-            left_first = (lmax_u < rmax_u) | ((lmax_u == rmax_u) & (lmax_t <= rmax_t))
-            cnt_r = ((ru < lmax_u[:, None]) |
-                     ((ru == lmax_u[:, None]) & (rt < lmax_t[:, None]))).sum(axis=1)
-            cnt_l = ((lu < rmax_u[:, None]) |
-                     ((lu == rmax_u[:, None]) & (lt <= rmax_t[:, None]))).sum(axis=1)
-            total += int(np.where(left_first, width + cnt_r, width + cnt_l).sum())
-        # trailing block: left run of `width`, right run possibly short
-        lo = full
-        mid = min(lo + width, n)
-        hi = n
-        if mid < hi:
-            lu1, ru1 = u[lo:mid], u[mid:hi]
-            lt1, rt1 = tags[lo:mid], tags[mid:hi]
-            total += _merge_comparisons(lu1, lt1, ru1, rt1)
-        width *= 2
+        step = 2 * width
+        full = n - n % step
+        if full:
+            bu = u[:full].reshape(-1, step)
+            bt = tags[:full].reshape(-1, step)
+            total += _merge_comparisons(bu[:, :width], bt[:, :width], bu[:, width:], bt[:, width:])
+        # trailing block: left run of `width`, right run short
+        mid = full + width
+        if mid < n:
+            total += _merge_comparisons(u[None, full:mid], tags[None, full:mid],
+                                        u[None, mid:], tags[None, mid:])
+        width = step
     return total
+
+
+# -- the grouped-search kernel -------------------------------------------------
+
+
+def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
+    """Charge the canonical mergesort of within-group difference lists.
+
+    ``segments`` is an ordered list of ``(values, index_tags, role)`` with
+    role ``"row"`` or ``"col"``.  Each contributes ``values[x] - values[y]``
+    tagged ``index_tags[x] - index_tags[y]`` for every ``(x, y)`` in
+    row-major order, in segment order; the count depends on that order.
+    Row tags are scaled by a base above twice any column tag, so the one
+    integer tag orders like the ``(row, col)`` tag pair of
+    :class:`TaggedReal` and the count equals :func:`sort_differences` on
+    the same groups.  Ticks the count at `arity` and returns it.
+    """
+    if not segments:
+        return 0
+    spans = [int(np.ptp(tags)) for _, tags, role in segments if role == "col" and len(tags)]
+    base = 2 * max(spans, default=0) + 2
+    values, tags = [], []
+    for vals, idx, role in segments:
+        vals = np.asarray(vals, dtype=np.float64)
+        idx = np.asarray(idx, dtype=np.int64)
+        values.append(np.subtract.outer(vals, vals).ravel())
+        diff = np.subtract.outer(idx, idx).ravel()
+        tags.append(diff * base if role == "row" else diff)
+    count = mergesort_tick_count(np.concatenate(values), np.concatenate(tags))
+    ledger.tick(arity, count)
+    return count
+
+
+def box_order(row_vals, col_vals) -> tuple[list, list]:
+    """Sorted order of the box ``row_vals[x] + col_vals[y]``, free of ticks.
+
+    Ties break by row index, then column index: the order of the tagged
+    sums ``(v, x, 0) + (w, 0, y)``, which Fredman's trick reads off the
+    sorted difference lists.  A stable sort of the row-major sums is that
+    lexicographic order.  Returns the positions ``(x, y)`` and their raw
+    sums, both as lists.
+    """
+    cols = np.asarray(col_vals, dtype=np.float64)
+    sums = np.add.outer(np.asarray(row_vals, dtype=np.float64), cols).ravel()
+    idx = np.argsort(sums, kind="stable")
+    rows_of, cols_of = np.divmod(idx, len(cols))
+    return list(zip(rows_of.tolist(), cols_of.tolist())), sums[idx].tolist()
+
+
+def staircase_visits(svals: Sequence[float], g: int):
+    """Boxes the grouped 3SUM walk visits, in order, as ``(k, lo, hi)``.
+
+    ``svals`` is sorted and cut into groups of ``g``.  The walk for the key
+    ``-svals[k]`` starts at box ``(0, k // g)`` and moves west when the
+    box's largest row value plus smallest column value exceeds the key,
+    south otherwise, until it leaves the upper triangle.  Touches no
+    ledger: the caller ticks one 3-linear query per visit that misses.
+    """
+    n = len(svals)
+    m = -(-n // g)
+    gmins = [svals[i * g] for i in range(m)]
+    gmaxs = [svals[min((i + 1) * g, n) - 1] for i in range(m)]
+    for k in range(n):
+        key = -svals[k]
+        lo, hi = 0, k // g
+        while lo <= hi:
+            yield k, lo, hi
+            if gmaxs[lo] + gmins[hi] > key:
+                hi -= 1
+            else:
+                lo += 1
+
+
+def ternary_search(raws: Sequence[float], key: float, ledger: ComparisonLedger,
+                   arity: int = 3):
+    """Canonical three-way binary search; one tick per probe.
+
+    Returns ('hit', index) or ('miss', insertion_point).
+    """
+    lo, hi = 0, len(raws) - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        ledger.tick(arity)
+        v = raws[mid]
+        if v == key:
+            return ("hit", mid)
+        if v < key:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return ("miss", lo)
+
+
+@lru_cache(maxsize=32)
+def _binsearch_depths(length: int):
+    """Probe counts of `ternary_search` on a length-`length` array of
+    distinct values: per hit index and per miss insertion point."""
+    node = np.zeros(length, dtype=np.int32)
+    gap = np.zeros(length + 1, dtype=np.int32)
+    stack = [(0, length - 1, 0)]
+    while stack:
+        lo, hi, made = stack.pop()
+        if lo > hi:
+            gap[lo] = made
+            continue
+        mid = (lo + hi) // 2
+        node[mid] = made + 1
+        stack.append((lo, mid - 1, made + 1))
+        stack.append((mid + 1, hi, made + 1))
+    return node, gap
+
+
+@lru_cache(maxsize=64)
+def _bound_depths(length: int) -> tuple[int, ...]:
+    """Probe counts of the two-way ``lo < hi`` bisection on a length-`length`
+    list, per result index.  The result fixes the probe path, whatever the
+    list holds."""
+    depth = [0] * (length + 1)
+    stack = [(0, length, 0)]
+    while stack:
+        lo, hi, made = stack.pop()
+        if lo == hi:
+            depth[lo] = made
+            continue
+        mid = (lo + hi) // 2
+        stack.append((lo, mid, made + 1))
+        stack.append((mid + 1, hi, made + 1))
+    return tuple(depth)
+
+
+def lower_bound(raws: Sequence[float], key: float, ledger: ComparisonLedger,
+                arity: int = 3) -> int:
+    """``bisect_left``: on a sorted list, the first index whose value is
+    >= key.  One tick per probe."""
+    idx = bisect_left(raws, key)
+    ledger.tick(arity, _bound_depths(len(raws))[idx])
+    return idx
+
+
+def upper_bound(raws: Sequence[float], key: float, ledger: ComparisonLedger,
+                arity: int = 3) -> int:
+    """``bisect_right``: on a sorted list, the first index whose value is
+    > key.  One tick per probe."""
+    idx = bisect_right(raws, key)
+    ledger.tick(arity, _bound_depths(len(raws))[idx])
+    return idx

@@ -24,19 +24,8 @@ class LabeledPoint:
     id: int
 
 
-@dataclass(frozen=True)
-class DominanceCostModel:
-    """Cost constant for the divide and conquer: c = 2^eps / (2^eps - 1)."""
-
-    epsilon: float
-    c_epsilon: float
-
-    @classmethod
-    def from_epsilon(cls, epsilon: float) -> "DominanceCostModel":
-        return cls(epsilon, c_epsilon(epsilon))
-
-
 def c_epsilon(epsilon: float) -> float:
+    """Cost constant of the divide and conquer: c = 2^eps / (2^eps - 1)."""
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     num = 2.0 ** epsilon

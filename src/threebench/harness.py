@@ -18,7 +18,7 @@ from . import conv3sum as conv_mod
 from . import ldt as ldt_mod
 from . import threesum as ts
 from . import trimatrix as tm
-from .core import ComparisonLedger
+from .core import ComparisonLedger, as_reals
 
 PROBLEMS = ("3sum", "ldt", "tmp", "zerotri", "conv")
 GENERATORS = ("uniform", "planted", "duplicate-heavy", "integer-universe")
@@ -219,7 +219,7 @@ def _run_3sum(algo, values, options, ledger, seed):
         return w is not None, w, {"g": g}
     if algo == "subq-simple":
         g = options.get("g") or (1 if n < 4 else 2)
-        w = ts.solve_subquadratic_simple(arr, g, 0.5, ledger)
+        w = ts.solve_subquadratic_simple(arr, g, ledger)
         return w is not None, w, {"g": g}
     if algo in ("subq-det", "subq-rand"):
         params = ts.SubquadraticParams(
@@ -230,6 +230,7 @@ def _run_3sum(algo, values, options, ledger, seed):
             point_count=options.get("p"),
             grid_side=options.get("q"))
         w = ts.solve_subquadratic(arr, params, ledger)
+        params = ts.resolve_subquadratic_params(n, params)
         used = {"g": params.group_size, "s": params.span}
         if algo == "subq-det":
             used["q"] = params.grid_side
@@ -240,7 +241,7 @@ def _run_3sum(algo, values, options, ledger, seed):
 
 
 def _run_conv(algo, values, options, ledger, seed):
-    arr = list(values)
+    arr = as_reals(values)
     n = len(arr)
     if algo == "blocked":
         g = options.get("g") or max(1, math.ceil(math.sqrt(max(1, n))))

@@ -3,21 +3,27 @@
 A k-variate form alpha_0 + sum(alpha_i * x_i) has a zero on S^k iff the
 reduction's three lists contain a zero-summing triple: the first two lists
 hold all partial sums over the low and high halves of the variables, the
-third is alpha_k * S.  The grouped difference-list search then answers the
-question with far fewer sign queries than the quadratic scan, at the cost
-of wider query arity: difference comparisons touch 2k-2 input reals.
+third is alpha_k * S.  The grouped-search kernel of :mod:`core` then
+answers the question with far fewer sign queries than the quadratic scan:
+:func:`difference_ticks` pays for the difference lists, :func:`box_order`
+deduces each box's order for free, and a staircase walk over the
+unbalanced grid of A-groups by B-groups binary-searches the boxes it
+visits.  The price is wider query arity: difference comparisons touch
+2k-2 input reals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ComparisonLedger, merge_sort_counted, sort_differences, sorted_counted
-from .threesum import Grouping, default_group_size, ternary_search
+from .core import (ComparisonLedger, as_reals, box_order, difference_ticks, sorted_counted,
+                   ternary_search)
+from .threesum import Grouping, default_group_size
 
 ELEMENT_CAP = 10_000_000
 ORACLE_CAP = 50_000_000
@@ -86,7 +92,7 @@ def solve_kldt(phi: LinearForm, values: Sequence[float],
     (A+B) sum, a k-ary query.
     """
     k = phi.arity
-    a_list, b_list, c_list = reduce_kldt(phi, values)
+    a_list, b_list, c_list = reduce_kldt(phi, as_reals(values))
     if not a_list or not b_list or not c_list:
         return False
 
@@ -97,30 +103,14 @@ def solve_kldt(phi: LinearForm, values: Sequence[float],
     gb = Grouping(tuple(b_sorted), g)
     ma, mb = ga.num_groups, gb.num_groups
 
-    groups = [ga.row_tagged(i) for i in range(ma)] + [gb.col_tagged(j) for j in range(mb)]
-    dindex = sort_differences(groups, ledger, arity=2 * k - 2)
+    segments = [(ga.group_values(i), range(ga.group_len(i)), "row") for i in range(ma)] \
+        + [(gb.group_values(j), range(gb.group_len(j)), "col") for j in range(mb)]
+    difference_ticks(segments, ledger, arity=2 * k - 2)
     ledger.snapshot("differences_sorted")
 
-    raws: dict = {}
-
+    @lru_cache(maxsize=None)
     def box_raws(i, j):
-        cached = raws.get((i, j))
-        if cached is None:
-            vi = ga.group_values(i)
-            vj = gb.group_values(j)
-
-            def cmp(p, q, i=i, j=j):
-                if p == q:
-                    return 0
-                r1 = dindex.rank(i, p[0], q[0])
-                r2 = dindex.rank(ma + j, q[1], p[1])
-                return -1 if r1 < r2 else (1 if r1 > r2 else 0)
-
-            order = merge_sort_counted(
-                [(x, y) for x in range(len(vi)) for y in range(len(vj))], cmp)
-            cached = [vi[x] + vj[y] for (x, y) in order]
-            raws[(i, j)] = cached
-        return cached
+        return box_order(ga.group_values(i), gb.group_values(j))[1]
 
     for c in c_list:
         key = -c

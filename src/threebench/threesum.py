@@ -24,7 +24,7 @@ tagged objects; equivalence is asserted in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations
 from typing import Optional, Sequence
@@ -34,11 +34,19 @@ import numpy as np
 from .core import (
     ComparisonLedger,
     TaggedReal,
+    _binsearch_depths,
+    as_reals,
+    box_order,
     cmp_tagged,
+    difference_ticks,
     merge_sort_counted,
     mergesort_tick_count,
     sort_differences,
     sorted_counted,
+    staircase_visits,
+    tag_cols,
+    tag_rows,
+    ternary_search,
 )
 from .dominance import BLUE, RED, LabeledPoint, report_dominating_pairs
 
@@ -92,12 +100,6 @@ class Grouping:
         a, b = self.bounds(i)
         return self.values[a:b]
 
-    def value(self, i: int, local: int) -> float:
-        a, b = self.bounds(i)
-        if not (0 <= local < b - a):
-            raise IndexError("local index out of range")
-        return self.values[a + local]
-
     def gmin(self, i: int) -> float:
         a, _ = self.bounds(i)
         return self.values[a]
@@ -105,12 +107,6 @@ class Grouping:
     def gmax(self, i: int) -> float:
         _, b = self.bounds(i)
         return self.values[b - 1]
-
-    def row_tagged(self, i: int) -> list[TaggedReal]:
-        return [TaggedReal(v, x, 0) for x, v in enumerate(self.group_values(i))]
-
-    def col_tagged(self, i: int) -> list[TaggedReal]:
-        return [TaggedReal(v, 0, y) for y, v in enumerate(self.group_values(i))]
 
 
 class BoxView:
@@ -122,7 +118,7 @@ class BoxView:
 
     @classmethod
     def from_grouping(cls, grouping: Grouping, i: int, j: int) -> "BoxView":
-        return cls(grouping.row_tagged(i), grouping.col_tagged(j))
+        return cls(tag_rows(grouping.group_values(i)), tag_cols(grouping.group_values(j)))
 
     @property
     def nrows(self) -> int:
@@ -137,6 +133,9 @@ class BoxView:
 
     def raw(self, x: int, y: int) -> float:
         return self.rows[x].u + self.cols[y].u
+
+    def raws(self, positions) -> list[float]:
+        return [self.raw(x, y) for (x, y) in positions]
 
     def positions(self):
         for x in range(self.nrows):
@@ -180,9 +179,6 @@ class Contour:
     @property
     def exit(self) -> str:
         return SOUTHERN if self.moves[-1] == "S" else WESTERN
-
-    def contains(self, pos: tuple[int, int]) -> bool:
-        return pos in self.steps
 
 
 def compute_contour(box: BoxView, key: TaggedReal) -> Contour:
@@ -251,19 +247,6 @@ class Tripartition:
             raise ValueError("tripartition parts must be disjoint")
 
 
-def make_tripartition(tau: Contour, anchor: tuple[int, int],
-                      tau_prime: Contour, anchor_prime: tuple[int, int]
-                      ) -> Tripartition:
-    leq1 = leq_positions(tau)
-    leq2 = leq_positions(tau_prime)
-    if not leq1 <= leq2:
-        raise ValueError("lower contour must lie above the upper contour")
-    every = frozenset((i, j) for i in range(tau.nrows) for j in range(tau.ncols))
-    mid = leq2 - leq1 - {anchor_prime}
-    high = (every - leq2) | {anchor_prime}
-    return Tripartition(leq1, frozenset(mid), frozenset(high))
-
-
 # ---------------------------------------------------------------------------
 # oracle and quadratic baseline
 
@@ -286,7 +269,7 @@ def oracle_3sum(values: Sequence[float]) -> Optional[tuple[float, float, float]]
 
 def _sort_unique_counted(values, ledger):
     """Sort then deduplicate, both instrumented at arity 2."""
-    svals = sorted_counted([float(v) for v in values], ledger)
+    svals = sorted_counted(values, ledger)
     if not svals:
         return []
     out = [svals[0]]
@@ -307,19 +290,19 @@ def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger,
     and columns of the implicit sum matrix hold distinct values, which
     makes the witness list complete.
     """
-    ua = _sort_unique_counted(a_vals, ledger)
-    ub = _sort_unique_counted(b_vals, ledger)
+    ua = _sort_unique_counted(as_reals(a_vals), ledger)
+    ub = _sort_unique_counted(as_reals(b_vals), ledger)
     witnesses = []
     if not ua or not ub:
         return witnesses
-    for c in c_vals:
-        key = -float(c)
+    for c in as_reals(c_vals):
+        key = -c
         lo, hi = 0, len(ub) - 1
         while lo < len(ua) and hi >= 0:
             ledger.tick(3)
             s = ua[lo] + ub[hi]
             if s == key:
-                witnesses.append((ua[lo], ub[hi], float(c)))
+                witnesses.append((ua[lo], ub[hi], c))
                 if first_only:
                     return witnesses
                 lo += 1
@@ -333,9 +316,7 @@ def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger,
 def quadratic_tick_count(a_vals, b_vals, c_vals, ledger: ComparisonLedger) -> bool:
     """Fast twin of :func:`solve_quadratic`: identical ledger counts and
     decision, no witness enumeration."""
-    a = np.asarray(a_vals, dtype=np.float64)
-    b = np.asarray(b_vals, dtype=np.float64)
-    c = np.asarray(c_vals, dtype=np.float64)
+    a, b, c = (np.asarray(as_reals(v)) for v in (a_vals, b_vals, c_vals))
     for arr in (a, b):
         ledger.tick(2, mergesort_tick_count(arr))
         if len(arr) > 1:
@@ -363,49 +344,6 @@ def quadratic_tick_count(a_vals, b_vals, c_vals, ledger: ComparisonLedger) -> bo
 
 
 # ---------------------------------------------------------------------------
-# instrumented binary search (the probe rule every path must follow)
-
-
-def ternary_search(raws: Sequence[float], key: float, ledger: ComparisonLedger,
-                   arity: int = 3):
-    """Canonical three-way binary search; one tick per probe.
-
-    Returns ('hit', index) or ('miss', insertion_point).
-    """
-    lo, hi = 0, len(raws) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        ledger.tick(arity)
-        v = raws[mid]
-        if v == key:
-            return ("hit", mid)
-        if v < key:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return ("miss", lo)
-
-
-@lru_cache(maxsize=32)
-def _binsearch_depths(length: int):
-    """Probe counts of `ternary_search` on a length-`length` array of
-    distinct values: per hit index and per miss insertion point."""
-    node = np.zeros(length, dtype=np.int32)
-    gap = np.zeros(length + 1, dtype=np.int32)
-    stack = [(0, length - 1, 0)]
-    while stack:
-        lo, hi, made = stack.pop()
-        if lo > hi:
-            gap[lo] = made
-            continue
-        mid = (lo + hi) // 2
-        node[mid] = made + 1
-        stack.append((lo, mid - 1, made + 1))
-        stack.append((mid + 1, hi, made + 1))
-    return node, gap
-
-
-# ---------------------------------------------------------------------------
 # decision-tree solver
 
 
@@ -419,7 +357,7 @@ def solve_decision_tree(values, group_size: Optional[int], ledger: ComparisonLed
     step4_done mark the phases; the step2 -> step3 ledger delta is always
     zero.  Returns a witness triple or None.
     """
-    arr = [float(v) for v in values]
+    arr = as_reals(values)
     n = len(arr)
     if n == 0:
         return None
@@ -438,56 +376,16 @@ def solve_decision_tree(values, group_size: Optional[int], ledger: ComparisonLed
 def _decision_tree_reference(arr, g, ledger, debug):
     svals = sorted_counted(arr, ledger)
     ledger.snapshot("step1_sorted")
-    n = len(svals)
     grouping = Grouping(tuple(svals), g)
     m = grouping.num_groups
-    groups = [grouping.row_tagged(i) for i in range(m)] \
-        + [grouping.col_tagged(i) for i in range(m)]
-    dindex = sort_differences(groups, ledger)
+    groups = [grouping.group_values(i) for i in range(m)]
+    sort_differences([tag_rows(v) for v in groups] + [tag_cols(v) for v in groups], ledger)
     ledger.snapshot("step2_differences")
-
-    # Deduce every box's sorted order from the difference ranks: a row-role
-    # rank against a col-role rank answers each sum comparison, so no
-    # comparison below touches the ledger.
-    perms = {}
-    raws = {}
-    for i in range(m):
-        vi = grouping.group_values(i)
-        for j in range(m):
-            vj = grouping.group_values(j)
-
-            def cmp(p, q, i=i, j=j):
-                if p == q:
-                    return 0
-                r1 = dindex.rank(i, p[0], q[0])
-                r2 = dindex.rank(m + j, q[1], p[1])
-                return -1 if r1 < r2 else (1 if r1 > r2 else 0)
-
-            positions = [(x, y) for x in range(len(vi)) for y in range(len(vj))]
-            order = merge_sort_counted(positions, cmp)
-            perms[(i, j)] = order
-            raws[(i, j)] = [vi[x] + vj[y] for (x, y) in order]
+    # every box's sorted order follows from the sorted differences for free
+    boxes = {(i, j): _OrderSearch(*box_order(groups[i], groups[j]))
+             for i in range(m) for j in range(m)}
     ledger.snapshot("step3_boxes")
-
-    witness = None
-    for k in range(n):
-        key = -svals[k]
-        lo, hi = 0, k // g
-        while lo <= hi:
-            if debug:
-                _assert_walk_invariant(svals, k, g, lo, hi)
-            res, pos = ternary_search(raws[(lo, hi)], key, ledger)
-            if res == "hit":
-                x, y = perms[(lo, hi)][pos]
-                witness = (grouping.value(lo, x), grouping.value(hi, y), svals[k])
-                break
-            ledger.tick(3)
-            if grouping.gmax(lo) + grouping.gmin(hi) > key:
-                hi -= 1
-            else:
-                lo += 1
-        if witness is not None:
-            break
+    witness = _staircase_walk(svals, g, boxes.__getitem__, ledger, debug)
     ledger.snapshot("step4_done")
     return witness
 
@@ -519,31 +417,13 @@ def _decision_tree_fast(arr0: np.ndarray, g: int, ledger: ComparisonLedger):
     m = -(-n // g)
     if m >= (1 << 20):
         raise ValueError("too many groups for the fast path")
-    base = 2 * g + 2
-    d_u = []
-    d_t = []
-    for role in (0, 1):
-        for i in range(m):
-            seg = arr[i * g:min((i + 1) * g, n)]
-            d_u.append(np.subtract.outer(seg, seg).ravel())
-            dt = np.subtract.outer(np.arange(len(seg)), np.arange(len(seg))).ravel()
-            d_t.append(dt * base if role == 0 else dt)
-    ledger.tick(4, mergesort_tick_count(np.concatenate(d_u), np.concatenate(d_t)))
+    groups = [arr[i * g:min((i + 1) * g, n)] for i in range(m)]
+    difference_ticks([(seg, np.arange(len(seg)), role)
+                      for role in ("row", "col") for seg in groups], ledger)
     ledger.snapshot("step2_differences")
     ledger.snapshot("step3_boxes")
 
-    gmins = arr[np.arange(m) * g].tolist()
-    gmaxs = arr[np.minimum((np.arange(m) + 1) * g, n) - 1].tolist()
-    visits = []
-    for k in range(n):
-        key = -arr[k]
-        lo, hi = 0, k // g
-        while lo <= hi:
-            visits.append((k, lo, hi))
-            if gmaxs[lo] + gmins[hi] > key:
-                hi -= 1
-            else:
-                lo += 1
+    visits = list(staircase_visits(arr.tolist(), g))
 
     nv = len(visits)
     probes = np.zeros(nv, dtype=np.int64)
@@ -552,9 +432,7 @@ def _decision_tree_fast(arr0: np.ndarray, g: int, ledger: ComparisonLedger):
     for vi, (k, lo, hi) in enumerate(visits):
         by_box.setdefault((lo, hi), []).append(vi)
     for (lo, hi), vidx in by_box.items():
-        seg_r = arr[lo * g:min((lo + 1) * g, n)]
-        seg_c = arr[hi * g:min((hi + 1) * g, n)]
-        sums = np.sort(np.add.outer(seg_r, seg_c).ravel())
+        sums = np.sort(np.add.outer(groups[lo], groups[hi]).ravel())
         length = len(sums)
         keys = np.array([-arr[visits[vi][0]] for vi in vidx])
         vidx_arr = np.asarray(vidx)
@@ -578,11 +456,8 @@ def _decision_tree_fast(arr0: np.ndarray, g: int, ledger: ComparisonLedger):
         first = int(np.argmax(hits))
         ticks3 = int(probes[:first].sum()) + first + int(probes[first])
         k, lo, hi = visits[first]
-        key = -arr[k]
-        seg_r = arr[lo * g:min((lo + 1) * g, n)]
-        seg_c = arr[hi * g:min((hi + 1) * g, n)]
-        where = np.argwhere(np.add.outer(seg_r, seg_c) == key)
-        x, y = where[0]
+        seg_r, seg_c = groups[lo], groups[hi]
+        x, y = np.argwhere(np.add.outer(seg_r, seg_c) == -arr[k])[0]
         witness = (float(seg_r[x]), float(seg_c[y]), float(arr[k]))
     else:
         ticks3 = int(probes.sum()) + nv
@@ -875,45 +750,12 @@ def match_boxes(grouping: Grouping, catalog: LegalPairCatalog,
 # per-box searchers for the catalog solvers
 
 
-class _ChainSearch:
-    """Search structure of a certified box: anchor values in ascending
-    order, plus the ordered between-region for each consecutive gap."""
+class _OrderSearch:
+    """A box's positions in ascending order: binary search their raw sums."""
 
-    def __init__(self, chain_positions, chain_raws, gap_orders, gap_raws, box):
-        self.chain_positions = chain_positions
-        self.chain_raws = chain_raws
-        self.gap_orders = gap_orders
-        self.gap_raws = gap_raws
-        self.box = box
-
-    def search(self, key, ledger):
-        res, pos = ternary_search(self.chain_raws, key, ledger)
-        if res == "hit":
-            return self.chain_positions[pos]
-        if pos == 0 or pos == len(self.chain_raws):
-            return None
-        order = self.gap_orders[pos - 1]
-        if not order:
-            return None
-        res, idx = ternary_search(self.gap_raws[pos - 1], key, ledger)
-        if res == "hit":
-            return order[idx]
-        return None
-
-
-class _SortedSearch:
-    """Fallback for short or uncertified boxes: sort outright, charging one
-    4-linear tick per comparison, then binary search."""
-
-    def __init__(self, box: BoxView, ledger: ComparisonLedger):
-        def cmp(p, q):
-            if p == q:
-                return 0
-            ledger.tick(4)
-            return cmp_tagged(box.tagged(*p), box.tagged(*q))
-
-        self.order = merge_sort_counted(list(box.positions()), cmp)
-        self.raws = [box.raw(*p) for p in self.order]
+    def __init__(self, order, raws):
+        self.order = order
+        self.raws = raws
 
     def search(self, key, ledger):
         res, pos = ternary_search(self.raws, key, ledger)
@@ -922,11 +764,42 @@ class _SortedSearch:
         return None
 
 
+class _ChainSearch(_OrderSearch):
+    """Search structure of a certified box: its anchors in ascending order,
+    plus an ordered search over the between-region of each gap."""
+
+    def __init__(self, box: BoxView, chain, gap_orders):
+        super().__init__(chain, box.raws(chain))
+        self.gaps = [_OrderSearch(order, box.raws(order)) for order in gap_orders]
+
+    def search(self, key, ledger):
+        res, pos = ternary_search(self.raws, key, ledger)
+        if res == "hit":
+            return self.order[pos]
+        if 0 < pos < len(self.raws):
+            return self.gaps[pos - 1].search(key, ledger)
+        return None
+
+
+def _sorted_search(box: BoxView, ledger: ComparisonLedger) -> _OrderSearch:
+    """Fallback for short or uncertified boxes: sort outright, charging one
+    4-linear tick per comparison."""
+
+    def cmp(p, q):
+        if p == q:
+            return 0
+        ledger.tick(4)
+        return cmp_tagged(box.tagged(*p), box.tagged(*q))
+
+    order = merge_sort_counted(list(box.positions()), cmp)
+    return _OrderSearch(order, box.raws(order))
+
+
 def _build_box_searcher(grouping, i, j, point_set, assignments, ledger):
     g = grouping.group_size
     box = BoxView.from_grouping(grouping, i, j)
     if box.nrows != g or box.ncols != g:
-        return _SortedSearch(box, ledger)
+        return _sorted_search(box, ledger)
     links = assignments.get((i, j), {})
     nxt = {a: (b, e) for (a, b), e in links.items()}
     chain = [(0, 0)]
@@ -942,11 +815,8 @@ def _build_box_searcher(grouping, i, j, point_set, assignments, ledger):
                 and len(links) == point_set.count - 1)
     if not complete:
         # bad box: its layer structure was not certified, sort it directly
-        return _SortedSearch(box, ledger)
-    chain_raws = [box.raw(*p) for p in chain]
-    gap_orders = [e.order for e in entries]
-    gap_raws = [[box.raw(*p) for p in e.order] for e in entries]
-    return _ChainSearch(chain, chain_raws, gap_orders, gap_raws, box)
+        return _sorted_search(box, ledger)
+    return _ChainSearch(box, chain, [e.order for e in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +835,6 @@ class SubquadraticParams:
     group_size: Optional[int] = None
     span: Optional[int] = None
     mode: str = "deterministic"
-    epsilon: float = 0.5
     seed: int = 0
     point_count: Optional[int] = None
     grid_side: Optional[int] = None
@@ -981,20 +850,42 @@ def _fit_grid_side(width: int, wanted: Optional[int]) -> int:
     return q
 
 
-def _staircase_walk(n, g, svals, grouping, membership, ledger):
-    for k in range(n):
-        key = -svals[k]
-        lo, hi = 0, k // g
-        while lo <= hi:
-            w = membership(lo, hi, key)
-            if w is not None:
-                x, y = w
-                return (grouping.value(lo, x), grouping.value(hi, y), svals[k])
-            ledger.tick(3)
-            if grouping.gmax(lo) + grouping.gmin(hi) > key:
-                hi -= 1
-            else:
-                lo += 1
+def resolve_subquadratic_params(n: int, params: Optional[SubquadraticParams] = None
+                                ) -> SubquadraticParams:
+    """A copy of `params` with the group size, span and anchor count or
+    grid side that :func:`solve_subquadratic` uses at input size n."""
+    params = params or SubquadraticParams()
+    g = params.group_size if params.group_size is not None else (2 if n < 512 else 3)
+    if g < 1:
+        raise ValueError("group size must be >= 1")
+    if params.mode == "deterministic":
+        q = _fit_grid_side(g, params.grid_side)
+        span = params.span if params.span is not None else grid_span(g, q)
+        return replace(params, group_size=g, span=span, grid_side=q)
+    if params.mode == "randomized":
+        span = params.span if params.span is not None else g
+        count = params.point_count if params.point_count is not None \
+            else default_point_count(g, span)
+        return replace(params, group_size=g, span=span, point_count=count)
+    raise ValueError(f"unknown mode {params.mode!r}")
+
+
+def _staircase_walk(svals, g, searcher, ledger, debug=False):
+    """Search every box the walk visits for its key, building each box's
+    searcher on first visit; one 3-linear tick per visit that misses.
+    Returns a witness triple or None."""
+    searchers: dict = {}
+    for k, lo, hi in staircase_visits(svals, g):
+        if debug:
+            _assert_walk_invariant(svals, k, g, lo, hi)
+        s = searchers.get((lo, hi))
+        if s is None:
+            s = searchers[(lo, hi)] = searcher((lo, hi))
+        hit = s.search(-svals[k], ledger)
+        if hit is not None:
+            x, y = hit
+            return (svals[lo * g + x], svals[hi * g + y], svals[k])
+        ledger.tick(3)
     return None
 
 
@@ -1009,36 +900,21 @@ def solve_subquadratic(values, params: Optional[SubquadraticParams],
     gaps.  Uncertified (bad) and short boxes are sorted directly at
     4-linear cost.
     """
-    params = params or SubquadraticParams()
-    arr = [float(v) for v in values]
+    arr = as_reals(values)
     n = len(arr)
     if n == 0:
         return None
-    g = params.group_size if params.group_size is not None else (2 if n < 512 else 3)
-    if g < 1:
-        raise ValueError("group size must be >= 1")
-
+    params = resolve_subquadratic_params(n, params)
+    g, span = params.group_size, params.span
     if params.mode == "deterministic":
-        q = _fit_grid_side(g, params.grid_side)
-        point_set = deterministic_point_set(g, q)
-        span = params.span if params.span is not None else grid_span(g, q)
-        params.grid_side = q
-    elif params.mode == "randomized":
-        span = params.span if params.span is not None else g
-        count = params.point_count if params.point_count is not None \
-            else default_point_count(g, span)
+        point_set = deterministic_point_set(g, params.grid_side)
+    else:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(params.seed)))
         if params.candidates > 1:
-            point_set = select_best_point_set(arr, g, count, span,
+            point_set = select_best_point_set(arr, g, params.point_count, span,
                                               params.candidates, params.samples, rng)
         else:
-            point_set = random_point_set(g, count, rng)
-        params.point_count = count
-    else:
-        raise ValueError(f"unknown mode {params.mode!r}")
-    # record the resolved parameters so callers can report them
-    params.group_size = g
-    params.span = span
+            point_set = random_point_set(g, params.point_count, rng)
 
     catalog = cached_catalog(g, point_set, span, params.catalog_budget)
 
@@ -1048,28 +924,21 @@ def solve_subquadratic(values, params: Optional[SubquadraticParams],
     assignments = match_boxes(grouping, catalog)
     ledger.snapshot("matched_boxes")
 
-    searchers: dict = {}
-
-    def membership(lo, hi, key):
-        s = searchers.get((lo, hi))
-        if s is None:
-            s = _build_box_searcher(grouping, lo, hi, point_set, assignments, ledger)
-            searchers[(lo, hi)] = s
-        return s.search(key, ledger)
-
-    witness = _staircase_walk(n, g, svals, grouping, membership, ledger)
+    witness = _staircase_walk(
+        svals, g,
+        lambda box: _build_box_searcher(grouping, *box, point_set, assignments, ledger),
+        ledger)
     ledger.snapshot("step4_done")
     return witness
 
 
-def solve_subquadratic_simple(values, group_size: Optional[int], epsilon: float,
+def solve_subquadratic_simple(values, group_size: Optional[int],
                               ledger: ComparisonLedger, perm_budget: int = 400_000):
     """Whole-box permutation matching: enumerate every sorting permutation
     of a full box and match boxes to permutations via dominance, then walk.
 
     Feasible only for tiny group sizes ((g*g)! permutations)."""
-    del epsilon  # cost-model knob; the reporting algorithm needs no tuning here
-    arr = [float(v) for v in values]
+    arr = as_reals(values)
     n = len(arr)
     if n == 0:
         return None
@@ -1116,25 +985,14 @@ def solve_subquadratic_simple(values, group_size: Optional[int], epsilon: float,
             assert (i, j) in assigned, "full box left unmatched"
     ledger.snapshot("matched_boxes")
 
-    searchers: dict = {}
+    def searcher(ij):
+        box = BoxView.from_grouping(grouping, *ij)
+        order = assigned.get(ij)
+        if order is None:
+            return _sorted_search(box, ledger)
+        return _OrderSearch(order, box.raws(order))
 
-    def membership(lo, hi, key):
-        s = searchers.get((lo, hi))
-        if s is None:
-            box = BoxView.from_grouping(grouping, lo, hi)
-            if (lo, hi) in assigned:
-                order = assigned[(lo, hi)]
-                raws = [box.raw(*p) for p in order]
-                s = ("order", order, raws)
-            else:
-                s = ("sorted", _SortedSearch(box, ledger))
-            searchers[(lo, hi)] = s
-        if s[0] == "order":
-            res, idx = ternary_search(s[2], key, ledger)
-            return s[1][idx] if res == "hit" else None
-        return s[1].search(key, ledger)
-
-    witness = _staircase_walk(n, g, svals, grouping, membership, ledger)
+    witness = _staircase_walk(svals, g, searcher, ledger)
     ledger.snapshot("step4_done")
     return witness
 
@@ -1153,33 +1011,17 @@ def select_best_point_set(values, group_size: int, count: int, span: int,
         raise ValueError("candidates and samples must be >= 1")
     g = group_size
     svals = sorted(float(v) for v in values)
-    n = len(svals)
     grouping = Grouping(tuple(svals), g)
 
-    queries = []
-    for k in range(n):
-        key = -svals[k]
-        lo, hi = 0, k // g
-        while lo <= hi:
-            queries.append((k, lo, hi))
-            if grouping.gmax(lo) + grouping.gmin(hi) > key:
-                hi -= 1
-            else:
-                lo += 1
+    queries = list(staircase_visits(svals, g))
 
     cands = [random_point_set(g, count, rng) for _ in range(candidates)]
     if not queries:
         return cands[0]
 
-    order_cache: dict = {}
-
-    def box_order(i, j):
-        key = (i, j)
-        if key not in order_cache:
-            box = BoxView.from_grouping(grouping, i, j)
-            order_cache[key] = sorted(box.positions(),
-                                      key=lambda p: box.tagged(*p).key())
-        return order_cache[key]
+    @lru_cache(maxsize=None)
+    def order(i, j):
+        return box_order(grouping.group_values(i), grouping.group_values(j))[0]
 
     best = None
     for idx, ps in enumerate(cands):
@@ -1187,7 +1029,7 @@ def select_best_point_set(values, group_size: int, count: int, span: int,
         bad = 0
         for t in picks:
             _, i, j = queries[int(t)]
-            if _order_is_bad(box_order(i, j), ps.positions, span):
+            if _order_is_bad(order(i, j), ps.positions, span):
                 bad += 1
         estimate = bad / samples
         if best is None or estimate < best[0]:

@@ -16,13 +16,15 @@ sentinel; anything at or above ``BIG_CUT`` is reported as infeasible.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
 import numpy as np
 
-from .core import ComparisonLedger, mergesort_tick_count
+from .core import (ComparisonLedger, _bound_depths, difference_ticks, lower_bound,
+                   ternary_search)
 from .dominance import BLUE, RED, LabeledPoint, report_dominating_pairs
 
 INF = math.inf
@@ -144,37 +146,6 @@ def target_min_plus_trivial(A, B, T) -> TargetProductResult:
 # instrumented strip variant
 
 
-def _lower_bound(raws, key, ledger, arity=3):
-    lo, hi = 0, len(raws)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        ledger.tick(arity)
-        if raws[mid] >= key:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _strip_diff_ticks(ae, be, k0, k1, ledger):
-    """Tick the canonical mergesort cost of the strip's difference list:
-    all A-row diffs (row role) then all B-column diffs (column role)."""
-    w = k1 - k0
-    base = 2 * w + 2
-    local = np.subtract.outer(np.arange(w), np.arange(w)).ravel()
-    du = []
-    dt = []
-    for i in range(ae.shape[0]):
-        seg = ae[i, k0:k1]
-        du.append(np.subtract.outer(seg, seg).ravel())
-        dt.append(local * base)
-    for j in range(be.shape[1]):
-        seg = be[k0:k1, j]
-        du.append(np.subtract.outer(seg, seg).ravel())
-        dt.append(local.copy())
-    ledger.tick(4, mergesort_tick_count(np.concatenate(du), np.concatenate(dt)))
-
-
 def target_min_plus_dt(A, B, T, group_size: Optional[int],
                        ledger: ComparisonLedger) -> TargetProductResult:
     """Strip-wise product: one sorted difference list per strip deduces all
@@ -193,30 +164,27 @@ def target_min_plus_dt(A, B, T, group_size: Optional[int],
     for k0 in range(0, s, g):
         k1 = min(k0 + g, s)
         w = k1 - k0
-        _strip_diff_ticks(ae, be, k0, k1, ledger)
+        # the strip's difference list: all A-row diffs, then all B-column diffs
+        local = np.arange(w)
+        difference_ticks([(row[k0:k1], local, "row") for row in ae]
+                         + [(col[k0:k1], local, "col") for col in be.T], ledger)
         # per-cell candidate order, deduced (free): stable argsort equals
         # the (value, index) tie-broken order the difference ranks define
         block = ae[:, k0:k1][:, :, None] + be[k0:k1, :][None, :, :]
         orders = np.argsort(block, axis=1, kind="stable")
         svals = np.take_along_axis(block, orders, axis=1)
-        for i in range(r):
-            for j in range(tcols):
-                raws = svals[i, :, j]
-                idx = _lower_bound(raws, t[i, j], ledger)
-                if idx == w:
-                    continue
-                val = float(raws[idx])
-                if val >= BIG_CUT:
-                    continue
-                wit = k0 + int(orders[i, idx, j])
-                if w_out[i, j] == NO_WITNESS:
-                    c_out[i, j] = val
-                    w_out[i, j] = wit
-                else:
-                    ledger.tick(4)
-                    if val < c_out[i, j]:
-                        c_out[i, j] = val
-                        w_out[i, j] = wit
+        # per cell, the lower bound of its target: the counted bisection's
+        # result is the number of smaller candidates, its probes fixed by it
+        idx = (svals < t[:, None, :]).sum(axis=1)
+        ledger.tick(3, int(np.asarray(_bound_depths(w))[idx].sum()))
+        at = np.minimum(idx, w - 1)[:, None, :]
+        val = np.take_along_axis(svals, at, axis=1)[:, 0, :]
+        ok = (idx < w) & (val < BIG_CUT)
+        # a feasible candidate met after an earlier strip's costs one 4-linear comparison
+        ledger.tick(4, int((ok & (w_out != NO_WITNESS)).sum()))
+        better = ok & (val < c_out)
+        c_out[better] = val[better]
+        w_out[better] = k0 + np.take_along_axis(orders, at, axis=1)[:, 0, :][better]
     return _result(c_out, w_out)
 
 
@@ -266,15 +234,7 @@ def target_min_plus_dominance(A, B, T, group_size: Optional[int] = None
             for j in range(tcols):
                 pi = assigned[(i, j)]
                 raws = [ae[i, k0 + kk] + be[k0 + kk, j] for kk in pi]
-                idx = 0
-                lo, hi = 0, w
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if raws[mid] >= t[i, j]:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                idx = lo
+                idx = bisect_left(raws, t[i, j])  # uncharged
                 if idx == w:
                     continue
                 val = float(raws[idx])
@@ -344,25 +304,6 @@ def build_sample_hierarchy(n: int, base: int, rng: np.random.Generator) -> Sampl
     return SampleHierarchy(base, levels, members)
 
 
-def _hierarchy_diff_ticks(ae, be, hierarchy, ledger):
-    n = ae.shape[0]
-    du = []
-    dt = []
-    base_tag = 2 * n + 2
-    for l in range(hierarchy.levels):
-        for mem in hierarchy.members[l]:
-            tags = np.subtract.outer(mem, mem).ravel()
-            for i in range(n):
-                seg = ae[i, mem]
-                du.append(np.subtract.outer(seg, seg).ravel())
-                dt.append(tags * base_tag)
-            for j in range(n):
-                seg = be[mem, j]
-                du.append(np.subtract.outer(seg, seg).ravel())
-                dt.append(tags.copy())
-    ledger.tick(4, mergesort_tick_count(np.concatenate(du), np.concatenate(dt)))
-
-
 def target_min_plus_sampled(A, B, T, group_size: Optional[int],
                             rng: np.random.Generator, ledger: ComparisonLedger,
                             hint_stats: Optional[list] = None) -> TargetProductResult:
@@ -382,7 +323,13 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
     ae, be = _encode(a), _encode(b)
     g = group_size if group_size is not None else max(1, math.ceil(math.sqrt(n)))
     hierarchy = build_sample_hierarchy(n, g, rng)
-    _hierarchy_diff_ticks(ae, be, hierarchy, ledger)
+    # per sampled interval: its A-row diffs, then its B-column diffs
+    segments = []
+    for level in hierarchy.members:
+        for mem in level:
+            segments += [(row[mem], mem, "row") for row in ae]
+            segments += [(col[mem], mem, "col") for col in be.T]
+    difference_ticks(segments, ledger)
 
     c_out = np.full((n, n), INF)
     w_out = np.full((n, n), NO_WITNESS, dtype=np.int64)
@@ -408,7 +355,7 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
             kappas = []
             for p in range(len(hierarchy.members[top])):
                 order, raws = get_order(top, p)
-                idx = _lower_bound(raws, tgt, ledger)
+                idx = lower_bound(raws, tgt, ledger)
                 kappas.append(order[idx] if idx < len(order) else None)
 
             for l in range(top - 1, -1, -1):
@@ -427,7 +374,7 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
                                     hint = k
                                     break
                         if hint is None:
-                            idx = _lower_bound(craws, tgt, ledger)
+                            idx = lower_bound(craws, tgt, ledger)
                             nxt.append(corder[idx] if idx < len(corder) else None)
                             continue
                         pos = corder.index(hint)
@@ -661,23 +608,15 @@ def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
 
     # difference list over same-colored out-neighbor pairs, both roles
     wm = graph.weight_map()
-    du = []
-    dt = []
-    base = 2 * graph.n + 2
-    for role in (0, 1):
-        for u in sorted(out):
-            by_color: dict = {}
-            for (v, w) in sorted(out[u]):
-                by_color.setdefault(colors[v], []).append((v, w))
-            for c in sorted(by_color):
-                members = by_color[c]
-                ws = np.array([w for (_, w) in members])
-                vs = np.array([v for (v, _) in members])
-                du.append(np.subtract.outer(ws, ws).ravel())
-                tags = np.subtract.outer(vs, vs).ravel()
-                dt.append(tags * base if role == 0 else tags)
-    if du:
-        ledger.tick(4, mergesort_tick_count(np.concatenate(du), np.concatenate(dt)))
+    pairs = []
+    for u in sorted(out):
+        by_color: dict = {}
+        for (v, w) in sorted(out[u]):
+            by_color.setdefault(colors[v], []).append((v, w))
+        for c in sorted(by_color):
+            members = by_color[c]
+            pairs.append(([w for (_, w) in members], [v for (v, _) in members]))
+    difference_ticks([(ws, vs, role) for role in ("row", "col") for ws, vs in pairs], ledger)
     ledger.snapshot("differences_sorted")
 
     common_cache: dict = {}
@@ -699,17 +638,9 @@ def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
             # order deduced from the difference list: (sum, index) keys
             xs = sorted(xs, key=lambda x: (wm[(u, x)] + wm[(v, x)], x))
             raws = [wm[(u, x)] + wm[(v, x)] for x in xs]
-            lo, hi = 0, len(raws) - 1
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                ledger.tick(3)
-                val = raws[mid]
-                if val == key:
-                    return (u, v, xs[mid])
-                if val < key:
-                    lo = mid + 1
-                else:
-                    hi = mid - 1
+            res, pos = ternary_search(raws, key, ledger)
+            if res == "hit":
+                return (u, v, xs[pos])
     return None
 
 

@@ -69,7 +69,7 @@ def test_criterion_01_oracle_equivalence_3sum():
         results.append(solve_decision_tree(arr, None, led) is not None)
         led = ComparisonLedger()
         results.append(
-            solve_subquadratic_simple(arr, 1 if n < 4 else 2, 0.5, led) is not None)
+            solve_subquadratic_simple(arr, 1 if n < 4 else 2, led) is not None)
         led = ComparisonLedger()
         results.append(solve_subquadratic(arr, None, led) is not None)
         led = ComparisonLedger()

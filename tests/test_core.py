@@ -1,22 +1,24 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threebench import harness
 from threebench.core import (
-    CartesianResolver,
     ComparisonLedger,
-    Fragment,
     TaggedReal,
-    compare_sum,
+    as_reals,
+    box_order,
+    cmp_tagged,
+    difference_ticks,
+    lower_bound,
     merge_sort_counted,
     mergesort_tick_count,
     sort_differences,
-    sort_fragment,
+    staircase_visits,
     tag_cols,
     tag_rows,
+    upper_bound,
 )
 
 
@@ -61,49 +63,18 @@ def test_tagging_is_a_linear_extension():
                     assert s2 < s1
 
 
-def test_compare_sum_breaks_ties_by_tags_with_one_tick():
-    led = ComparisonLedger()
-    a, b = TaggedReal(1.0, 1, 0), TaggedReal(2.0, 0, 1)
-    c, d = TaggedReal(1.0, 2, 0), TaggedReal(2.0, 0, 2)
-    assert compare_sum(a, b, c, d, led) == -1
-    assert led.count_4linear == 1
-    assert led.total() == 1
-
-
-def test_compare_sum_equal_untagged_sums():
-    led = ComparisonLedger()
-    assert compare_sum(TaggedReal(0.0), TaggedReal(0.0),
-                       TaggedReal(1.0), TaggedReal(-1.0), led) == 0
-
-
-def test_compare_sum_agrees_with_direct_comparison_on_all_quadruples():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        vals = [TaggedReal(float(v), i, 0)
-                for i, v in enumerate(rng.integers(-20, 21, size=8))]
-        led = ComparisonLedger()
-        for a in vals:
-            for b in vals:
-                for c in vals:
-                    for d in vals:
-                        got = compare_sum(a, b, c, d, led)
-                        s1, s2 = a + b, c + d
-                        want = -1 if s1 < s2 else (1 if s2 < s1 else 0)
-                        assert got == want
-
-
 def test_sort_differences_single_group():
     led = ComparisonLedger()
     group = tag_rows([1.0, 2.0])
-    idx = sort_differences([group], led)
-    assert [d.u for d in idx.diffs] == [-1.0, 0.0, 0.0, 1.0]
+    diffs = sort_differences([group], led)
+    assert [d.u for d in diffs] == [-1.0, 0.0, 0.0, 1.0]
     assert set(led.count_klinear) == {4}
 
 
 def test_sort_differences_singleton():
     led = ComparisonLedger()
-    idx = sort_differences([tag_rows([0.0])], led)
-    assert [d.u for d in idx.diffs] == [0.0]
+    diffs = sort_differences([tag_rows([0.0])], led)
+    assert [d.u for d in diffs] == [0.0]
 
 
 def test_sort_differences_matches_materialized_oracle():
@@ -112,106 +83,10 @@ def test_sort_differences_matches_materialized_oracle():
         groups = [tag_rows(rng.integers(-9, 10, size=4).astype(float))
                   for _ in range(3)]
         led = ComparisonLedger()
-        idx = sort_differences(groups, led)
+        diffs = sort_differences(groups, led)
         explicit = sorted((g[x] - g[y]).key()
                           for g in groups for x in range(4) for y in range(4))
-        assert [d.key() for d in idx.diffs] == explicit
-        # ranks are consistent with the sorted list
-        for gi, g in enumerate(groups):
-            for x in range(4):
-                for y in range(4):
-                    r = idx.rank(gi, x, y)
-                    assert idx.diffs[r] == g[x] - g[y]
-
-
-def _full_resolver(a_vals, b_vals, ledger):
-    rows = tag_rows(a_vals)
-    cols = tag_cols(b_vals)
-    groups = [rows, cols]
-    idx = sort_differences(groups, ledger)
-    resolver = CartesianResolver(idx, row_spans=[(0, 0, len(rows))],
-                                 col_spans=[(1, 0, len(cols))])
-    return rows, cols, resolver
-
-
-def test_sort_fragment_single_row_follows_column_order():
-    led = ComparisonLedger()
-    rows, cols, resolver = _full_resolver([5.0, 9.0], [3.0, -2.0], led)
-    frag = Fragment(((0, 0), (0, 1)))
-    order = sort_fragment(rows, cols, frag, resolver)
-    assert order == [(0, 1), (0, 0)]  # b order: -2 < 3
-
-
-def test_sort_fragment_full_small_box_values():
-    led = ComparisonLedger()
-    rows, cols, resolver = _full_resolver([1.0, 3.0], [0.0, 10.0], led)
-    frag = Fragment(((0, 0), (0, 1), (1, 0), (1, 1)))
-    order = sort_fragment(rows, cols, frag, resolver)
-    assert order == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    values = [rows[x].u + cols[y].u for (x, y) in order]
-    assert values == [1.0, 3.0, 11.0, 13.0]
-
-
-def test_sort_fragment_matches_oracle_on_random_fragments():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = rng.integers(-9, 10, size=5).astype(float)
-        b = rng.integers(-9, 10, size=5).astype(float)
-        led = ComparisonLedger()
-        rows, cols, resolver = _full_resolver(a, b, led)
-        cells = [(x, y) for x in range(5) for y in range(5)]
-        picks = rng.choice(25, size=12, replace=False)
-        frag = Fragment(tuple(cells[int(t)] for t in picks))
-        order = sort_fragment(rows, cols, frag, resolver)
-        oracle = sorted(frag.positions,
-                        key=lambda p: (rows[p[0]] + cols[p[1]]).key())
-        assert order == oracle
-
-
-def test_sort_fragment_is_free_when_fully_resolvable():
-    led = ComparisonLedger()
-    rows, cols, resolver = _full_resolver([4.0, 1.0, 7.0], [2.0, 2.0, 5.0], led)
-    before = dict(led.count_klinear)
-    frag = Fragment(tuple((x, y) for x in range(3) for y in range(3)))
-    sort_fragment(rows, cols, frag, resolver)
-    assert led.count_klinear == before
-
-
-def test_sort_fragment_merge_steps_cost_at_most_pairwise():
-    # two row groups and two column groups: cross-pair comparisons fall back
-    # to paid 4-linear queries, bounded by the mergesort comparison count
-    rng = np.random.default_rng(4)
-    a = rng.integers(-9, 10, size=4).astype(float)
-    b = rng.integers(-9, 10, size=4).astype(float)
-    rows = tag_rows(a)
-    cols = tag_cols(b)
-    led = ComparisonLedger()
-    groups = [rows[:2], rows[2:], cols[:2], cols[2:]]
-    idx = sort_differences(groups, led)
-    resolver = CartesianResolver(
-        idx,
-        row_spans=[(0, 0, 2), (1, 2, 2)],
-        col_spans=[(2, 0, 2), (3, 2, 2)])
-    before = led.count_4linear
-    frag = Fragment(tuple((x, y) for x in range(4) for y in range(4)))
-    order = sort_fragment(rows, cols, frag, resolver)
-    paid = led.count_4linear - before
-    size = len(frag.positions)
-    assert paid <= size * math.ceil(math.log2(size))
-    oracle = sorted(frag.positions, key=lambda p: (rows[p[0]] + cols[p[1]]).key())
-    assert order == oracle
-
-
-def test_sort_fragment_position_out_of_range():
-    led = ComparisonLedger()
-    rows, cols, resolver = _full_resolver([1.0], [1.0], led)
-    with pytest.raises(ValueError):
-        sort_fragment(rows, cols, Fragment(((0, 1),)), resolver)
-
-
-def test_fragment_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Fragment(((0, 0), (0, 0)))
+        assert [d.key() for d in diffs] == explicit
 
 
 def test_ledger_counts_are_monotone_and_snapshots_frozen():
@@ -275,3 +150,123 @@ def test_vectorised_tick_count_untagged(values):
 
     merge_sort_counted(values, cmp)
     assert mergesort_tick_count(np.array(values, dtype=np.float64)) == counter["n"]
+
+
+# -- the grouped-search kernel -------------------------------------------------
+
+
+def _counted_bound(raws, key, upper):
+    """The two-way bisection written out, one probe counted per step."""
+    lo, hi, probes = 0, len(raws), 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        if (raws[mid] <= key) if upper else (raws[mid] < key):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, probes
+
+
+@given(st.lists(st.integers(-6, 6), max_size=40), st.integers(-8, 8),
+       st.sampled_from(["sorted", "unsorted"]))
+@settings(max_examples=300, deadline=None)
+def test_bounds_match_a_counted_loop_on_sorted_tied_and_unsorted_lists(values, key, kind):
+    raws = [float(v) for v in (sorted(values) if kind == "sorted" else values)]
+    for fn, upper in ((lower_bound, False), (upper_bound, True)):
+        led = ComparisonLedger()
+        idx, probes = _counted_bound(raws, float(key), upper)
+        assert fn(raws, float(key), led, arity=5) == idx
+        assert led.count_klinear == ({5: probes} if probes else {})
+
+
+def _inline_staircase(svals, g):
+    visits = []
+    for k in range(len(svals)):
+        key = -svals[k]
+        lo, hi = 0, k // g
+        while lo <= hi:
+            visits.append((k, lo, hi))
+            a, b = lo * g, hi * g
+            gmax = svals[min(a + g, len(svals)) - 1]
+            if gmax + svals[b] > key:
+                hi -= 1
+            else:
+                lo += 1
+    return visits
+
+
+def test_staircase_visits_match_the_inline_walk():
+    for gen in harness.GENERATORS:
+        for n in (1, 2, 17, 40):
+            svals = sorted(harness.generate("3sum", n, gen, 4).tolist())
+            for g in (1, 3, 7, n):
+                assert list(staircase_visits(svals, g)) == _inline_staircase(svals, g)
+
+
+def test_box_order_equals_the_fredman_comparator_order():
+    # a + b < a' + b'  iff  a - a' < b' - b, answered on tagged reals
+    for gen in harness.GENERATORS:
+        for seed in range(6):
+            vals = harness.generate("3sum", 24, gen, seed).tolist()
+            for rv, cv in ((vals[:5], vals[5:9]), (vals[9:16], vals[16:24]),
+                           (vals[:1], vals[1:6]), (vals[6:12], vals[6:12])):
+                r, c = tag_rows(rv), tag_cols(cv)
+                cells = [(x, y) for x in range(len(rv)) for y in range(len(cv))]
+                want = merge_sort_counted(
+                    cells, lambda p, q: cmp_tagged(r[p[0]] - r[q[0]], c[q[1]] - c[p[1]]))
+                order, raws = box_order(rv, cv)
+                assert order == want
+                assert raws == [rv[x] + cv[y] for (x, y) in want]
+
+
+def test_box_order_single_row_follows_column_order():
+    order, raws = box_order([5.0], [3.0, -2.0])
+    assert order == [(0, 1), (0, 0)]
+    assert raws == [3.0, 8.0]
+
+
+def test_box_order_full_small_box_values():
+    order, raws = box_order([1.0, 3.0], [0.0, 10.0])
+    assert order == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert raws == [1.0, 3.0, 11.0, 13.0]
+
+
+def test_box_order_matches_the_tagged_sum_oracle_on_random_boxes():
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        a = rng.integers(-9, 10, size=int(rng.integers(1, 7))).astype(float)
+        b = rng.integers(-9, 10, size=int(rng.integers(1, 7))).astype(float)
+        rows, cols = tag_rows(a), tag_cols(b)
+        oracle = sorted(((x, y) for x in range(len(a)) for y in range(len(b))),
+                        key=lambda p: (rows[p[0]] + cols[p[1]]).key())
+        assert box_order(a, b)[0] == oracle
+
+
+def test_box_order_breaks_ties_by_row_then_column():
+    order, raws = box_order([1.0, 1.0, 2.0], [0.0, 1.0, 1.0])
+    assert order == [(0, 0), (1, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+    assert raws == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0]
+
+
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=5), min_size=1, max_size=5),
+       st.integers(0, 5), st.sampled_from([4, 7]))
+@settings(max_examples=150, deadline=None)
+def test_difference_ticks_count_the_reference_sort(groups, n_rows, arity):
+    n_rows = min(n_rows, len(groups))
+    tagged = [tag_rows(grp) if t < n_rows else tag_cols(grp) for t, grp in enumerate(groups)]
+    led = ComparisonLedger()
+    sort_differences(tagged, led, arity)
+    segments = [(grp, range(len(grp)), "row" if t < n_rows else "col")
+                for t, grp in enumerate(groups)]
+    led2 = ComparisonLedger()
+    assert difference_ticks(segments, led2, arity) == led.count(arity)
+    assert led2.count_klinear == led.count_klinear
+
+
+def test_as_reals_refuses_non_finite_values():
+    assert as_reals(np.array([1, 2.5, -3])) == [1.0, 2.5, -3.0]
+    assert as_reals([]) == []
+    for bad in ([1.0, float("nan")], [float("inf")], [0.0, -float("inf")]):
+        with pytest.raises(ValueError):
+            as_reals(bad)

@@ -4,7 +4,6 @@ import pytest
 from threebench.dominance import (
     BLUE,
     RED,
-    DominanceCostModel,
     LabeledPoint,
     c_epsilon,
     report_dominating_pairs,
@@ -106,9 +105,3 @@ def test_c_epsilon_values():
         c_epsilon(0.0)
     with pytest.raises(ValueError):
         c_epsilon(1.5)
-
-
-def test_cost_model_invariant():
-    model = DominanceCostModel.from_epsilon(0.5)
-    assert model.c_epsilon == c_epsilon(0.5)
-    assert model.c_epsilon == 2 ** model.epsilon / (2 ** model.epsilon - 1)

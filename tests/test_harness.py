@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threebench import cli, harness
-from threebench.conv3sum import oracle_conv3sum
+from threebench import threesum as ts
+from threebench.conv3sum import oracle_conv3sum, solve_conv_blocked
 from threebench.core import ComparisonLedger
+from threebench.ldt import LinearForm, solve_kldt
 from threebench.threesum import oracle_3sum
 from threebench.trimatrix import WeightedGraph, write_graph, write_matrix
 
@@ -110,6 +114,34 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
+# non-finite inputs are refused at the boundary
+
+VECTOR_SOLVERS = {
+    "quadratic": lambda v, led: ts.solve_quadratic(v, v, v, led),
+    "quadratic-count": lambda v, led: ts.quadratic_tick_count(v, v, v, led),
+    "dt-reference": lambda v, led: ts.solve_decision_tree(v, 2, led, mode="reference"),
+    "dt-fast": lambda v, led: ts.solve_decision_tree(v, 2, led, mode="fast"),
+    "subq-simple": lambda v, led: ts.solve_subquadratic_simple(v, 2, led),
+    "subq-det": lambda v, led: ts.solve_subquadratic(v, None, led),
+    "subq-rand": lambda v, led: ts.solve_subquadratic(
+        v, ts.SubquadraticParams(mode="randomized"), led),
+    "conv-blocked": lambda v, led: solve_conv_blocked(v, 2, led),
+    "kldt": lambda v, led: solve_kldt(LinearForm((0.0, 1.0, 1.0, 1.0)), v, 2, led),
+    "conv-naive": lambda v, led: harness.run_solver("conv", "naive", v, {}, led, 0),
+}
+
+
+@given(st.lists(st.integers(-20, 20).map(float), max_size=12),
+       st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+       st.integers(0, 12), st.sampled_from(sorted(VECTOR_SOLVERS)))
+@settings(max_examples=200, deadline=None)
+def test_every_vector_solver_refuses_non_finite_reals(values, bad, pos, solver):
+    values.insert(pos, bad)
+    with pytest.raises(ValueError):
+        VECTOR_SOLVERS[solver](values, ComparisonLedger())
+
+
+# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -150,6 +182,13 @@ def test_cli_solve_all_problems(tmp_path, capsys):
 def test_cli_usage_error_returns_one(capsys):
     assert cli.main(["solve", "3sum"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_cli_non_finite_input_is_an_error(tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    _write_vector(path, [1.0, float("nan"), -1.0, 0.5])
+    assert cli.main(["solve", "3sum", "--algo", "dt", "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_oracle_mismatch_returns_two(tmp_path, capsys, monkeypatch):

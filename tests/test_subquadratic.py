@@ -19,6 +19,7 @@ from threebench.threesum import (
     match_boxes,
     oracle_3sum,
     random_point_set,
+    resolve_subquadratic_params,
     select_best_point_set,
     solve_subquadratic,
     solve_subquadratic_simple,
@@ -286,7 +287,7 @@ def test_simple_width_one_degenerates_to_per_cell_walk():
         n = int(rng.integers(1, 30))
         vals = rng.integers(-10, 11, size=n).astype(float).tolist()
         led = ComparisonLedger()
-        w = solve_subquadratic_simple(vals, 1, 0.5, led)
+        w = solve_subquadratic_simple(vals, 1, led)
         assert (w is not None) == (oracle_3sum(vals) is not None)
 
 
@@ -295,7 +296,7 @@ def test_simple_finds_planted_witness_with_unique_box_permutations():
     vals = rng.integers(-10 ** 4, 10 ** 4, size=16).astype(float)
     vals[:3] = (7.0, 11.0, -18.0)
     led = ComparisonLedger()
-    w = solve_subquadratic_simple(vals.tolist(), 2, 0.5, led)
+    w = solve_subquadratic_simple(vals.tolist(), 2, led)
     assert w is not None and sum(w) == 0.0
 
 
@@ -303,13 +304,13 @@ def test_simple_unplanted_matches_oracle():
     rng = np.random.default_rng(12)
     vals = rng.integers(10 ** 5, 10 ** 6, size=32).astype(float).tolist()
     led = ComparisonLedger()
-    assert solve_subquadratic_simple(vals, 2, 0.5, led) is None
+    assert solve_subquadratic_simple(vals, 2, led) is None
 
 
 def test_simple_rejects_oversized_groups():
     led = ComparisonLedger()
     with pytest.raises(ValueError):
-        solve_subquadratic_simple(list(range(32)), 4, 0.5, led)
+        solve_subquadratic_simple(list(range(32)), 4, led)
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +372,19 @@ def test_select_best_is_near_optimal_among_candidates():
 def test_contour_count_grows_as_expected():
     assert len(_all_contours(1)) == 2
     assert len(_all_contours(2)) == 6
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "randomized"])
+def test_reused_params_are_left_unmodified_and_resolve_per_size(mode):
+    shared = SubquadraticParams(mode=mode, seed=5)
+    before = repr(shared)
+    rng = np.random.default_rng(17)
+    for n in (100, 600, 100):
+        vals = rng.integers(-10 ** 6, 10 ** 6, size=n).astype(float).tolist()
+        reused, fresh = ComparisonLedger(), ComparisonLedger()
+        w1 = solve_subquadratic(vals, shared, reused)
+        w2 = solve_subquadratic(vals, SubquadraticParams(mode=mode, seed=5), fresh)
+        assert w1 == w2
+        assert reused.count_klinear == fresh.count_klinear
+        assert repr(shared) == before
+        assert resolve_subquadratic_params(n, shared).group_size == (2 if n < 512 else 3)
