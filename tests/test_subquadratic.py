@@ -388,3 +388,48 @@ def test_reused_params_are_left_unmodified_and_resolve_per_size(mode):
         assert reused.count_klinear == fresh.count_klinear
         assert repr(shared) == before
         assert resolve_subquadratic_params(n, shared).group_size == (2 if n < 512 else 3)
+
+
+# ---------------------------------------------------------------------------
+# fallback sorts: exact ledger counts
+#
+# The golden tick grid never reaches a bad box, so these pin the counts of
+# the direct box sort (one 4-linear tick per mergesort comparison of the
+# tagged box sums).  The randomized instances hit 9 to 33 bad boxes each,
+# three of them on a narrow range with many repeated values; the
+# odd-length inputs to the permutation solver end in a short group, the
+# last one with two equal sums in it.
+
+PINNED_RANDOMIZED = [
+    (100, 48, (-10 ** 6, 10 ** 6), 0, {2: 214, 3: 1659, 4: 513}, None),
+    (101, 48, (-10 ** 6, 10 ** 6), 1, {2: 215, 3: 1630, 4: 491}, None),
+    (104, 48, (-10 ** 6, 10 ** 6), 4, {2: 209, 3: 1696, 4: 1294}, None),
+    (0, 60, (-300, 301), 0, {2: 282, 3: 667, 4: 351}, (-58.0, 33.0, 25.0)),
+    (1, 60, (-300, 301), 1, {2: 281, 3: 964, 4: 723}, (-46.0, 23.0, 23.0)),
+    (2, 60, (-300, 301), 2, {2: 275, 3: 654, 4: 633}, (7.0, 7.0, -14.0)),
+]
+
+
+@pytest.mark.parametrize("data_seed,n,bounds,seed,ticks,witness", PINNED_RANDOMIZED)
+def test_randomized_bad_box_sorts_keep_their_pinned_ticks(data_seed, n, bounds, seed,
+                                                          ticks, witness):
+    rng = np.random.default_rng(data_seed)
+    vals = rng.integers(*bounds, size=n).astype(float)
+    led = ComparisonLedger()
+    params = SubquadraticParams(group_size=4, mode="randomized", point_count=8,
+                                span=4, seed=seed)
+    assert solve_subquadratic(vals.tolist(), params, led) == witness
+    assert led.count_klinear == ticks
+
+
+@pytest.mark.parametrize("vals,ticks", [
+    (np.random.default_rng(200).integers(-10 ** 4, 10 ** 4, size=17).astype(float).tolist(),
+     {2: 61, 3: 292, 4: 1}),
+    (np.random.default_rng(201).integers(-10 ** 4, 10 ** 4, size=17).astype(float).tolist(),
+     {2: 62, 3: 265, 4: 1}),
+    ([3.0, 1.0, 2.0, 1.0, 3.0, 2.0, 5.0, 4.0, 4.0], {2: 22, 3: 74, 4: 1}),
+])
+def test_simple_short_box_sorts_keep_their_pinned_ticks(vals, ticks):
+    led = ComparisonLedger()
+    assert solve_subquadratic_simple(vals, 2, led) is None
+    assert led.count_klinear == ticks
