@@ -22,7 +22,9 @@ from .dominance import (
     RED,
     LabeledPoint,
     c_epsilon,
+    match_candidates,
     report_dominating_pairs,
+    sorting_permutations,
 )
 from .threesum import (
     BoxView,

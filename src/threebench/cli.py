@@ -90,7 +90,7 @@ def _load_instance(problem, path):
 def _solve_options(args):
     options = {}
     for key in ("g", "s", "p", "q", "K"):
-        val = getattr(args, key if key != "K" else "K")
+        val = getattr(args, key)
         if val is not None:
             options[key] = val
     options["k"] = args.k

@@ -4,11 +4,18 @@ Reports every (red p, blue q) with p >= q coordinatewise (non-strict).
 Coordinates only need to be totally ordered and mutually comparable, so
 callers may use floats or lexicographic tuples; the latter is how the
 solvers emulate tie-broken (perturbed) reals exactly.
+
+Every solver certifies sorted orders through the two helpers at the end:
+:func:`match_candidates` matches candidate certificates to (red, blue)
+pairs, and :func:`sorting_permutations` applies it to the permutations
+of a short sum vector.  No solver builds points or calls
+:func:`report_dominating_pairs` itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable, Sequence
 
 RED = "red"
@@ -105,3 +112,54 @@ def _report(reds, blues, dim, sink) -> int:
     count += _report(reds_r, blues_r, dim, sink)
     count += _report(reds_r, blues_l, dim - 1, sink)
     return count
+
+
+# -- certification by Fredman's trick ------------------------------------------
+
+
+def match_candidates(candidates, red_ids, blue_ids, coords,
+                     report=report_dominating_pairs) -> dict:
+    """Certify candidates by bichromatic dominance, one report per candidate.
+
+    For each candidate ``c``, every ``i`` in `red_ids` becomes the red point
+    ``coords(c, RED, i)`` and every ``j`` in `blue_ids` the blue point
+    ``coords(c, BLUE, j)``.  Returns ``{(red_id, blue_id): [candidates]}``
+    listing, in candidate order, every candidate whose red point dominates
+    its blue point.
+    """
+    matched: dict = {}
+    for cand in candidates:
+        points = [LabeledPoint(coords(cand, RED, i), RED, i) for i in red_ids]
+        points += [LabeledPoint(coords(cand, BLUE, j), BLUE, j) for j in blue_ids]
+
+        def sink(red, blue, cand=cand):
+            matched.setdefault((red.id, blue.id), []).append(cand)
+
+        report(points, sink)
+    return matched
+
+
+def sorting_permutations(reds, blues, width: int) -> dict:
+    """For every pair ``(r, b)``, the permutation of ``range(width)`` that
+    sorts ``reds[r][k] + blues[b][k]``, ties broken by k.
+
+    Fredman's trick: the permutation sorts the sums exactly when each
+    consecutive red difference ``(dv, dk)`` dominates the negated blue
+    difference ``(-dv, 0)``, compared lexicographically.  Returns
+    ``{(r, b): permutation}``.
+    """
+
+    def coords(pi, color, i):
+        if color == RED:
+            v = reds[i]
+            return tuple((v[pi[x + 1]] - v[pi[x]], pi[x + 1] - pi[x])
+                         for x in range(width - 1))
+        v = blues[i]
+        return tuple((v[pi[x]] - v[pi[x + 1]], 0) for x in range(width - 1))
+
+    matched = match_candidates(permutations(range(width)), range(len(reds)),
+                               range(len(blues)), coords)
+    assert len(matched) == len(reds) * len(blues), "a pair matched no permutation"
+    assert all(len(perms) == 1 for perms in matched.values()), \
+        "two permutations matched one pair"
+    return {pair: perms[0] for pair, perms in matched.items()}

@@ -37,9 +37,7 @@ from .core import (
     _binsearch_depths,
     as_reals,
     box_order,
-    cmp_tagged,
     difference_ticks,
-    merge_sort_counted,
     mergesort_tick_count,
     sort_differences,
     sorted_counted,
@@ -48,7 +46,7 @@ from .core import (
     tag_rows,
     ternary_search,
 )
-from .dominance import BLUE, RED, LabeledPoint, report_dominating_pairs
+from .dominance import RED, match_candidates, report_dominating_pairs, sorting_permutations
 
 SOUTHERN = "southern"
 WESTERN = "western"
@@ -110,7 +108,11 @@ class Grouping:
 
 
 class BoxView:
-    """One group-pair box of a Cartesian sum, totally ordered via tags."""
+    """One group-pair box of a Cartesian sum, totally ordered via tags.
+
+    The tagged oracle for contours and badness; the solvers search raw
+    sums read off the group values instead.
+    """
 
     def __init__(self, rows: Sequence[TaggedReal], cols: Sequence[TaggedReal]):
         self.rows = list(rows)
@@ -130,12 +132,6 @@ class BoxView:
 
     def tagged(self, x: int, y: int) -> TaggedReal:
         return self.rows[x] + self.cols[y]
-
-    def raw(self, x: int, y: int) -> float:
-        return self.rows[x].u + self.cols[y].u
-
-    def raws(self, positions) -> list[float]:
-        return [self.raw(x, y) for (x, y) in positions]
 
     def positions(self):
         for x in range(self.nrows):
@@ -674,39 +670,41 @@ def cached_catalog(width: int, point_set: PointSet, span: int,
     return cat
 
 
-def _contour_coords(contour, anchor, vals, side):
+def _contour_coords(contour, anchor, vals, color):
     """Dominance coordinates certifying `contour` as the search path of the
     value at `anchor`.  Lexicographic (value, row tag, col tag) triples keep
     the certificate exact under ties."""
     l, m_ = anchor
+    red = color == RED  # red points come from column groups, blue from rows
     out = []
     for (pos, mv) in zip(contour.steps, contour.moves):
         if pos == anchor:
             continue
         tr, tc = pos
         sigma = 1 if mv == "W" else -1
-        if side == "col":  # red point, built from a column group
+        if red:
             out.append((sigma * (vals[tc] - vals[m_]), 0, sigma * (tc - m_)))
-        else:  # blue point, built from a row group
+        else:
             out.append((sigma * (vals[l] - vals[tr]), sigma * (l - tr), 0))
     return out
 
 
-def _order_coords(order, vals, side):
+def _order_coords(order, vals, color):
+    red = color == RED
     out = []
     for t in range(len(order) - 1):
         (x0, y0), (x1, y1) = order[t], order[t + 1]
-        if side == "col":
+        if red:
             out.append((vals[y1] - vals[y0], 0, y1 - y0))
         else:
             out.append((vals[x0] - vals[x1], x0 - x1, 0))
     return out
 
 
-def _entry_coords(entry, vals, side):
-    coords = _contour_coords(entry.tau, entry.anchor, vals, side)
-    coords += _contour_coords(entry.tau_prime, entry.anchor_prime, vals, side)
-    coords += _order_coords(entry.order, vals, side)
+def _entry_coords(entry, vals, color):
+    coords = _contour_coords(entry.tau, entry.anchor, vals, color)
+    coords += _contour_coords(entry.tau_prime, entry.anchor_prime, vals, color)
+    coords += _order_coords(entry.order, vals, color)
     return tuple(coords)
 
 
@@ -722,27 +720,24 @@ def match_boxes(grouping: Grouping, catalog: LegalPairCatalog,
     g = catalog.width
     m = grouping.num_groups
     full = [i for i in range(m) if grouping.group_len(i) == g]
-    assignments: dict = {}
     if not full:
-        return assignments
+        return {}
     vals = {i: grouping.group_values(i) for i in full}
     max_dim = 4 * g - 4 + max(0, catalog.span - 1)
-    for entry in catalog.entries.values():
-        reds = [LabeledPoint(_entry_coords(entry, vals[j], "col"), RED, j)
-                for j in full]
-        blues = [LabeledPoint(_entry_coords(entry, vals[i], "row"), BLUE, i)
-                 for i in full]
-        if g >= 2:
-            assert len(reds[0].coords) <= max_dim
 
-        def sink(red, blue, entry=entry):
-            box = (blue.id, red.id)
-            slot = assignments.setdefault(box, {})
+    def coords(entry, color, i):
+        out = _entry_coords(entry, vals[i], color)
+        assert len(out) <= max_dim
+        return out
+
+    matched = match_candidates(catalog.entries.values(), full, full, coords, report)
+    assignments: dict = {}
+    for (j, i), entries in matched.items():
+        slot = assignments[(i, j)] = {}
+        for entry in entries:
             pair = (entry.anchor, entry.anchor_prime)
             assert pair not in slot, "two catalog entries matched one box layer"
             slot[pair] = entry
-
-        report(reds + blues, sink)
     return assignments
 
 
@@ -750,56 +745,46 @@ def match_boxes(grouping: Grouping, catalog: LegalPairCatalog,
 # per-box searchers for the catalog solvers
 
 
-class _OrderSearch:
-    """A box's positions in ascending order: binary search their raw sums."""
+def _raws(rows, cols, positions) -> list[float]:
+    return [rows[x] + cols[y] for (x, y) in positions]
 
-    def __init__(self, order, raws):
+
+class _OrderSearch:
+    """A box's positions in ascending order: binary search their raw sums.
+
+    A certified box passes its anchor chain as the order, and ``gaps[t]``
+    searches the between-region of anchors t and t + 1.
+    """
+
+    def __init__(self, order, raws, gaps=()):
         self.order = order
         self.raws = raws
+        self.gaps = gaps
 
     def search(self, key, ledger):
         res, pos = ternary_search(self.raws, key, ledger)
         if res == "hit":
             return self.order[pos]
-        return None
-
-
-class _ChainSearch(_OrderSearch):
-    """Search structure of a certified box: its anchors in ascending order,
-    plus an ordered search over the between-region of each gap."""
-
-    def __init__(self, box: BoxView, chain, gap_orders):
-        super().__init__(chain, box.raws(chain))
-        self.gaps = [_OrderSearch(order, box.raws(order)) for order in gap_orders]
-
-    def search(self, key, ledger):
-        res, pos = ternary_search(self.raws, key, ledger)
-        if res == "hit":
-            return self.order[pos]
-        if 0 < pos < len(self.raws):
+        if 0 < pos <= len(self.gaps):
             return self.gaps[pos - 1].search(key, ledger)
         return None
 
 
-def _sorted_search(box: BoxView, ledger: ComparisonLedger) -> _OrderSearch:
+def _sorted_search(rows, cols, ledger: ComparisonLedger) -> _OrderSearch:
     """Fallback for short or uncertified boxes: sort outright, charging one
-    4-linear tick per comparison."""
-
-    def cmp(p, q):
-        if p == q:
-            return 0
-        ledger.tick(4)
-        return cmp_tagged(box.tagged(*p), box.tagged(*q))
-
-    order = merge_sort_counted(list(box.positions()), cmp)
-    return _OrderSearch(order, box.raws(order))
+    4-linear tick per comparison the mergesort of the tagged sums makes.
+    Row-major indices order like the (row, col) tags."""
+    order, raws = box_order(rows, cols)
+    sums = np.add.outer(rows, cols).ravel()
+    ledger.tick(4, mergesort_tick_count(sums, np.arange(len(sums))))
+    return _OrderSearch(order, raws)
 
 
 def _build_box_searcher(grouping, i, j, point_set, assignments, ledger):
     g = grouping.group_size
-    box = BoxView.from_grouping(grouping, i, j)
-    if box.nrows != g or box.ncols != g:
-        return _sorted_search(box, ledger)
+    rows, cols = grouping.group_values(i), grouping.group_values(j)
+    if len(rows) != g or len(cols) != g:
+        return _sorted_search(rows, cols, ledger)
     links = assignments.get((i, j), {})
     nxt = {a: (b, e) for (a, b), e in links.items()}
     chain = [(0, 0)]
@@ -815,8 +800,9 @@ def _build_box_searcher(grouping, i, j, point_set, assignments, ledger):
                 and len(links) == point_set.count - 1)
     if not complete:
         # bad box: its layer structure was not certified, sort it directly
-        return _sorted_search(box, ledger)
-    return _ChainSearch(box, chain, [e.order for e in entries])
+        return _sorted_search(rows, cols, ledger)
+    gaps = [_OrderSearch(e.order, _raws(rows, cols, e.order)) for e in entries]
+    return _OrderSearch(chain, _raws(rows, cols, chain), gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -953,44 +939,22 @@ def solve_subquadratic_simple(values, group_size: Optional[int],
     ledger.snapshot("step1_sorted")
     grouping = Grouping(tuple(svals), g)
     m = grouping.num_groups
-    full = [i for i in range(m) if grouping.group_len(i) == g]
-    vals = {i: grouping.group_values(i) for i in full}
-
-    assigned: dict = {}
-    for pi in permutations(range(g * g)):
-        pos = [divmod(t, g) for t in pi]
-        reds = []
-        blues = []
-        for j in full:
-            vj = vals[j]
-            coords = tuple((vj[pos[t + 1][1]] - vj[pos[t][1]], 0,
-                            pos[t + 1][1] - pos[t][1])
-                           for t in range(g * g - 1))
-            reds.append(LabeledPoint(coords, RED, j))
-        for i in full:
-            vi = vals[i]
-            coords = tuple((vi[pos[t][0]] - vi[pos[t + 1][0]],
-                            pos[t][0] - pos[t + 1][0], 0)
-                           for t in range(g * g - 1))
-            blues.append(LabeledPoint(coords, BLUE, i))
-
-        def sink(red, blue, pos=pos):
-            box = (blue.id, red.id)
-            assert box not in assigned, "two permutations matched one box"
-            assigned[box] = pos
-
-        report_dominating_pairs(reds + blues, sink)
-    for i in full:
-        for j in full:
-            assert (i, j) in assigned, "full box left unmatched"
+    full = [grouping.group_values(i) for i in range(m) if grouping.group_len(i) == g]
+    # spread each group over the g*g row-major positions t = x*g + y: column
+    # groups are red (value at y = t % g), row groups blue (x = t // g), and
+    # ties in t order like the (row, col) tags
+    cells = range(g * g)
+    perms = sorting_permutations([[v[t % g] for t in cells] for v in full],
+                                 [[v[t // g] for t in cells] for v in full], g * g)
+    assigned = {(i, j): [divmod(t, g) for t in pi] for (j, i), pi in perms.items()}
     ledger.snapshot("matched_boxes")
 
     def searcher(ij):
-        box = BoxView.from_grouping(grouping, *ij)
+        rows, cols = grouping.group_values(ij[0]), grouping.group_values(ij[1])
         order = assigned.get(ij)
         if order is None:
-            return _sorted_search(box, ledger)
-        return _OrderSearch(order, box.raws(order))
+            return _sorted_search(rows, cols, ledger)
+        return _OrderSearch(order, _raws(rows, cols, order))
 
     witness = _staircase_walk(svals, g, searcher, ledger)
     ledger.snapshot("step4_done")

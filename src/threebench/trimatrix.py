@@ -18,14 +18,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional
 
 import numpy as np
 
 from .core import (ComparisonLedger, _bound_depths, difference_ticks, lower_bound,
                    ternary_search)
-from .dominance import BLUE, RED, LabeledPoint, report_dominating_pairs
+from .dominance import sorting_permutations
 
 INF = math.inf
 # The Fredman machinery rides +inf through as a huge finite sentinel.  With
@@ -47,14 +46,6 @@ class ExtMatrix:
     def __post_init__(self):
         if self.data.ndim != 2:
             raise ValueError("matrix must be two-dimensional")
-
-    @property
-    def r(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def c(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass
@@ -211,25 +202,8 @@ def target_min_plus_dominance(A, B, T, group_size: Optional[int] = None
     for k0 in range(0, s, g):
         k1 = min(k0 + g, s)
         w = k1 - k0
-        assigned: dict = {}
-        for pi in permutations(range(w)):
-            reds = []
-            for i in range(r):
-                coords = tuple((ae[i, k0 + pi[x + 1]] - ae[i, k0 + pi[x]],
-                                pi[x + 1] - pi[x]) for x in range(w - 1))
-                reds.append(LabeledPoint(coords, RED, i))
-            blues = []
-            for j in range(tcols):
-                coords = tuple((be[k0 + pi[x], j] - be[k0 + pi[x + 1], j], 0)
-                               for x in range(w - 1))
-                blues.append(LabeledPoint(coords, BLUE, j))
-
-            def sink(red, blue, pi=pi):
-                cell = (red.id, blue.id)
-                assert cell not in assigned, "two permutations matched one cell"
-                assigned[cell] = pi
-
-            report_dominating_pairs(reds + blues, sink)
+        # rows of the A strip are red, columns of the B strip blue
+        assigned = sorting_permutations(ae[:, k0:k1].tolist(), be[k0:k1, :].T.tolist(), w)
         for i in range(r):
             for j in range(tcols):
                 pi = assigned[(i, j)]

@@ -6,7 +6,9 @@ from threebench.dominance import (
     RED,
     LabeledPoint,
     c_epsilon,
+    match_candidates,
     report_dominating_pairs,
+    sorting_permutations,
 )
 
 
@@ -105,3 +107,44 @@ def test_c_epsilon_values():
         c_epsilon(0.0)
     with pytest.raises(ValueError):
         c_epsilon(1.5)
+
+
+# ---------------------------------------------------------------------------
+# certification helpers
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_sorting_permutations_equal_a_stable_argsort(width):
+    rng = np.random.default_rng(width)
+    for universe in (3, 1000):
+        reds = rng.integers(0, universe, size=(4, width)).astype(float)
+        blues = rng.integers(0, universe, size=(3, width)).astype(float)
+        got = sorting_permutations(reds.tolist(), blues.tolist(), width)
+        assert set(got) == {(r, b) for r in range(4) for b in range(3)}
+        for (r, b), pi in got.items():
+            assert list(pi) == np.argsort(reds[r] + blues[b], kind="stable").tolist()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_sorting_permutations_of_all_ties_are_the_identity(width):
+    got = sorting_permutations([[2.0] * width] * 3, [[-1.0] * width] * 2, width)
+    assert got == {(r, b): tuple(range(width)) for r in range(3) for b in range(2)}
+
+
+def test_match_candidates_equals_per_candidate_brute_force():
+    rng = np.random.default_rng(1)
+    # 22 points per candidate: past the brute-force cutoff of the recursion
+    red_ids, blue_ids = list(range(0, 24, 2)), list(range(1, 20, 2))
+    table = {(c, color, i): tuple(float(v) for v in rng.integers(0, 4, size=3))
+             for c in range(12) for color in (RED, BLUE) for i in range(24)}
+
+    def coords(c, color, i):
+        return table[(c, color, i)]
+
+    want = {}
+    for c in range(12):
+        for i in red_ids:
+            for j in blue_ids:
+                if all(x >= y for x, y in zip(coords(c, RED, i), coords(c, BLUE, j))):
+                    want.setdefault((i, j), []).append(c)
+    assert match_candidates(range(12), red_ids, blue_ids, coords) == want

@@ -98,9 +98,9 @@ def test_contour_above_maximum_marches_south_along_last_column():
 
 def test_contour_passes_through_its_key_position():
     box = _box(BLOCK_ROWS, BLOCK_COLS)
-    assert box.raw(3, 5) == 446.0
+    assert box.tagged(3, 5).u == 446.0
     assert (3, 5) in compute_contour(box, box.tagged(3, 5)).steps
-    assert box.raw(8, 6) == 578.0
+    assert box.tagged(8, 6).u == 578.0
     assert (8, 6) in compute_contour(box, box.tagged(8, 6)).steps
 
 
