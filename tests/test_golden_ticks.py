@@ -29,10 +29,12 @@ ALGOS = {
 }
 SIZES = {"3sum": (17, 48), "conv": (17, 40), "ldt": (7, 12), "zerotri": (9, 16),
          "tmp": (4, 7)}
-# group size 3 is chosen from n = 512 on; the fast paths of dt and
-# quadratic switch on above 256 and 400
+# group size 3 is chosen from n = 512 on, and quadratic's fast twin
+# switches on above 400; the dt rows on tie-heavy inputs pin probe counts on
+# boxes whose sums repeat
 LARGE = [("3sum", algo, 520, "uniform") for algo in ("subq-det", "subq-rand", "dt",
                                                       "quadratic")]
+LARGE += [("3sum", "dt", 520, "duplicate-heavy"), ("3sum", "dt", 520, "planted")]
 
 
 def grid():
