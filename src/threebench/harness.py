@@ -214,7 +214,7 @@ def _run_3sum(algo, values, options, ledger, seed):
         return found, None, {}
     if algo in ("dt", "dt-reference", "dt-fast"):
         g = options.get("g") or ts.default_group_size(n)
-        mode = {"dt": "auto", "dt-reference": "reference", "dt-fast": "fast"}[algo]
+        mode = "reference" if algo == "dt-reference" else "fast"
         w = ts.solve_decision_tree(arr, g, ledger, mode=mode)
         return w is not None, w, {"g": g}
     if algo == "subq-simple":

@@ -16,9 +16,11 @@ group-pair boxes:
   position set, legal pairs are enumerated once per parameter choice, and
   dominance matching assigns a certified layer structure to every box.
 
-The decision-tree solver has a vectorised fast path that computes the
-exact tick counts of the reference implementation without materialising
-tagged objects; equivalence is asserted in the test suite.
+The decision-tree solver runs one vectorised path at every n and on every
+input: it prices each box probe from the depth tables of the canonical
+binary search, ties included, without materialising tagged objects.  The
+pure-Python walk stays as its reference; the test suite asserts that both
+book identical ledger counts.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ from .dominance import RED, match_candidates, report_dominating_pairs, sorting_p
 SOUTHERN = "southern"
 WESTERN = "western"
 
-_REFERENCE_LIMIT = 256  # largest n the pure-Python decision tree handles by default
+# largest n that solve_decision_tree sends to the pure-Python reference by
+# default: none, the fast path runs at every n; perfbench's fill_caches reads it
+_REFERENCE_LIMIT = 0
 
 
 def default_group_size(n: int) -> int:
@@ -276,8 +280,7 @@ def _sort_unique_counted(values, ledger):
     return out
 
 
-def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger,
-                    first_only: bool = False):
+def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger):
     """Two-pointer walk; returns the list of witness value triples.
 
     One 3-linear tick per walk step (the step's sign query answers both
@@ -299,8 +302,6 @@ def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger,
             s = ua[lo] + ub[hi]
             if s == key:
                 witnesses.append((ua[lo], ub[hi], c))
-                if first_only:
-                    return witnesses
                 lo += 1
             elif key < s:
                 hi -= 1
@@ -344,14 +345,16 @@ def quadratic_tick_count(a_vals, b_vals, c_vals, ledger: ComparisonLedger) -> bo
 
 
 def solve_decision_tree(values, group_size: Optional[int], ledger: ComparisonLedger,
-                        mode: str = "auto", debug: bool = False):
+                        mode: str = "fast", debug: bool = False):
     """Grouped 3SUM search: sort, pay once for the difference list, deduce
     all box orders for free, then walk the group grid binary-searching
     each visited box.
 
     Snapshot labels step1_sorted / step2_differences / step3_boxes /
     step4_done mark the phases; the step2 -> step3 ledger delta is always
-    zero.  Returns a witness triple or None.
+    zero.  Returns a witness triple or None.  ``mode="fast"`` prices every
+    probe from depth tables; ``mode="reference"`` runs the pure-Python walk
+    that the tests hold it to, with the same ledger counts.
     """
     arr = as_reals(values)
     n = len(arr)
@@ -360,8 +363,6 @@ def solve_decision_tree(values, group_size: Optional[int], ledger: ComparisonLed
     g = group_size if group_size is not None else default_group_size(n)
     if g < 1:
         raise ValueError("group size must be >= 1")
-    if mode == "auto":
-        mode = "reference" if n <= _REFERENCE_LIMIT else "fast"
     if mode == "reference":
         return _decision_tree_reference(arr, g, ledger, debug)
     if mode == "fast":
@@ -429,23 +430,18 @@ def _decision_tree_fast(arr0: np.ndarray, g: int, ledger: ComparisonLedger):
         by_box.setdefault((lo, hi), []).append(vi)
     for (lo, hi), vidx in by_box.items():
         sums = np.sort(np.add.outer(groups[lo], groups[hi]).ravel())
-        length = len(sums)
-        keys = np.array([-arr[visits[vi][0]] for vi in vidx])
-        vidx_arr = np.asarray(vidx)
-        if length > 1 and bool(np.any(sums[1:] == sums[:-1])):
-            scratch = ComparisonLedger()
-            for t, vi in enumerate(vidx):
-                before = scratch.count(3)
-                res, _ = ternary_search(sums, keys[t], scratch)
-                probes[vi] = scratch.count(3) - before
-                hits[vi] = res == "hit"
-        else:
-            node, gap = _binsearch_depths(length)
-            pos = np.searchsorted(sums, keys)
-            clipped = np.minimum(pos, length - 1)
-            h = (pos < length) & (sums[clipped] == keys)
-            probes[vidx_arr] = np.where(h, node[clipped], gap[pos])
-            hits[vidx_arr] = h
+        keys = -arr[[visits[vi][0] for vi in vidx]]
+        vidx = np.asarray(vidx)
+        node, gap = _binsearch_depths(len(sums))
+        left = np.searchsorted(sums, keys, "left")
+        right = np.searchsorted(sums, keys, "right")
+        # a miss follows the path of its insertion point; a hit stops at the
+        # first probe inside its run of equal sums, the run's shallowest node
+        h = left < right
+        bounds = np.column_stack((left[h], right[h])).ravel()
+        probes[vidx] = gap[left]
+        probes[vidx[h]] = np.minimum.reduceat(np.append(node, 0), bounds)[::2]
+        hits[vidx] = h
 
     witness = None
     if hits.any():

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Optional
 
 import numpy as np
@@ -629,26 +630,15 @@ def zero_triangle_core(graph: WeightedGraph, delta: Optional[int] = None,
         return None
     d = delta if delta is not None else max(2, math.ceil(math.sqrt(graph.m)))
     ledger = ledger if ledger is not None else ComparisonLedger()
-    n = graph.n
-    adj = [dict() for _ in range(n)]
-    for (u, v, w) in graph.edges:
-        adj[u][v] = float(w)
-        adj[v][u] = float(w)
+    orientation = acyclic_orient(graph)
+    out = orientation.out_edges()
+    # the peel is the removal prefix whose out-degree stays below delta
+    peeled = list(takewhile(lambda u: len(out.get(u, ())) < d, orientation.removal_order))
+    alive = set(range(graph.n)).difference(peeled)
     wm = graph.weight_map()
-    alive = set(range(n))
-    out: dict = {}
-    while alive:
-        u = min(alive, key=lambda v: (len(adj[v]), v))
-        if len(adj[u]) >= d:
-            break
-        out[u] = sorted(adj[u].items())
-        alive.discard(u)
-        for v in list(adj[u]):
-            del adj[v][u]
-        adj[u].clear()
 
-    for u in sorted(out):
-        nbrs = out[u]
+    for u in sorted(peeled):
+        nbrs = out.get(u, [])
         for ai in range(len(nbrs)):
             v, wv = nbrs[ai]
             for bi in range(ai + 1, len(nbrs)):

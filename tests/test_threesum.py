@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_decision_tree_step3_is_free():
         n = int(rng.integers(2, 50))
         vals = rng.integers(-30, 31, size=n).astype(float).tolist()
         led = ComparisonLedger()
-        solve_decision_tree(vals, None, led)
+        solve_decision_tree(vals, None, led, mode="reference")
         delta = led.delta("step2_differences", "step3_boxes")
         assert all(v == 0 for v in delta.values())
 
@@ -235,6 +236,27 @@ def test_ternary_search_probe_counts_match_tree_depths():
                 assert led.count_3linear == node[pos]
             else:
                 assert led.count_3linear == gap[pos]
+
+    # with ties, a hit stops at the shallowest node of its run of equal
+    # values and a miss follows the path of its insertion point
+    lists = [[5.0] * n for n in range(1, 12)]
+    lists += [[1.0] * a + [2.0, 3.0] + [4.0] * b for a in range(4) for b in range(4)]
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        lists.append(sorted(rng.integers(-4, 5, size=n).astype(float).tolist()))
+    for raws in lists:
+        node, gap = _binsearch_depths(len(raws))
+        keys = sorted(set(raws) | {v + 0.5 for v in raws} | {raws[0] - 0.5})
+        for key in keys:
+            led = ComparisonLedger()
+            res, pos = ternary_search(raws, key, led)
+            left, right = bisect.bisect_left(raws, key), bisect.bisect_right(raws, key)
+            if left < right:
+                assert res == "hit" and raws[pos] == key
+                assert led.count_3linear == min(node[left:right])
+            else:
+                assert res == "miss" and pos == left
+                assert led.count_3linear == gap[left]
 
 
 def test_default_group_size_formula():
