@@ -33,7 +33,6 @@ from .threesum import (
     LegalPairCatalog,
     PointSet,
     SubquadraticParams,
-    Tripartition,
     compute_contour,
     default_group_size,
     deterministic_point_set,
@@ -45,7 +44,6 @@ from .threesum import (
     oracle_3sum,
     random_point_set,
     resolve_subquadratic_params,
-    select_best_point_set,
     solve_decision_tree,
     solve_quadratic,
     solve_subquadratic,
@@ -53,7 +51,6 @@ from .threesum import (
 )
 from .ldt import LinearForm, oracle_kldt, reduce_kldt, solve_kldt
 from .trimatrix import (
-    ExtMatrix,
     Orientation,
     SampleHierarchy,
     TargetProductResult,

@@ -213,12 +213,16 @@ def _run_3sum(algo, values, options, ledger, seed):
         found = ts.quadratic_tick_count(arr, arr, arr, ledger)
         return found, None, {}
     if algo in ("dt", "dt-reference", "dt-fast"):
-        g = options.get("g") or ts.default_group_size(n)
+        g = options.get("g")
+        if g is None:
+            g = ts.default_group_size(n)
         mode = "reference" if algo == "dt-reference" else "fast"
         w = ts.solve_decision_tree(arr, g, ledger, mode=mode)
         return w is not None, w, {"g": g}
     if algo == "subq-simple":
-        g = options.get("g") or (1 if n < 4 else 2)
+        g = options.get("g")
+        if g is None:
+            g = 1 if n < 4 else 2
         w = ts.solve_subquadratic_simple(arr, g, ledger)
         return w is not None, w, {"g": g}
     if algo in ("subq-det", "subq-rand"):
@@ -244,7 +248,9 @@ def _run_conv(algo, values, options, ledger, seed):
     arr = as_reals(values)
     n = len(arr)
     if algo == "blocked":
-        g = options.get("g") or max(1, math.ceil(math.sqrt(max(1, n))))
+        g = options.get("g")
+        if g is None:
+            g = max(1, math.ceil(math.sqrt(max(1, n))))
         w = conv_mod.solve_conv_blocked(arr, g, ledger)
         return w is not None, w, {"g": g}
     if algo == "naive":
@@ -277,11 +283,13 @@ def _run_zerotri(algo, graph, options, ledger, seed):
         w = tm.zero_triangle_dense(graph, variant, options.get("g"), ledger, seed)
         return w is not None, w, {"g": options.get("g")}
     if algo == "sparse":
-        k = options.get("K") or tm.default_color_count(graph.m)
+        k = options.get("K")
+        if k is None:
+            k = tm.default_color_count(graph.m)
         w = tm.zero_triangle_sparse(graph, k, ledger, seed)
         return w is not None, w, {"K": k}
     if algo == "sparse-core":
-        w = tm.zero_triangle_core(graph, options.get("K"), ledger=ledger, seed=seed)
+        w = tm.zero_triangle_core(graph, options.get("K"), ledger=ledger)
         return w is not None, w, {"K": options.get("K")}
     raise ValueError(f"unknown zerotri algo {algo!r}")
 
@@ -299,7 +307,7 @@ def _run_tmp(algo, instance, options, ledger, seed):
         res = tm.target_min_plus_sampled(a, b, t, g, _rng(seed, 99), ledger)
     else:
         raise ValueError(f"unknown tmp algo {algo!r}")
-    found = bool(np.isfinite(res.values.data).any())
+    found = bool(np.isfinite(res.values).any())
     return found, res, {"g": g}
 
 
@@ -340,7 +348,7 @@ def cross_check(problem, instance, found, payload, options) -> None:
     else:
         a, b, t = instance
         ref = tm.target_min_plus_trivial(a, b, t)
-        same = np.array_equal(ref.values.data, payload.values.data) \
+        same = np.array_equal(ref.values, payload.values) \
             and np.array_equal(ref.witnesses, payload.witnesses)
         if not same:
             raise OracleMismatch("tmp: result differs from the trivial scan")

@@ -57,6 +57,11 @@ WESTERN = "western"
 # default: none, the fast path runs at every n; perfbench's fill_caches reads it
 _REFERENCE_LIMIT = 0
 
+# guards against enumerations too large to finish: catalog entries for
+# enumerate_legal_pairs, box-sorting permutations for solve_subquadratic_simple
+CATALOG_BUDGET = 1_000_000
+PERM_BUDGET = 400_000
+
 
 def default_group_size(n: int) -> int:
     """Group size sqrt(n log2(n+2)), the sweet spot for the grouped search."""
@@ -230,23 +235,6 @@ def leq_positions(contour: Contour) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Tripartition:
-    """Box positions split by two nested contours: <= lower key, strictly
-    between the keys, >= upper key."""
-
-    low: frozenset
-    mid: frozenset
-    high: frozenset
-
-    def validate(self, nrows: int, ncols: int) -> None:
-        every = {(i, j) for i in range(nrows) for j in range(ncols)}
-        if self.low | self.mid | self.high != every:
-            raise ValueError("tripartition must cover the box")
-        if self.low & self.mid or self.mid & self.high or self.low & self.high:
-            raise ValueError("tripartition parts must be disjoint")
-
-
 # ---------------------------------------------------------------------------
 # oracle and quadratic baseline
 
@@ -345,7 +333,7 @@ def quadratic_tick_count(a_vals, b_vals, c_vals, ledger: ComparisonLedger) -> bo
 
 
 def solve_decision_tree(values, group_size: Optional[int], ledger: ComparisonLedger,
-                        mode: str = "fast", debug: bool = False):
+                        mode: str = "fast"):
     """Grouped 3SUM search: sort, pay once for the difference list, deduce
     all box orders for free, then walk the group grid binary-searching
     each visited box.
@@ -364,13 +352,13 @@ def solve_decision_tree(values, group_size: Optional[int], ledger: ComparisonLed
     if g < 1:
         raise ValueError("group size must be >= 1")
     if mode == "reference":
-        return _decision_tree_reference(arr, g, ledger, debug)
+        return _decision_tree_reference(arr, g, ledger)
     if mode == "fast":
         return _decision_tree_fast(np.asarray(arr, dtype=np.float64), g, ledger)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _decision_tree_reference(arr, g, ledger, debug):
+def _decision_tree_reference(arr, g, ledger):
     svals = sorted_counted(arr, ledger)
     ledger.snapshot("step1_sorted")
     grouping = Grouping(tuple(svals), g)
@@ -382,27 +370,9 @@ def _decision_tree_reference(arr, g, ledger, debug):
     boxes = {(i, j): _OrderSearch(*box_order(groups[i], groups[j]))
              for i in range(m) for j in range(m)}
     ledger.snapshot("step3_boxes")
-    witness = _staircase_walk(svals, g, boxes.__getitem__, ledger, debug)
+    witness = _staircase_walk(svals, g, boxes.__getitem__, ledger)
     ledger.snapshot("step4_done")
     return witness
-
-
-def _assert_walk_invariant(svals, k, g, lo, hi):
-    # Any remaining witness value pair with both summands <= A(k) must keep
-    # a representative of each value inside groups lo..hi.
-    key = -svals[k]
-    limit = svals[k]
-    groups_of: dict = {}
-    for idx, v in enumerate(svals):
-        if v <= limit:
-            groups_of.setdefault(v, set()).add(idx // g)
-    for va, pgroups in groups_of.items():
-        qgroups = groups_of.get(key - va)
-        if qgroups is None:
-            continue
-        assert any(lo <= p <= hi for p in pgroups) \
-            and any(lo <= q <= hi for q in qgroups), \
-            f"walk invariant violated at k={k} lo={lo} hi={hi}"
 
 
 def _decision_tree_fast(arr0: np.ndarray, g: int, ledger: ComparisonLedger):
@@ -531,23 +501,18 @@ def default_point_count(width: int, span: int) -> int:
     return max(min(4, g * g), min(raw, g * g))
 
 
-def _order_is_bad(order, positions, span) -> bool:
+def is_bad(box: BoxView, point_set: PointSet, span: int) -> bool:
+    """True iff more than `span` consecutive elements of the box's sorted
+    order avoid the point set."""
     run = 0
-    for pos in order:
-        if pos in positions:
+    for pos in sorted(box.positions(), key=lambda p: box.tagged(*p).key()):
+        if pos in point_set.positions:
             run = 0
         else:
             run += 1
             if run > span:
                 return True
     return False
-
-
-def is_bad(box: BoxView, point_set: PointSet, span: int) -> bool:
-    """True iff more than `span` consecutive elements of the box's sorted
-    order avoid the point set."""
-    order = sorted(box.positions(), key=lambda p: box.tagged(*p).key())
-    return _order_is_bad(order, point_set.positions, span)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +546,6 @@ class CatalogEntry:
     anchor: tuple[int, int]
     anchor_prime: tuple[int, int]
     order: tuple  # mid-region positions in claimed ascending order
-    parts: Tripartition
     key: bytes
 
 
@@ -596,8 +560,7 @@ class LegalPairCatalog:
     entries: dict
 
 
-def enumerate_legal_pairs(width: int, point_set: PointSet, span: int,
-                          budget: int = 1_000_000) -> LegalPairCatalog:
+def enumerate_legal_pairs(width: int, point_set: PointSet, span: int) -> LegalPairCatalog:
     """Enumerate every (tau, tau', pi) with tau above tau', both anchored at
     point-set positions, and a between region avoiding the point set with at
     most `span` cells; for each, every ordering of the between region."""
@@ -638,17 +601,12 @@ def enumerate_legal_pairs(width: int, point_set: PointSet, span: int,
                     mid = mid_base - {anchor_p}
                     if len(mid) > span or mid & pset:
                         continue
-                    parts = Tripartition(leq1, frozenset(mid),
-                                         frozenset(
-                                             (i, j) for i in range(g) for j in range(g)
-                                             if (i, j) not in leq2 or (i, j) == anchor_p))
                     for pi in permutations(sorted(mid)):
                         key = repr((tau.moves, anchor, tau_p.moves, anchor_p, pi)).encode()
-                        entries[key] = CatalogEntry(tau, tau_p, anchor, anchor_p,
-                                                    pi, parts, key)
-                        if len(entries) > budget:
+                        entries[key] = CatalogEntry(tau, tau_p, anchor, anchor_p, pi, key)
+                        if len(entries) > CATALOG_BUDGET:
                             raise ValueError(
-                                f"catalog exceeds budget of {budget} entries; "
+                                f"catalog exceeds budget of {CATALOG_BUDGET} entries; "
                                 "reduce width or span")
     return LegalPairCatalog(g, point_set, span, entries)
 
@@ -656,12 +614,11 @@ def enumerate_legal_pairs(width: int, point_set: PointSet, span: int,
 _catalog_cache: dict = {}
 
 
-def cached_catalog(width: int, point_set: PointSet, span: int,
-                   budget: int = 1_000_000) -> LegalPairCatalog:
-    key = (width, point_set.positions, span, budget)
+def cached_catalog(width: int, point_set: PointSet, span: int) -> LegalPairCatalog:
+    key = (width, point_set.positions, span)
     cat = _catalog_cache.get(key)
     if cat is None:
-        cat = enumerate_legal_pairs(width, point_set, span, budget)
+        cat = enumerate_legal_pairs(width, point_set, span)
         _catalog_cache[key] = cat
     return cat
 
@@ -810,8 +767,7 @@ class SubquadraticParams:
     """Knobs for :func:`solve_subquadratic`.
 
     Deterministic mode anchors boxes at an evenly spaced grid (never bad);
-    randomized mode draws the anchors, optionally screening several
-    candidate sets against a sample of the recorded query list.
+    randomized mode draws one random anchor set from the seed.
     """
 
     group_size: Optional[int] = None
@@ -820,9 +776,6 @@ class SubquadraticParams:
     seed: int = 0
     point_count: Optional[int] = None
     grid_side: Optional[int] = None
-    candidates: int = 1
-    samples: int = 64
-    catalog_budget: int = 1_000_000
 
 
 def _fit_grid_side(width: int, wanted: Optional[int]) -> int:
@@ -852,14 +805,12 @@ def resolve_subquadratic_params(n: int, params: Optional[SubquadraticParams] = N
     raise ValueError(f"unknown mode {params.mode!r}")
 
 
-def _staircase_walk(svals, g, searcher, ledger, debug=False):
+def _staircase_walk(svals, g, searcher, ledger):
     """Search every box the walk visits for its key, building each box's
     searcher on first visit; one 3-linear tick per visit that misses.
     Returns a witness triple or None."""
     searchers: dict = {}
     for k, lo, hi in staircase_visits(svals, g):
-        if debug:
-            _assert_walk_invariant(svals, k, g, lo, hi)
         s = searchers.get((lo, hi))
         if s is None:
             s = searchers[(lo, hi)] = searcher((lo, hi))
@@ -892,13 +843,9 @@ def solve_subquadratic(values, params: Optional[SubquadraticParams],
         point_set = deterministic_point_set(g, params.grid_side)
     else:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(params.seed)))
-        if params.candidates > 1:
-            point_set = select_best_point_set(arr, g, params.point_count, span,
-                                              params.candidates, params.samples, rng)
-        else:
-            point_set = random_point_set(g, params.point_count, rng)
+        point_set = random_point_set(g, params.point_count, rng)
 
-    catalog = cached_catalog(g, point_set, span, params.catalog_budget)
+    catalog = cached_catalog(g, point_set, span)
 
     svals = sorted_counted(arr, ledger)
     ledger.snapshot("step1_sorted")
@@ -915,7 +862,7 @@ def solve_subquadratic(values, params: Optional[SubquadraticParams],
 
 
 def solve_subquadratic_simple(values, group_size: Optional[int],
-                              ledger: ComparisonLedger, perm_budget: int = 400_000):
+                              ledger: ComparisonLedger):
     """Whole-box permutation matching: enumerate every sorting permutation
     of a full box and match boxes to permutations via dominance, then walk.
 
@@ -927,9 +874,9 @@ def solve_subquadratic_simple(values, group_size: Optional[int],
     g = group_size if group_size is not None else (1 if n < 4 else 2)
     if g < 1:
         raise ValueError("group size must be >= 1")
-    if math.factorial(g * g) > perm_budget:
+    if math.factorial(g * g) > PERM_BUDGET:
         raise ValueError(f"group size {g} needs {math.factorial(g*g)} permutations; "
-                         "raise perm_budget or shrink the group")
+                         f"at most {PERM_BUDGET} are enumerated")
 
     svals = sorted_counted(arr, ledger)
     ledger.snapshot("step1_sorted")
@@ -955,43 +902,3 @@ def solve_subquadratic_simple(values, group_size: Optional[int],
     witness = _staircase_walk(svals, g, searcher, ledger)
     ledger.snapshot("step4_done")
     return witness
-
-
-def select_best_point_set(values, group_size: int, count: int, span: int,
-                          candidates: int, samples: int,
-                          rng: np.random.Generator) -> PointSet:
-    """Draw several random anchor sets and keep the one whose estimated bad
-    fraction over the recorded query list is smallest.
-
-    The truncated run records every membership query (k, i, j) the walk
-    would ask without answering it; each candidate is scored by sampling
-    queries and sorting the sampled box to test badness.
-    """
-    if candidates < 1 or samples < 1:
-        raise ValueError("candidates and samples must be >= 1")
-    g = group_size
-    svals = sorted(float(v) for v in values)
-    grouping = Grouping(tuple(svals), g)
-
-    queries = list(staircase_visits(svals, g))
-
-    cands = [random_point_set(g, count, rng) for _ in range(candidates)]
-    if not queries:
-        return cands[0]
-
-    @lru_cache(maxsize=None)
-    def order(i, j):
-        return box_order(grouping.group_values(i), grouping.group_values(j))[0]
-
-    best = None
-    for idx, ps in enumerate(cands):
-        picks = rng.integers(0, len(queries), size=samples)
-        bad = 0
-        for t in picks:
-            _, i, j = queries[int(t)]
-            if _order_is_bad(order(i, j), ps.positions, span):
-                bad += 1
-        estimate = bad / samples
-        if best is None or estimate < best[0]:
-            best = (estimate, idx, ps)
-    return best[2]

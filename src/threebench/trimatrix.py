@@ -36,34 +36,24 @@ BIG = float(2 ** 52)
 BIG_CUT = float(2 ** 51)
 FINITE_LIMIT = float(2 ** 40)
 NO_WITNESS = -1
-
-
-@dataclass(frozen=True)
-class ExtMatrix:
-    """A real matrix extended with +inf entries (targets also allow -inf)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.ndim != 2:
-            raise ValueError("matrix must be two-dimensional")
+# random colorings zero_triangle_sparse tries before its greedy fallback
+MAX_COLOR_DRAWS = 32
 
 
 @dataclass
 class TargetProductResult:
-    values: ExtMatrix
+    values: np.ndarray  # +inf where no feasible index exists
     witnesses: np.ndarray  # NO_WITNESS where no feasible index exists
 
     def value(self, i: int, j: int) -> float:
-        return float(self.values.data[i, j])
+        return float(self.values[i, j])
 
     def witness(self, i: int, j: int) -> int:
         return int(self.witnesses[i, j])
 
 
 def as_operand(matrix) -> np.ndarray:
-    arr = matrix.data if isinstance(matrix, ExtMatrix) else np.asarray(matrix, dtype=np.float64)
-    arr = arr.astype(np.float64, copy=False)
+    arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     if np.isnan(arr).any() or np.isneginf(arr).any():
@@ -74,8 +64,7 @@ def as_operand(matrix) -> np.ndarray:
 
 
 def as_target(matrix) -> np.ndarray:
-    arr = matrix.data if isinstance(matrix, ExtMatrix) else np.asarray(matrix, dtype=np.float64)
-    arr = arr.astype(np.float64, copy=False)
+    arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     if np.isnan(arr).any():
@@ -97,10 +86,6 @@ def _encode(arr: np.ndarray) -> np.ndarray:
         if np.any(finite != np.round(finite)):
             raise ValueError("infinite entries require integer-valued finite entries")
     return np.where(inf_mask, BIG, arr)
-
-
-def _result(c: np.ndarray, w: np.ndarray) -> TargetProductResult:
-    return TargetProductResult(ExtMatrix(c), w)
 
 
 def default_strip_width(s: int) -> int:
@@ -131,7 +116,7 @@ def target_min_plus_trivial(A, B, T) -> TargetProductResult:
         fin = np.isfinite(vals)
         c_out[i] = np.where(fin, vals, INF)
         w_out[i] = np.where(fin, ks, NO_WITNESS)
-    return _result(c_out, w_out)
+    return TargetProductResult(c_out, w_out)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +162,7 @@ def target_min_plus_dt(A, B, T, group_size: Optional[int],
         better = ok & (val < c_out)
         c_out[better] = val[better]
         w_out[better] = k0 + np.take_along_axis(orders, at, axis=1)[:, 0, :][better]
-    return _result(c_out, w_out)
+    return TargetProductResult(c_out, w_out)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +204,7 @@ def target_min_plus_dominance(A, B, T, group_size: Optional[int] = None
                 if w_out[i, j] == NO_WITNESS or val < c_out[i, j]:
                     c_out[i, j] = val
                     w_out[i, j] = wit
-    return _result(c_out, w_out)
+    return TargetProductResult(c_out, w_out)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +365,7 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
             if best_val is not None and best_val < BIG_CUT:
                 c_out[i, j] = float(best_val)
                 w_out[i, j] = best_k
-    return _result(c_out, w_out)
+    return TargetProductResult(c_out, w_out)
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +541,7 @@ def _greedy_coloring(graph, orientation, n_colors):
 
 
 def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
-                         ledger: ComparisonLedger, seed: int = 0,
-                         max_draws: int = 32):
+                         ledger: ComparisonLedger, seed: int = 0):
     """Type-directed search: orient, color, sort one difference list over
     same-colored out-neighbor pairs, then binary-search each (edge, color)
     type for the closing weight."""
@@ -572,7 +556,7 @@ def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
     expectation = sum(len(nbrs) * (len(nbrs) - 1) / 2 for nbrs in out.values()) / k_colors
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     colors = None
-    for _ in range(max_draws):
+    for _ in range(MAX_COLOR_DRAWS):
         cand = rng.integers(0, k_colors, size=graph.n).tolist()
         if _mono_pair_count(out, cand, k_colors) <= expectation:
             colors = cand
@@ -620,15 +604,15 @@ def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
 
 
 def zero_triangle_core(graph: WeightedGraph, delta: Optional[int] = None,
-                       dense_variant: str = "dt",
-                       ledger: Optional[ComparisonLedger] = None,
-                       seed: int = 0):
+                       ledger: Optional[ComparisonLedger] = None):
     """Split solve: orient greedily until every remaining vertex has degree
     >= delta, enumerate out-pairs of the oriented part, and hand the dense
-    remainder (the high-degree core) to a dense backend."""
+    remainder (the high-degree core) to the dense difference-list backend."""
     if graph.m == 0:
         return None
     d = delta if delta is not None else max(2, math.ceil(math.sqrt(graph.m)))
+    if d < 1:
+        raise ValueError("degree threshold must be >= 1")
     ledger = ledger if ledger is not None else ComparisonLedger()
     orientation = acyclic_orient(graph)
     out = orientation.out_edges()
@@ -656,7 +640,7 @@ def zero_triangle_core(graph: WeightedGraph, delta: Optional[int] = None,
         if u in alive and v in alive:
             core_edges.append((remap[u], remap[v], w))
     core = WeightedGraph(len(core_vertices), tuple(core_edges))
-    hit = zero_triangle_dense(core, dense_variant, ledger=ledger, seed=seed)
+    hit = zero_triangle_dense(core, "dt", ledger=ledger)
     if hit is None:
         return None
     return tuple(sorted(core_vertices[x] for x in hit))
@@ -707,7 +691,7 @@ def parse_real(token: str) -> float:
 
 
 def write_matrix(fh, matrix) -> None:
-    arr = matrix.data if isinstance(matrix, ExtMatrix) else np.asarray(matrix, dtype=np.float64)
+    arr = np.asarray(matrix, dtype=np.float64)
     fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
     for row in arr:
         fh.write(" ".join(fmt_real(v) for v in row) + "\n")

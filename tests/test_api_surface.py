@@ -1,0 +1,52 @@
+"""The parameter names of every public solver entry point, pinned.
+
+A new knob on a solver, or a new solver, has to be added here on purpose.
+"""
+
+import dataclasses
+import inspect
+import re
+
+from threebench import conv3sum, ldt, threesum, trimatrix
+
+ENTRY_POINTS = {
+    (threesum, "solve_quadratic"): ["a_vals", "b_vals", "c_vals", "ledger"],
+    (threesum, "solve_decision_tree"): ["values", "group_size", "ledger", "mode"],
+    (threesum, "solve_subquadratic"): ["values", "params", "ledger"],
+    (threesum, "solve_subquadratic_simple"): ["values", "group_size", "ledger"],
+    (threesum, "enumerate_legal_pairs"): ["width", "point_set", "span"],
+    (threesum, "cached_catalog"): ["width", "point_set", "span"],
+    (trimatrix, "target_min_plus_trivial"): ["A", "B", "T"],
+    (trimatrix, "target_min_plus_dt"): ["A", "B", "T", "group_size", "ledger"],
+    (trimatrix, "target_min_plus_dominance"): ["A", "B", "T", "group_size"],
+    (trimatrix, "target_min_plus_sampled"):
+        ["A", "B", "T", "group_size", "rng", "ledger", "hint_stats"],
+    (trimatrix, "zero_triangle_dense"): ["graph", "variant", "group_size", "ledger", "seed"],
+    (trimatrix, "zero_triangle_sparse"): ["graph", "color_count", "ledger", "seed"],
+    (trimatrix, "zero_triangle_core"): ["graph", "delta", "ledger"],
+    (conv3sum, "solve_conv_blocked"): ["values", "group_size", "ledger", "probe_log"],
+    (ldt, "solve_kldt"): ["phi", "values", "group_size", "ledger"],
+}
+
+PUBLIC = re.compile(r"(solve_|target_min_plus_|zero_triangle_)\w+"
+                    r"|enumerate_legal_pairs|cached_catalog")
+
+
+def test_every_public_entry_point_is_pinned():
+    found = {(module, name)
+             for module in (threesum, trimatrix, conv3sum, ldt)
+             for name, obj in vars(module).items()
+             if PUBLIC.fullmatch(name) and inspect.isfunction(obj)
+             and obj.__module__ == module.__name__}
+    assert found == set(ENTRY_POINTS)
+
+
+def test_entry_point_parameter_names():
+    for (module, name), params in ENTRY_POINTS.items():
+        got = list(inspect.signature(getattr(module, name)).parameters)
+        assert got == params, f"{module.__name__}.{name}"
+
+
+def test_subquadratic_params_fields():
+    assert [f.name for f in dataclasses.fields(threesum.SubquadraticParams)] == \
+        ["group_size", "span", "mode", "seed", "point_count", "grid_side"]

@@ -191,6 +191,23 @@ def test_cli_non_finite_input_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("problem,algo,flag", [
+    ("3sum", "dt", "--g"),
+    ("3sum", "subq-simple", "--g"),
+    ("conv", "blocked", "--g"),
+    ("zerotri", "sparse", "--K"),
+    ("zerotri", "sparse-core", "--K"),
+])
+def test_cli_zero_group_size_or_color_count_is_an_error(tmp_path, capsys, problem, algo, flag):
+    path = tmp_path / "in.txt"
+    if problem == "zerotri":
+        write_graph(path, WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0), (0, 2, -3.0))))
+    else:
+        _write_vector(path, [5.0, 1.0, 2.0, 3.0, -3.0])
+    assert cli.main(["solve", problem, "--algo", algo, "--input", str(path), flag, "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_oracle_mismatch_returns_two(tmp_path, capsys, monkeypatch):
     path = tmp_path / "in.txt"
     _write_vector(path, [-3.0, 1.0, 2.0])

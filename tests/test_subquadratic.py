@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from threebench import threesum
 from threebench.core import ComparisonLedger, TaggedReal
 from threebench.threesum import (
     BoxView,
@@ -20,7 +21,6 @@ from threebench.threesum import (
     oracle_3sum,
     random_point_set,
     resolve_subquadratic_params,
-    select_best_point_set,
     solve_subquadratic,
     solve_subquadratic_simple,
 )
@@ -116,7 +116,7 @@ def test_random_point_set_bad_rate_is_low():
 # the catalog
 
 
-def _entry_is_legal(entry, point_set, span, g):
+def _entry_is_legal(entry, point_set, span):
     leq1 = leq_positions(entry.tau)
     leq2 = leq_positions(entry.tau_prime)
     assert leq1 <= leq2                      # lower contour above upper
@@ -124,11 +124,11 @@ def _entry_is_legal(entry, point_set, span, g):
     assert entry.anchor_prime in entry.tau_prime.steps
     assert entry.anchor in point_set.positions
     assert entry.anchor_prime in point_set.positions
-    mid = set(entry.parts.mid)
+    assert entry.anchor_prime not in leq1
+    mid = leq2 - leq1 - {entry.anchor_prime}
     assert not (mid & point_set.positions)
     assert len(mid) <= span
     assert set(entry.order) == mid
-    entry.parts.validate(g, g)
 
 
 def test_enumerated_pairs_satisfy_legality():
@@ -136,7 +136,7 @@ def test_enumerated_pairs_satisfy_legality():
     cat = enumerate_legal_pairs(2, ps, 4)
     assert cat.entries
     for entry in cat.entries.values():
-        _entry_is_legal(entry, ps, 4, 2)
+        _entry_is_legal(entry, ps, 4)
 
 
 def test_width_one_catalog_is_empty():
@@ -155,10 +155,11 @@ def test_pair_count_is_bounded():
         assert len(pairs) <= 2 ** (4 * g)
 
 
-def test_catalog_budget_guard():
+def test_catalog_budget_guard(monkeypatch):
+    monkeypatch.setattr(threesum, "CATALOG_BUDGET", 100)
     ps = deterministic_point_set(4, 2)
     with pytest.raises(ValueError):
-        enumerate_legal_pairs(4, ps, grid_span(4, 2), budget=100)
+        enumerate_legal_pairs(4, ps, grid_span(4, 2))
 
 
 def test_grid_catalog_covers_every_realizable_consecutive_pair():
@@ -198,7 +199,8 @@ def test_matched_entries_are_the_true_contours():
         for (anchor, anchor_p), entry in slots.items():
             assert compute_contour(box, box.tagged(*anchor)).moves == entry.tau.moves
             assert compute_contour(box, box.tagged(*anchor_p)).moves == entry.tau_prime.moves
-            true_mid = sorted(entry.parts.mid, key=lambda p: box.tagged(*p).key())
+            mid = leq_positions(entry.tau_prime) - leq_positions(entry.tau) - {anchor_p}
+            true_mid = sorted(mid, key=lambda p: box.tagged(*p).key())
             assert list(entry.order) == true_mid
 
 
@@ -311,62 +313,6 @@ def test_simple_rejects_oversized_groups():
     led = ComparisonLedger()
     with pytest.raises(ValueError):
         solve_subquadratic_simple(list(range(32)), 4, led)
-
-
-# ---------------------------------------------------------------------------
-# point-set selection
-
-
-def test_select_best_single_candidate():
-    rng = np.random.default_rng(13)
-    vals = rng.integers(-50, 51, size=32).astype(float).tolist()
-    ps = select_best_point_set(vals, 4, 6, 4, 1, 16, np.random.default_rng(1))
-    assert ps.count == 6
-
-
-def test_select_best_prefers_full_point_set():
-    rng = np.random.default_rng(14)
-    vals = rng.integers(-50, 51, size=32).astype(float).tolist()
-    g = 3
-    ps = select_best_point_set(vals, g, g * g, 1, 4, 32, np.random.default_rng(2))
-    assert ps.count == g * g  # the only candidate shape, estimate 0
-
-
-def test_select_best_is_near_optimal_among_candidates():
-    rng = np.random.default_rng(15)
-    vals = rng.integers(-10 ** 6, 10 ** 6, size=128).astype(float).tolist()
-    g, count, span = 4, 6, 2
-    sel_rng = np.random.default_rng(3)
-    chosen = select_best_point_set(vals, g, count, span, 8, 64, sel_rng)
-
-    # exhaustive true bad fractions over the recorded query list
-    svals = sorted(vals)
-    grouping = Grouping(tuple(svals), g)
-    queries = []
-    for k in range(len(svals)):
-        key = -svals[k]
-        lo, hi = 0, k // g
-        while lo <= hi:
-            queries.append((lo, hi))
-            if grouping.gmax(lo) + grouping.gmin(hi) > key:
-                hi -= 1
-            else:
-                lo += 1
-
-    def true_fraction(ps):
-        bad = 0
-        cache = {}
-        for (i, j) in queries:
-            if (i, j) not in cache:
-                cache[(i, j)] = is_bad(BoxView.from_grouping(grouping, i, j), ps, span)
-            bad += cache[(i, j)]
-        return bad / len(queries)
-
-    cand_rng = np.random.default_rng(3)
-    candidates = [random_point_set(g, count, cand_rng) for _ in range(8)]
-    fractions = [true_fraction(ps) for ps in candidates]
-    chosen_fraction = true_fraction(chosen)
-    assert chosen_fraction <= min(fractions) + 2.0 / g
 
 
 def test_contour_count_grows_as_expected():

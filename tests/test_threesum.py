@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from threebench.core import ComparisonLedger, TaggedReal
+from threebench.core import ComparisonLedger, TaggedReal, staircase_visits
 from threebench.threesum import (
     BoxView,
     Grouping,
@@ -195,13 +195,37 @@ def test_decision_tree_step3_is_free():
         assert all(v == 0 for v in delta.values())
 
 
-def test_decision_tree_walk_invariant_in_debug_mode():
+def _assert_walk_invariant(svals, k, g, lo, hi):
+    # Any remaining witness value pair with both summands <= A(k) must keep
+    # a representative of each value inside groups lo..hi.
+    key = -svals[k]
+    limit = svals[k]
+    groups_of: dict = {}
+    for idx, v in enumerate(svals):
+        if v <= limit:
+            groups_of.setdefault(v, set()).add(idx // g)
+    for va, pgroups in groups_of.items():
+        qgroups = groups_of.get(key - va)
+        if qgroups is None:
+            continue
+        assert any(lo <= p <= hi for p in pgroups) \
+            and any(lo <= q <= hi for q in qgroups), \
+            f"walk invariant violated at k={k} lo={lo} hi={hi}"
+
+
+def test_staircase_walk_keeps_every_remaining_witness_pair():
+    # checked at every visit up to and including the first box that holds
+    # its key, where the grouped solvers stop
     rng = np.random.default_rng(11)
+    g = 3
     for _ in range(10):
         n = int(rng.integers(2, 25))
-        vals = rng.integers(-8, 9, size=n).astype(float).tolist()
-        led = ComparisonLedger()
-        solve_decision_tree(vals, 3, led, mode="reference", debug=True)
+        svals = sorted(rng.integers(-8, 9, size=n).astype(float).tolist())
+        for k, lo, hi in staircase_visits(svals, g):
+            _assert_walk_invariant(svals, k, g, lo, hi)
+            rows, cols = svals[lo * g:(lo + 1) * g], svals[hi * g:(hi + 1) * g]
+            if any(a + b == -svals[k] for a in rows for b in cols):
+                break
 
 
 def test_fast_path_replicates_reference_ledger_exactly():
