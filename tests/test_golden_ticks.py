@@ -35,6 +35,11 @@ SIZES = {"3sum": (17, 48), "conv": (17, 40), "ldt": (7, 12), "zerotri": (9, 16),
 LARGE = [("3sum", algo, 520, "uniform") for algo in ("subq-det", "subq-rand", "dt",
                                                       "quadratic")]
 LARGE += [("3sum", "dt", 520, "duplicate-heavy"), ("3sum", "dt", 520, "planted")]
+# the grid's matrix sizes build sample hierarchies of at most two levels;
+# these sizes build three, so the chained hint walk of the sampled variant
+# and the multi-strip merge of the dominance variant are pinned too
+LARGE += [("tmp", algo, 48, "uniform") for algo in ("sampled", "dominance")]
+LARGE += [("zerotri", algo, 72, "uniform") for algo in ("dense-sampled", "dense-dominance")]
 
 
 def grid():
