@@ -15,16 +15,15 @@ sentinel; anything at or above ``BIG_CUT`` is reported as infeasible.
 
 from __future__ import annotations
 
+import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import takewhile
 from typing import Optional
 
 import numpy as np
 
-from .core import (ComparisonLedger, _bound_depths, difference_ticks, lower_bound,
-                   ternary_search)
+from .core import ComparisonLedger, _bound_depths, difference_ticks, ternary_search
 from .dominance import sorting_permutations
 
 INF = math.inf
@@ -94,6 +93,25 @@ def default_strip_width(s: int) -> int:
     return max(1, math.ceil(math.sqrt(s * math.log2(s + 2))))
 
 
+def _lower_bounds(block: np.ndarray, order: np.ndarray, t: np.ndarray):
+    """Per cell of a rows x cols x width candidate `block` read in `order`
+    along its last axis: the lower bound of the cell's target, and the value
+    and candidate position there (clipped to the last candidate)."""
+    svals = np.take_along_axis(block, order, axis=2)
+    idx = (svals < t[:, :, None]).sum(axis=2)
+    at = np.minimum(idx, block.shape[2] - 1)[:, :, None]
+    return (idx, np.take_along_axis(svals, at, axis=2)[:, :, 0],
+            np.take_along_axis(order, at, axis=2)[:, :, 0])
+
+
+def _keep_smaller(c_out, w_out, ok, val, wit) -> None:
+    """Merge one strip's feasible candidates into the running result; a tie
+    keeps the earlier strip's witness."""
+    better = ok & (val < c_out)
+    c_out[better] = val[better]
+    w_out[better] = wit[better]
+
+
 # ---------------------------------------------------------------------------
 # trivial scan (the oracle for everything else)
 
@@ -147,21 +165,16 @@ def target_min_plus_dt(A, B, T, group_size: Optional[int],
                          + [(col[k0:k1], local, "col") for col in be.T], ledger)
         # per-cell candidate order, deduced (free): stable argsort equals
         # the (value, index) tie-broken order the difference ranks define
-        block = ae[:, k0:k1][:, :, None] + be[k0:k1, :][None, :, :]
-        orders = np.argsort(block, axis=1, kind="stable")
-        svals = np.take_along_axis(block, orders, axis=1)
+        block = ae[:, k0:k1][:, None, :] + be[k0:k1, :].T[None, :, :]
+        order = np.argsort(block, axis=2, kind="stable")
         # per cell, the lower bound of its target: the counted bisection's
         # result is the number of smaller candidates, its probes fixed by it
-        idx = (svals < t[:, None, :]).sum(axis=1)
+        idx, val, pick = _lower_bounds(block, order, t)
         ledger.tick(3, int(np.asarray(_bound_depths(w))[idx].sum()))
-        at = np.minimum(idx, w - 1)[:, None, :]
-        val = np.take_along_axis(svals, at, axis=1)[:, 0, :]
         ok = (idx < w) & (val < BIG_CUT)
         # a feasible candidate met after an earlier strip's costs one 4-linear comparison
         ledger.tick(4, int((ok & (w_out != NO_WITNESS)).sum()))
-        better = ok & (val < c_out)
-        c_out[better] = val[better]
-        w_out[better] = k0 + np.take_along_axis(orders, at, axis=1)[:, 0, :][better]
+        _keep_smaller(c_out, w_out, ok, val, k0 + pick)
     return TargetProductResult(c_out, w_out)
 
 
@@ -173,7 +186,8 @@ def target_min_plus_dominance(A, B, T, group_size: Optional[int] = None
                               ) -> TargetProductResult:
     """Strip-wise product where each cell's candidate order is identified by
     matching row points against column points, one dominance call per
-    (strip, permutation)."""
+    (strip, permutation).  The lower bound of each cell's target in its
+    matched order is not charged (ROADMAP item 2)."""
     a, b, t = as_operand(A), as_operand(B), as_target(T)
     _check_dims(a, b, t)
     ae, be = _encode(a), _encode(b)
@@ -190,20 +204,13 @@ def target_min_plus_dominance(A, B, T, group_size: Optional[int] = None
         w = k1 - k0
         # rows of the A strip are red, columns of the B strip blue
         assigned = sorting_permutations(ae[:, k0:k1].tolist(), be[k0:k1, :].T.tolist(), w)
-        for i in range(r):
-            for j in range(tcols):
-                pi = assigned[(i, j)]
-                raws = [ae[i, k0 + kk] + be[k0 + kk, j] for kk in pi]
-                idx = bisect_left(raws, t[i, j])  # uncharged
-                if idx == w:
-                    continue
-                val = float(raws[idx])
-                if val >= BIG_CUT:
-                    continue
-                wit = k0 + pi[idx]
-                if w_out[i, j] == NO_WITNESS or val < c_out[i, j]:
-                    c_out[i, j] = val
-                    w_out[i, j] = wit
+        cells = np.array(list(assigned), dtype=np.int64).reshape(-1, 2)
+        perms = np.empty((r, tcols, w), dtype=np.int64)
+        perms[cells[:, 0], cells[:, 1]] = np.array(list(assigned.values()),
+                                                   dtype=np.int64).reshape(-1, w)
+        block = ae[:, k0:k1][:, None, :] + be[k0:k1, :].T[None, :, :]
+        idx, val, pick = _lower_bounds(block, perms, t)  # uncharged
+        _keep_smaller(c_out, w_out, (idx < w) & (val < BIG_CUT), val, k0 + pick)
     return TargetProductResult(c_out, w_out)
 
 
@@ -219,10 +226,6 @@ class SampleHierarchy:
     base: int
     levels: int
     members: list  # members[l][p] = sorted np.ndarray of sampled indices
-
-    def interval_bounds(self, level: int, p: int) -> tuple[int, int]:
-        width = self.base * (1 << level)
-        return p * width, (p + 1) * width
 
     def validate(self, n: int) -> None:
         for l in range(self.levels):
@@ -274,12 +277,27 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
     witness induces, which takes O(1) probes in expectation.  The result
     equals the trivial scan for every seed; only the probe pattern is
     randomized.
+
+    A hint is the first parent member, in the parent's (sum, index) order
+    from the parent's witness on, that lies in the child interval.  Its
+    sum is >= the target, so every level's witness is the plain lower
+    bound of its target, and the walk is priced in closed form: from the
+    hint's position ``pos`` down to the lower bound ``lb`` it makes
+    ``pos - lb`` successful probes plus one failing probe when ``lb > 0``;
+    ``hint_stats`` receives ``pos - lb`` per hinted child walk, cell by
+    cell, then by level from the top, then by child interval.  (The
+    dominance variant's per-cell lower bound, by contrast, is still
+    uncharged: ROADMAP item 2.)
     """
     a, b, t = as_operand(A), as_operand(B), as_target(T)
     _check_dims(a, b, t)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n, n) or t.shape != (n, n):
         raise ValueError("sampled variant needs square matrices")
+    c_out = np.full((n, n), INF)
+    w_out = np.full((n, n), NO_WITNESS, dtype=np.int64)
+    if n == 0:
+        return TargetProductResult(c_out, w_out)
     ae, be = _encode(a), _encode(b)
     g = group_size if group_size is not None else max(1, math.ceil(math.sqrt(n)))
     hierarchy = build_sample_hierarchy(n, g, rng)
@@ -291,80 +309,37 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
             segments += [(col[mem], mem, "col") for col in be.T]
     difference_ticks(segments, ledger)
 
-    c_out = np.full((n, n), INF)
-    w_out = np.full((n, n), NO_WITNESS, dtype=np.int64)
     top = hierarchy.levels - 1
-    for i in range(n):
-        row = ae[i]
-        for j in range(n):
-            sums = row + be[:, j]
-            tgt = t[i, j]
-
-            def ordered(mem):
-                order = sorted(mem.tolist(), key=lambda k: (sums[k], k))
-                return order, [sums[k] for k in order]
-
-            orders = {}
-
-            def get_order(l, p):
-                key = (l, p)
-                if key not in orders:
-                    orders[key] = ordered(hierarchy.members[l][p])
-                return orders[key]
-
-            kappas = []
-            for p in range(len(hierarchy.members[top])):
-                order, raws = get_order(top, p)
-                idx = lower_bound(raws, tgt, ledger)
-                kappas.append(order[idx] if idx < len(order) else None)
-
-            for l in range(top - 1, -1, -1):
-                nxt: list = []
-                for p, kappa in enumerate(kappas):
-                    porder, praws = get_order(l + 1, p)
-                    for child in (2 * p, 2 * p + 1):
-                        if child >= len(hierarchy.members[l]):
-                            continue
-                        clo, chi = hierarchy.interval_bounds(l, child)
-                        corder, craws = get_order(l, child)
-                        hint = None
-                        if kappa is not None:
-                            for k in porder[porder.index(kappa):]:
-                                if clo <= k < chi:
-                                    hint = k
-                                    break
-                        if hint is None:
-                            idx = lower_bound(craws, tgt, ledger)
-                            nxt.append(corder[idx] if idx < len(corder) else None)
-                            continue
-                        pos = corder.index(hint)
-                        steps = pos
-                        while steps > 0:
-                            ledger.tick(3)
-                            if craws[steps - 1] >= tgt:
-                                steps -= 1
-                            else:
-                                break
-                        if hint_stats is not None:
-                            hint_stats.append(pos - steps)
-                        nxt.append(corder[steps])
-                kappas = nxt
-
-            best_val = None
-            best_k = None
-            for kappa in kappas:
-                if kappa is None:
-                    continue
-                val = sums[kappa]
-                if best_val is None:
-                    best_val, best_k = val, kappa
-                else:
-                    ledger.tick(4)
-                    if val < best_val:
-                        best_val, best_k = val, kappa
-            if best_val is not None and best_val < BIG_CUT:
-                c_out[i, j] = float(best_val)
-                w_out[i, j] = best_k
+    walks = []  # per interval below the top: (walk length, hinted) per cell
+    found = np.zeros((n, n), dtype=np.int64)
+    for l in range(top, -1, -1):
+        for p, mem in enumerate(hierarchy.members[l]):
+            m = len(mem)
+            # per cell, the interval's (sum, index) order, deduced (free),
+            # and the lower bound of the target in it
+            block = ae[:, mem][:, None, :] + be[mem, :].T[None, :, :]
+            order = np.argsort(block, axis=2, kind="stable")
+            lb, val, pick = _lower_bounds(block, order, t)
+            probes = np.asarray(_bound_depths(m))[lb]
+            if l < top:
+                # sorted positions, from the lower bound on, of parent members
+                hints = np.isin(mem, hierarchy.members[l + 1][p // 2])[order]
+                hints &= np.arange(m) >= lb[:, :, None]
+                hinted = hints.any(axis=2)
+                walk = hints.argmax(axis=2) - lb
+                probes = np.where(hinted, walk + (lb > 0), probes)
+                if hint_stats is not None:
+                    walks.append((walk, hinted))
+            ledger.tick(3, int(probes.sum()))
+            if l == 0:
+                # the first strict minimum over the level-0 witnesses
+                found += lb < m
+                _keep_smaller(c_out, w_out, (lb < m) & (val < BIG_CUT), val, mem[pick])
+    # each level-0 witness after a cell's first costs one 4-linear comparison
+    ledger.tick(4, int(np.maximum(found - 1, 0).sum()))
+    if walks:
+        lengths, hinted = (np.stack(x, axis=2) for x in zip(*walks))
+        hint_stats.extend(lengths[hinted].tolist())
     return TargetProductResult(c_out, w_out)
 
 
@@ -479,28 +454,36 @@ class Orientation:
 
 
 def acyclic_orient(graph: WeightedGraph) -> Orientation:
-    """Orient edges away from iteratively removed minimum-degree vertices;
-    the maximum outdegree stays below sqrt(2m)."""
+    """Orient edges away from iteratively removed minimum-degree vertices
+    (ties to the smallest vertex); the maximum outdegree stays below
+    sqrt(2m)."""
     n = graph.n
     adj = [dict() for _ in range(n)]
     for (u, v, w) in graph.edges:
         adj[u][v] = float(w)
         adj[v][u] = float(w)
-    alive = set(range(n))
+    # lazy heap: an entry is live while its degree is its vertex's current one
+    heap = [(len(adj[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    removed = [False] * n
     directed = []
     order = []
-    while alive:
-        u = min(alive, key=lambda v: (len(adj[v]), v))
+    max_out = 0
+    while heap:
+        deg, u = heapq.heappop(heap)
+        if removed[u] or deg != len(adj[u]):
+            continue
+        removed[u] = True
         order.append(u)
-        alive.discard(u)
+        max_out = max(max_out, deg)
         for v, w in sorted(adj[u].items()):
             directed.append((u, v, w))
             del adj[v][u]
+            heapq.heappush(heap, (len(adj[v]), v))
         adj[u].clear()
-    orientation = Orientation(tuple(directed), tuple(order))
     if graph.m:
-        assert orientation.max_outdegree() < math.sqrt(2 * graph.m)
-    return orientation
+        assert max_out < math.sqrt(2 * graph.m)
+    return Orientation(tuple(directed), tuple(order))
 
 
 def default_color_count(m: int) -> int:

@@ -4,12 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from threebench.core import ComparisonLedger
+from threebench.core import ComparisonLedger, difference_ticks, lower_bound
+from threebench.harness import GENERATORS, generate
 from threebench.trimatrix import (
+    BIG_CUT,
     INF,
+    NO_WITNESS,
+    Orientation,
     WeightedGraph,
+    _encode,
     acyclic_orient,
     as_operand,
+    as_target,
     build_sample_hierarchy,
     fmt_real,
     graph_matrices,
@@ -204,6 +210,151 @@ def test_hint_distance_stays_small_on_average():
     assert np.mean(stats) <= 2.0
 
 
+def _sampled_scalar(A, B, T, group_size, rng, ledger, hint_stats):
+    """Per-cell reference of the sampled variant: sorts each interval of
+    each cell in Python, binary-searches the top level and walks every
+    hinted child down from its hint one probe at a time."""
+    a, b, t = as_operand(A), as_operand(B), as_target(T)
+    n = a.shape[0]
+    ae, be = _encode(a), _encode(b)
+    g = group_size if group_size is not None else max(1, math.ceil(math.sqrt(n)))
+    hierarchy = build_sample_hierarchy(n, g, rng)
+    segments = []
+    for level in hierarchy.members:
+        for mem in level:
+            segments += [(row[mem], mem, "row") for row in ae]
+            segments += [(col[mem], mem, "col") for col in be.T]
+    difference_ticks(segments, ledger)
+
+    c_out = np.full((n, n), INF)
+    w_out = np.full((n, n), NO_WITNESS, dtype=np.int64)
+    top = hierarchy.levels - 1
+    for i in range(n):
+        for j in range(n):
+            sums = ae[i] + be[:, j]
+            tgt = t[i, j]
+            orders = {}
+
+            def get_order(l, p):
+                if (l, p) not in orders:
+                    order = sorted(hierarchy.members[l][p].tolist(),
+                                   key=lambda k: (sums[k], k))
+                    orders[(l, p)] = order, [sums[k] for k in order]
+                return orders[(l, p)]
+
+            kappas = []
+            for p in range(len(hierarchy.members[top])):
+                order, raws = get_order(top, p)
+                idx = lower_bound(raws, tgt, ledger)
+                kappas.append(order[idx] if idx < len(order) else None)
+
+            for l in range(top - 1, -1, -1):
+                width = g << l
+                nxt = []
+                for p, kappa in enumerate(kappas):
+                    porder, _ = get_order(l + 1, p)
+                    for child in (2 * p, 2 * p + 1):
+                        if child >= len(hierarchy.members[l]):
+                            continue
+                        corder, craws = get_order(l, child)
+                        hint = None
+                        if kappa is not None:
+                            for k in porder[porder.index(kappa):]:
+                                if child * width <= k < (child + 1) * width:
+                                    hint = k
+                                    break
+                        if hint is None:
+                            idx = lower_bound(craws, tgt, ledger)
+                            nxt.append(corder[idx] if idx < len(corder) else None)
+                            continue
+                        pos = corder.index(hint)
+                        steps = pos
+                        while steps > 0:
+                            ledger.tick(3)
+                            if craws[steps - 1] >= tgt:
+                                steps -= 1
+                            else:
+                                break
+                        hint_stats.append(pos - steps)
+                        nxt.append(corder[steps])
+                kappas = nxt
+
+            best_val = best_k = None
+            for kappa in kappas:
+                if kappa is None:
+                    continue
+                if best_val is None:
+                    best_val, best_k = sums[kappa], kappa
+                else:
+                    ledger.tick(4)
+                    if sums[kappa] < best_val:
+                        best_val, best_k = sums[kappa], kappa
+            if best_val is not None and best_val < BIG_CUT:
+                c_out[i, j] = float(best_val)
+                w_out[i, j] = best_k
+    return c_out, w_out
+
+
+def _small_triple(rng, r, s, t):
+    """Entries in -6..6 with about 10 % +inf; targets mix +-inf, values on
+    the unconstrained optimum, and random values around it."""
+    a = rng.integers(-6, 7, size=(r, s)).astype(float)
+    b = rng.integers(-6, 7, size=(s, t)).astype(float)
+    a[rng.random((r, s)) < 0.1] = INF
+    b[rng.random((s, t)) < 0.1] = INF
+    tt = rng.integers(-13, 14, size=(r, t)).astype(float)
+    optimum = target_min_plus_trivial(a, b, np.full((r, t), -INF)).values
+    marks = rng.random((r, t))
+    tt[marks < 0.3] = optimum[marks < 0.3]
+    tt[marks > 0.92] = INF
+    tt[(marks > 0.84) & (marks <= 0.92)] = -INF
+    return a, b, tt
+
+
+def test_sampled_equals_the_scalar_oracle():
+    rng = np.random.default_rng(21)
+    depths = set()
+    for trial in range(300):
+        n = int(rng.integers(1, 31))
+        g = None if trial % 6 == 0 else int(rng.integers(1, n + 1))
+        a, b, t = _small_triple(rng, n, n, n)
+        seed = int(rng.integers(0, 2 ** 32))
+        want_led, got_led = ComparisonLedger(), ComparisonLedger()
+        want_stats, got_stats = [], []
+        want = _sampled_scalar(a, b, t, g, np.random.default_rng(seed), want_led, want_stats)
+        got = target_min_plus_sampled(a, b, t, g, np.random.default_rng(seed), got_led,
+                                      hint_stats=got_stats)
+        cell = (trial, n, g)
+        assert got_led.count_klinear == want_led.count_klinear, cell
+        assert got_stats == want_stats, cell
+        assert np.array_equal(got.values, want[0]), cell
+        assert np.array_equal(got.witnesses, want[1]), cell
+        depths.add(build_sample_hierarchy(n, g or max(1, math.ceil(math.sqrt(n))),
+                                          np.random.default_rng(seed)).levels)
+    assert {1, 2, 3} <= depths
+
+
+def test_dominance_cell_merge_matches_oracle_on_rectangles():
+    rng = np.random.default_rng(22)
+    for trial in range(200):
+        r, s, t = (int(x) for x in rng.integers(1, 20, size=3))
+        a, b, tt = _small_triple(rng, r, s, t)
+        width = int(rng.integers(1, min(4, s) + 1))
+        assert _same(target_min_plus_trivial(a, b, tt),
+                     target_min_plus_dominance(a, b, tt, width)), (trial, r, s, t, width)
+
+
+def test_every_variant_returns_an_empty_product_on_empty_matrices():
+    a = b = t = np.zeros((0, 0))
+    results = [target_min_plus_trivial(a, b, t),
+               target_min_plus_dt(a, b, t, None, ComparisonLedger()),
+               target_min_plus_dominance(a, b, t),
+               target_min_plus_sampled(a, b, t, None, np.random.default_rng(0),
+                                       ComparisonLedger())]
+    for res in results:
+        assert res.values.shape == (0, 0) and res.witnesses.shape == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # zero triangles
 
@@ -229,8 +380,6 @@ def test_dense_rejects_nonzero_triangle():
 
 
 def test_dense_variants_agree_with_enumeration():
-    from threebench.harness import generate
-
     for trial in range(30):
         graph = generate("zerotri", 4 + trial % 14, GENS[trial % len(GENS)], trial)
         expect = oracle_zero_triangle(graph) is not None
@@ -267,8 +416,6 @@ def test_orientation_star_and_path():
 
 
 def test_orientation_bound_and_acyclicity():
-    from threebench.harness import generate
-
     for trial in range(50):
         graph = generate("zerotri", 3 + trial % 20, "uniform", trial)
         if graph.m == 0:
@@ -277,6 +424,35 @@ def test_orientation_bound_and_acyclicity():
         assert o.max_outdegree() < math.sqrt(2 * graph.m)
         rank = {v: i for i, v in enumerate(o.removal_order)}
         assert all(rank[u] < rank[v] for (u, v, _) in o.directed)
+
+
+def _orient_linear_min(graph):
+    """Reference peel: picks each minimum-degree vertex by a linear scan."""
+    adj = [dict() for _ in range(graph.n)]
+    for (u, v, w) in graph.edges:
+        adj[u][v] = float(w)
+        adj[v][u] = float(w)
+    alive = set(range(graph.n))
+    directed, order = [], []
+    while alive:
+        u = min(alive, key=lambda v: (len(adj[v]), v))
+        order.append(u)
+        alive.discard(u)
+        for v, w in sorted(adj[u].items()):
+            directed.append((u, v, w))
+            del adj[v][u]
+        adj[u].clear()
+    return Orientation(tuple(directed), tuple(order))
+
+
+def test_orientation_equals_the_linear_min_peel():
+    for generator in GENERATORS:
+        for n in range(1, 81, 3):
+            graph = generate("zerotri", n, generator, n)
+            want = _orient_linear_min(graph)
+            got = acyclic_orient(graph)
+            assert got.removal_order == want.removal_order, (generator, n)
+            assert got.directed == want.directed, (generator, n)
 
 
 def test_sparse_single_triangle_one_color():
@@ -297,8 +473,6 @@ def test_sparse_triangle_free_graph():
 
 
 def test_sparse_agrees_with_enumeration():
-    from threebench.harness import generate
-
     for trial in range(40):
         graph = generate("zerotri", 4 + trial % 20, GENS[trial % len(GENS)], trial)
         expect = oracle_zero_triangle(graph) is not None
@@ -308,8 +482,6 @@ def test_sparse_agrees_with_enumeration():
 
 
 def test_every_triangle_has_exactly_one_type():
-    from threebench.harness import generate
-
     for trial in range(20):
         graph = generate("zerotri", 6 + trial, "uniform", 100 + trial)
         if graph.m == 0:
