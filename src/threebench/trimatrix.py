@@ -93,6 +93,12 @@ def default_strip_width(s: int) -> int:
     return max(1, math.ceil(math.sqrt(s * math.log2(s + 2))))
 
 
+def _cell_sums(ae: np.ndarray, be: np.ndarray, ks) -> np.ndarray:
+    """Per output cell (i, j), the candidate sums ae[i, k] + be[k, j] over
+    the indices `ks`, along the last axis."""
+    return ae[:, ks][:, None, :] + be[ks, :].T[None, :, :]
+
+
 def _lower_bounds(block: np.ndarray, order: np.ndarray, t: np.ndarray):
     """Per cell of a rows x cols x width candidate `block` read in `order`
     along its last axis: the lower bound of the cell's target, and the value
@@ -165,7 +171,7 @@ def target_min_plus_dt(A, B, T, group_size: Optional[int],
                          + [(col[k0:k1], local, "col") for col in be.T], ledger)
         # per-cell candidate order, deduced (free): stable argsort equals
         # the (value, index) tie-broken order the difference ranks define
-        block = ae[:, k0:k1][:, None, :] + be[k0:k1, :].T[None, :, :]
+        block = _cell_sums(ae, be, slice(k0, k1))
         order = np.argsort(block, axis=2, kind="stable")
         # per cell, the lower bound of its target: the counted bisection's
         # result is the number of smaller candidates, its probes fixed by it
@@ -204,11 +210,12 @@ def target_min_plus_dominance(A, B, T, group_size: Optional[int] = None
         w = k1 - k0
         # rows of the A strip are red, columns of the B strip blue
         assigned = sorting_permutations(ae[:, k0:k1].tolist(), be[k0:k1, :].T.tolist(), w)
+        # sorting_permutations assigns every cell exactly one permutation
         cells = np.array(list(assigned), dtype=np.int64).reshape(-1, 2)
         perms = np.empty((r, tcols, w), dtype=np.int64)
         perms[cells[:, 0], cells[:, 1]] = np.array(list(assigned.values()),
                                                    dtype=np.int64).reshape(-1, w)
-        block = ae[:, k0:k1][:, None, :] + be[k0:k1, :].T[None, :, :]
+        block = _cell_sums(ae, be, slice(k0, k1))
         idx, val, pick = _lower_bounds(block, perms, t)  # uncharged
         _keep_smaller(c_out, w_out, (idx < w) & (val < BIG_CUT), val, k0 + pick)
     return TargetProductResult(c_out, w_out)
@@ -317,7 +324,7 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
             m = len(mem)
             # per cell, the interval's (sum, index) order, deduced (free),
             # and the lower bound of the target in it
-            block = ae[:, mem][:, None, :] + be[mem, :].T[None, :, :]
+            block = _cell_sums(ae, be, mem)
             order = np.argsort(block, axis=2, kind="stable")
             lb, val, pick = _lower_bounds(block, order, t)
             probes = np.asarray(_bound_depths(m))[lb]
