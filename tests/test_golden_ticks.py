@@ -40,6 +40,11 @@ LARGE += [("3sum", "dt", 520, "duplicate-heavy"), ("3sum", "dt", 520, "planted")
 # and the multi-strip merge of the dominance variant are pinned too
 LARGE += [("tmp", algo, 48, "uniform") for algo in ("sampled", "dominance")]
 LARGE += [("zerotri", algo, 72, "uniform") for algo in ("dense-sampled", "dense-dominance")]
+# the benchmark's sizes: the grid's cut conv into at most 6 blocks and kldt
+# into 2 groups a side
+LARGE += [(problem, algo, n, generator)
+          for problem, algo, n in (("conv", "blocked", 384), ("ldt", "kldt", 192))
+          for generator in ("uniform", "duplicate-heavy")]
 
 
 def grid():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from threebench import harness
 from threebench.core import ComparisonLedger
 from threebench.ldt import LinearForm, oracle_kldt, reduce_kldt, solve_kldt
 
@@ -83,6 +84,30 @@ def test_solver_finds_planted_zero_for_k5():
         s.extend(xs + [0.0])
     led = ComparisonLedger()
     assert solve_kldt(phi, s, None, led) == oracle_kldt(phi, s)
+
+
+# k = 5 ledger counts and decisions, recorded before the walk moved into
+# core; the golden CSV runs k = 3 only
+K5_PINNED = [
+    ((0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 8, "uniform", False, {4: 604, 8: 22637, 5: 474}),
+    ((0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 8, "duplicate-heavy", True, {4: 552, 8: 22699, 5: 9}),
+    ((0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 12, "uniform", False, {4: 1812, 8: 101735, 5: 1139}),
+    ((0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 12, "duplicate-heavy", True, {4: 1778, 8: 101696, 5: 13}),
+    ((1.0, 2.0, -1.0, 1.0, -1.0, -2.0), 8, "uniform", False, {4: 549, 8: 22496, 5: 448}),
+    ((1.0, 2.0, -1.0, 1.0, -1.0, -2.0), 8, "duplicate-heavy", True, {4: 578, 8: 22326, 5: 4}),
+    ((1.0, 2.0, -1.0, 1.0, -1.0, -2.0), 12, "uniform", False,
+     {4: 1768, 8: 100300, 5: 1066}),
+    ((1.0, 2.0, -1.0, 1.0, -1.0, -2.0), 12, "duplicate-heavy", True,
+     {4: 1750, 8: 101032, 5: 5}),
+]
+
+
+@pytest.mark.parametrize("alphas,n,generator,found,counts", K5_PINNED)
+def test_k5_ledger_counts_and_decisions_are_pinned(alphas, n, generator, found, counts):
+    values = harness.generate("ldt", n, generator, 3).tolist()
+    led = ComparisonLedger()
+    assert solve_kldt(LinearForm(alphas), values, None, led) == found
+    assert led.count_klinear == counts
 
 
 def test_singleton_set_reduces_to_direct_evaluation():
