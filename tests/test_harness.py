@@ -195,6 +195,10 @@ def test_cli_non_finite_input_is_an_error(tmp_path, capsys):
     ("3sum", "dt", "--g"),
     ("3sum", "subq-simple", "--g"),
     ("conv", "blocked", "--g"),
+    ("ldt", "kldt", "--g"),
+    ("zerotri", "dense-dt", "--g"),
+    ("zerotri", "dense-sampled", "--g"),
+    ("zerotri", "dense-dominance", "--g"),
     ("zerotri", "sparse", "--K"),
     ("zerotri", "sparse-core", "--K"),
 ])

@@ -136,6 +136,13 @@ def test_difference_comparisons_stay_within_arity_bound():
         assert all(v == 0 for a, v in probing.items() if a != k)
 
 
+def test_group_size_below_one_is_refused():
+    phi = LinearForm((0.0, 1.0, 1.0, 1.0))
+    for g in (0, -2):
+        with pytest.raises(ValueError, match="group size must be >= 1"):
+            solve_kldt(phi, [1.0, -2.0, 3.0], g, ComparisonLedger())
+
+
 def test_memory_guard():
     phi = LinearForm((0.0,) + (1.0,) * 7)
     with pytest.raises(ValueError):
