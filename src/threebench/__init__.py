@@ -7,15 +7,15 @@ from .core import (
     as_reals,
     box_order,
     difference_ticks,
-    lower_bound,
     merge_sort_counted,
     mergesort_tick_count,
+    search_visits,
     sort_differences,
     staircase_visits,
     tag_cols,
     tag_rows,
+    ternary_probes,
     ternary_search,
-    upper_bound,
 )
 from .dominance import (
     BLUE,

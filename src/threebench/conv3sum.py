@@ -3,18 +3,18 @@
 The blocked solver cuts the implicit (unsorted) sum matrix A+A into
 index-aligned boxes and runs the grouped-search kernel of :mod:`core` on
 them: :func:`difference_ticks` pays once for the within-block difference
-lists, :func:`box_order` deduces a box's order for free, and two counted
-bounds locate each A(k) only in the boxes its antidiagonal crosses.
+lists, every box's order follows from them for free, and two bisections,
+priced in closed form, locate each A(k) in the boxes its antidiagonal crosses.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import (ComparisonLedger, as_reals, box_order, difference_ticks, lower_bound,
-                   upper_bound)
+import numpy as np
+
+from .core import ComparisonLedger, _bound_depths, as_reals, difference_ticks
 
 
 def oracle_conv3sum(values: Sequence[float]) -> Optional[tuple[int, int]]:
@@ -41,9 +41,10 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
 
     For each k the key A(k) is located inside each crossed box via a pair
     of boundary binary searches over the box's deduced order (3-linear
-    ticks per probe); the matching run is then filtered to antidiagonal
-    cells by index arithmetic alone.  When several cells on one
-    antidiagonal match, the lexicographically least pair is reported.
+    ticks per probe); a match counts only on the antidiagonal.  The search
+    stops at the first k with a match and reports its lexicographically
+    least pair.  Boxes go band by band (``bi + bj`` ascending): no box
+    after band b crosses a k below ``(b + 1) g``.
 
     `probe_log`, when given, maps k to the list of candidate cells
     examined for that key.
@@ -57,36 +58,36 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
         raise ValueError("group size must be >= 1")
     m = -(-n // g)
 
-    blocks = [arr[b * g:(b + 1) * g] for b in range(m)]
+    a = np.array(arr)
+    blocks = [a[b * g:(b + 1) * g] for b in range(m)]
     difference_ticks([(blk, range(len(blk)), role)
                       for role in ("row", "col") for blk in blocks], ledger)
     ledger.snapshot("differences_sorted")
 
-    @lru_cache(maxsize=None)
-    def box(bi, bj):
-        return box_order(blocks[bi], blocks[bj])
-
-    for k in range(n):
-        key = arr[k]
-        cells = antidiagonal_cells(n, k)
-        if probe_log is not None:
-            probe_log[k] = list(cells)
-        hits = []
-        idx = 0
-        while idx < len(cells):
-            bi, bj = cells[idx][0] // g, cells[idx][1] // g
-            run = [cells[idx]]
-            idx += 1
-            while idx < len(cells) and cells[idx][0] // g == bi and cells[idx][1] // g == bj:
-                run.append(cells[idx])
-                idx += 1
-            order, raws = box(bi, bj)
-            lb = lower_bound(raws, key, ledger)
-            ub = upper_bound(raws, key, ledger)
-            if lb >= ub:
-                continue
-            matched = {(bi * g + x, bj * g + y) for (x, y) in order[lb:ub]}
-            hits.extend(cell for cell in run if cell in matched)
-        if hits:
-            return min(hits)
-    return None
+    probes = np.zeros(n, dtype=np.int64)
+    matched = np.zeros(n, dtype=bool)  # some crossed box holds a sum equal to A(k)
+    last, witness = n - 1, None
+    for band in range(m):
+        k0 = band * g
+        for bi in range(band + 1):
+            row, col = blocks[bi], blocks[band - bi]
+            k1 = min(n, k0 + len(row) + len(col) - 1)
+            sums = np.add.outer(row, col).ravel()
+            sums.sort()
+            left = sums.searchsorted(a[k0:k1], "left")
+            right = sums.searchsorted(a[k0:k1], "right")
+            depth = _bound_depths(len(sums))
+            probes[k0:k1] += depth[left] + depth[right]
+            matched[k0:k1] |= left < right
+        for k in k0 + np.flatnonzero(matched[k0:k0 + g]):
+            i = np.flatnonzero(a[:k + 1] + a[k::-1] == a[k])  # cells (i, k - i)
+            if len(i):
+                last, witness = int(k), (int(i[0]), int(k - i[0]))
+                break
+        if witness is not None:
+            break
+    ledger.tick(3, int(probes[:last + 1].sum()))
+    if probe_log is not None:
+        for k in range(last + 1):
+            probe_log[k] = antidiagonal_cells(n, k)
+    return witness

@@ -11,15 +11,14 @@ ordered, so downstream search logic never branches on equality.
 The grouped search (Fredman's trick) has four steps, one kernel each:
 :func:`difference_ticks` charges the one sort of the within-group
 difference lists; :func:`box_order` reads a box's sorted order off that
-sort for free; :func:`staircase_visits` lists the boxes a key's walk
-visits; and :func:`ternary_search`, :func:`lower_bound` and
-:func:`upper_bound` search a box at one tick per probe.  Solvers accept
-input reals through :func:`as_reals`.
+sort for free; :func:`staircase_visits` lists the boxes every key's walk
+visits; and :func:`search_visits` prices, in closed form, the search of
+each visited box at one tick per probe of :func:`ternary_search`.
+Solvers accept input reals through :func:`as_reals`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -322,28 +321,30 @@ def box_order(row_vals, col_vals) -> tuple[list, list]:
     return list(zip(rows_of.tolist(), cols_of.tolist())), sums[idx].tolist()
 
 
-def staircase_visits(svals: Sequence[float], g: int):
-    """Boxes the grouped 3SUM walk visits, in order, as ``(k, lo, hi)``.
+def staircase_visits(row_max, col_min, keys, start):
+    """Boxes the walks visit, key by key, as arrays ``(key index, lo, hi)``.
 
-    ``svals`` is sorted and cut into groups of ``g``.  The walk for the key
-    ``-svals[k]`` starts at box ``(0, k // g)`` and moves west when the
-    box's largest row value plus smallest column value exceeds the key,
-    south otherwise, until it leaves the upper triangle.  Touches no
-    ledger: the caller ticks one 3-linear query per visit that misses.
+    The walk for ``keys[t]`` starts at box ``(0, start)`` (``start`` may
+    differ per key) and moves west when the row group's largest value plus
+    the column group's smallest exceeds the key, south otherwise, until it
+    leaves the grid.  All walks take each step together.  Touches no ledger.
     """
-    n = len(svals)
-    m = -(-n // g)
-    gmins = [svals[i * g] for i in range(m)]
-    gmaxs = [svals[min((i + 1) * g, n) - 1] for i in range(m)]
-    for k in range(n):
-        key = -svals[k]
-        lo, hi = 0, k // g
-        while lo <= hi:
-            yield k, lo, hi
-            if gmaxs[lo] + gmins[hi] > key:
-                hi -= 1
-            else:
-                lo += 1
+    row_max, col_min, keys = (np.asarray(v, dtype=np.float64) for v in (row_max, col_min, keys))
+    idx = np.arange(len(keys))
+    lo = np.zeros(len(keys), dtype=np.int64)
+    hi = np.broadcast_to(start, keys.shape)
+    steps = []  # ends with the empty step after the last walk leaves
+    while True:
+        live = (lo < len(row_max)) & (hi >= 0)
+        idx, lo, hi = idx[live], lo[live], hi[live]
+        steps.append((idx, lo, hi))
+        if not len(idx):
+            break
+        west = row_max[lo] + col_min[hi] > keys[idx]
+        lo, hi = lo + ~west, hi - west
+    idx, lo, hi = (np.concatenate(col) for col in zip(*steps))
+    order = np.argsort(idx, kind="stable")
+    return idx[order], lo[order], hi[order]
 
 
 def ternary_search(raws: Sequence[float], key: float, ledger: ComparisonLedger,
@@ -385,12 +386,51 @@ def _binsearch_depths(length: int):
     return node, gap
 
 
+def ternary_probes(sums: np.ndarray, keys: np.ndarray):
+    """Probes :func:`ternary_search` makes per key on the sorted `sums`, and
+    whether it hits.  A miss follows the path of its insertion point; a hit
+    stops at the first probe inside its run of equal sums, the run's
+    shallowest node."""
+    node, gap = _binsearch_depths(len(sums))
+    left = np.searchsorted(sums, keys, "left")
+    right = np.searchsorted(sums, keys, "right")
+    hit = left < right
+    probes = gap[left].astype(np.int64)
+    bounds = np.column_stack((left[hit], right[hit])).ravel()
+    probes[hit] = np.minimum.reduceat(np.append(node, 0), bounds)[::2]
+    return probes, hit
+
+
+def search_visits(row_groups, col_groups, lo, hi, keys):
+    """Price the ternary search of box ``row_groups[lo[t]] + col_groups[hi[t]]``
+    for ``keys[t]``, visit by visit up to the first hit.
+
+    Returns the queries (every probe, plus one per miss to choose the move)
+    and the index of the first hit, or None.  Touches no ledger.
+    """
+    nv = len(lo)
+    probes = np.zeros(nv, dtype=np.int64)
+    hit = np.zeros(nv, dtype=bool)
+    box = lo * len(col_groups) + hi
+    order = np.argsort(box, kind="stable")  # by box, visit order kept within each
+    starts = np.flatnonzero(np.diff(box[order], prepend=-1))
+    for a, b in zip(starts, np.append(starts[1:], nv)):
+        seg = order[a:b]
+        i, j = lo[seg[0]], hi[seg[0]]
+        sums = np.sort(np.add.outer(row_groups[i], col_groups[j]), axis=None)
+        probes[seg], hit[seg] = ternary_probes(sums, keys[seg])
+    if hit.any():
+        first = int(np.argmax(hit))
+        return int(probes[:first + 1].sum()) + first, first
+    return int(probes.sum()) + nv, None
+
+
 @lru_cache(maxsize=64)
-def _bound_depths(length: int) -> tuple[int, ...]:
+def _bound_depths(length: int) -> np.ndarray:
     """Probe counts of the two-way ``lo < hi`` bisection on a length-`length`
-    list, per result index.  The result fixes the probe path, whatever the
-    list holds."""
-    depth = [0] * (length + 1)
+    list, per result index (read-only).  The result fixes the probe path,
+    whatever the list holds."""
+    depth = np.zeros(length + 1, dtype=np.int64)
     stack = [(0, length, 0)]
     while stack:
         lo, hi, made = stack.pop()
@@ -400,22 +440,5 @@ def _bound_depths(length: int) -> tuple[int, ...]:
         mid = (lo + hi) // 2
         stack.append((lo, mid, made + 1))
         stack.append((mid + 1, hi, made + 1))
-    return tuple(depth)
-
-
-def lower_bound(raws: Sequence[float], key: float, ledger: ComparisonLedger,
-                arity: int = 3) -> int:
-    """``bisect_left``: on a sorted list, the first index whose value is
-    >= key.  One tick per probe."""
-    idx = bisect_left(raws, key)
-    ledger.tick(arity, _bound_depths(len(raws))[idx])
-    return idx
-
-
-def upper_bound(raws: Sequence[float], key: float, ledger: ComparisonLedger,
-                arity: int = 3) -> int:
-    """``bisect_right``: on a sorted list, the first index whose value is
-    > key.  One tick per probe."""
-    idx = bisect_right(raws, key)
-    ledger.tick(arity, _bound_depths(len(raws))[idx])
-    return idx
+    depth.flags.writeable = False
+    return depth

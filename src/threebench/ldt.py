@@ -5,25 +5,24 @@ reduction's three lists contain a zero-summing triple: the first two lists
 hold all partial sums over the low and high halves of the variables, the
 third is alpha_k * S.  The grouped-search kernel of :mod:`core` then
 answers the question with far fewer sign queries than the quadratic scan:
-:func:`difference_ticks` pays for the difference lists, :func:`box_order`
-deduces each box's order for free, and a staircase walk over the
-unbalanced grid of A-groups by B-groups binary-searches the boxes it
-visits.  The price is wider query arity: difference comparisons touch
-2k-2 input reals.
+:func:`difference_ticks` pays for the difference lists, every box's order
+follows from them for free, and :func:`staircase_visits` walks the keys of
+C over the unbalanced grid of A-groups by B-groups, :func:`search_visits`
+pricing the binary search of every box they visit.  The price is wider
+query arity: difference comparisons touch 2k-2 input reals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (ComparisonLedger, as_reals, box_order, difference_ticks, sorted_counted,
-                   ternary_search)
-from .threesum import Grouping, default_group_size
+from .core import (ComparisonLedger, as_reals, difference_ticks, search_visits,
+                   sorted_counted, staircase_visits)
+from .threesum import default_group_size
 
 ELEMENT_CAP = 10_000_000
 ORACLE_CAP = 50_000_000
@@ -96,32 +95,22 @@ def solve_kldt(phi: LinearForm, values: Sequence[float],
     if not a_list or not b_list or not c_list:
         return False
 
-    a_sorted = sorted_counted(a_list, ledger, arity=k - 1)
-    b_sorted = sorted_counted(b_list, ledger, arity=k - 1)
+    a_sorted = np.array(sorted_counted(a_list, ledger, arity=k - 1))
+    b_sorted = np.array(sorted_counted(b_list, ledger, arity=k - 1))
     g = group_size if group_size is not None else default_group_size(len(a_sorted))
-    ga = Grouping(tuple(a_sorted), g)
-    gb = Grouping(tuple(b_sorted), g)
-    ma, mb = ga.num_groups, gb.num_groups
+    if g < 1:
+        raise ValueError("group size must be >= 1")
+    a_groups = [a_sorted[i:i + g] for i in range(0, len(a_sorted), g)]
+    b_groups = [b_sorted[j:j + g] for j in range(0, len(b_sorted), g)]
 
-    segments = [(ga.group_values(i), range(ga.group_len(i)), "row") for i in range(ma)] \
-        + [(gb.group_values(j), range(gb.group_len(j)), "col") for j in range(mb)]
+    segments = [(grp, range(len(grp)), "row") for grp in a_groups] \
+        + [(grp, range(len(grp)), "col") for grp in b_groups]
     difference_ticks(segments, ledger, arity=2 * k - 2)
     ledger.snapshot("differences_sorted")
 
-    @lru_cache(maxsize=None)
-    def box_raws(i, j):
-        return box_order(ga.group_values(i), gb.group_values(j))[1]
-
-    for c in c_list:
-        key = -c
-        lo, hi = 0, mb - 1
-        while lo < ma and hi >= 0:
-            res, _ = ternary_search(box_raws(lo, hi), key, ledger, arity=k)
-            if res == "hit":
-                return True
-            ledger.tick(k)
-            if ga.gmax(lo) + gb.gmin(hi) > key:
-                hi -= 1
-            else:
-                lo += 1
-    return False
+    keys = -np.array(c_list)
+    t, lo, hi = staircase_visits([grp[-1] for grp in a_groups], [grp[0] for grp in b_groups],
+                                 keys, len(b_groups) - 1)
+    ticks, first = search_visits(a_groups, b_groups, lo, hi, keys[t])
+    ledger.tick(k, ticks)
+    return first is not None

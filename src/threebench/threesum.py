@@ -36,11 +36,12 @@ import numpy as np
 from .core import (
     ComparisonLedger,
     TaggedReal,
-    _binsearch_depths,
+    _binsearch_depths,  # unused here; perfbench's fill_caches reads it
     as_reals,
     box_order,
     difference_ticks,
     mergesort_tick_count,
+    search_visits,
     sort_differences,
     sorted_counted,
     staircase_visits,
@@ -106,14 +107,6 @@ class Grouping:
     def group_values(self, i: int) -> tuple[float, ...]:
         a, b = self.bounds(i)
         return self.values[a:b]
-
-    def gmin(self, i: int) -> float:
-        a, _ = self.bounds(i)
-        return self.values[a]
-
-    def gmax(self, i: int) -> float:
-        _, b = self.bounds(i)
-        return self.values[b - 1]
 
 
 class BoxView:
@@ -390,39 +383,13 @@ def _decision_tree_fast(arr0: np.ndarray, g: int, ledger: ComparisonLedger):
     ledger.snapshot("step2_differences")
     ledger.snapshot("step3_boxes")
 
-    visits = list(staircase_visits(arr.tolist(), g))
-
-    nv = len(visits)
-    probes = np.zeros(nv, dtype=np.int64)
-    hits = np.zeros(nv, dtype=bool)
-    by_box: dict[tuple[int, int], list[int]] = {}
-    for vi, (k, lo, hi) in enumerate(visits):
-        by_box.setdefault((lo, hi), []).append(vi)
-    for (lo, hi), vidx in by_box.items():
-        sums = np.sort(np.add.outer(groups[lo], groups[hi]).ravel())
-        keys = -arr[[visits[vi][0] for vi in vidx]]
-        vidx = np.asarray(vidx)
-        node, gap = _binsearch_depths(len(sums))
-        left = np.searchsorted(sums, keys, "left")
-        right = np.searchsorted(sums, keys, "right")
-        # a miss follows the path of its insertion point; a hit stops at the
-        # first probe inside its run of equal sums, the run's shallowest node
-        h = left < right
-        bounds = np.column_stack((left[h], right[h])).ravel()
-        probes[vidx] = gap[left]
-        probes[vidx[h]] = np.minimum.reduceat(np.append(node, 0), bounds)[::2]
-        hits[vidx] = h
-
+    k, lo, hi = _triangle_visits(arr, g)
+    ticks3, first = search_visits(groups, groups, lo, hi, -arr[k])
     witness = None
-    if hits.any():
-        first = int(np.argmax(hits))
-        ticks3 = int(probes[:first].sum()) + first + int(probes[first])
-        k, lo, hi = visits[first]
-        seg_r, seg_c = groups[lo], groups[hi]
-        x, y = np.argwhere(np.add.outer(seg_r, seg_c) == -arr[k])[0]
-        witness = (float(seg_r[x]), float(seg_c[y]), float(arr[k]))
-    else:
-        ticks3 = int(probes.sum()) + nv
+    if first is not None:
+        c, seg_r, seg_c = arr[k[first]], groups[lo[first]], groups[hi[first]]
+        x, y = np.argwhere(np.add.outer(seg_r, seg_c) == -c)[0]
+        witness = (float(seg_r[x]), float(seg_c[y]), float(c))
     ledger.tick(3, ticks3)
     ledger.snapshot("step4_done")
     return witness
@@ -805,12 +772,24 @@ def resolve_subquadratic_params(n: int, params: Optional[SubquadraticParams] = N
     raise ValueError(f"unknown mode {params.mode!r}")
 
 
+def _triangle_visits(svals, g):
+    """Boxes the grouped 3SUM walk visits, as arrays ``(k, lo, hi)``: the walk
+    for ``-svals[k]`` starts at box ``(0, k // g)`` and ends below ``lo <= hi``."""
+    svals = np.asarray(svals, dtype=np.float64)
+    n = len(svals)
+    firsts = np.arange(0, n, g)
+    k, lo, hi = staircase_visits(svals[np.minimum(firsts + g, n) - 1], svals[firsts],
+                                 -svals, np.arange(n) // g)
+    keep = lo <= hi
+    return k[keep], lo[keep], hi[keep]
+
+
 def _staircase_walk(svals, g, searcher, ledger):
     """Search every box the walk visits for its key, building each box's
     searcher on first visit; one 3-linear tick per visit that misses.
     Returns a witness triple or None."""
     searchers: dict = {}
-    for k, lo, hi in staircase_visits(svals, g):
+    for k, lo, hi in zip(*(col.tolist() for col in _triangle_visits(svals, g))):
         s = searchers.get((lo, hi))
         if s is None:
             s = searchers[(lo, hi)] = searcher((lo, hi))

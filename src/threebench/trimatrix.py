@@ -176,7 +176,7 @@ def target_min_plus_dt(A, B, T, group_size: Optional[int],
         # per cell, the lower bound of its target: the counted bisection's
         # result is the number of smaller candidates, its probes fixed by it
         idx, val, pick = _lower_bounds(block, order, t)
-        ledger.tick(3, int(np.asarray(_bound_depths(w))[idx].sum()))
+        ledger.tick(3, int(_bound_depths(w)[idx].sum()))
         ok = (idx < w) & (val < BIG_CUT)
         # a feasible candidate met after an earlier strip's costs one 4-linear comparison
         ledger.tick(4, int((ok & (w_out != NO_WITNESS)).sum()))
@@ -327,7 +327,7 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
             block = _cell_sums(ae, be, mem)
             order = np.argsort(block, axis=2, kind="stable")
             lb, val, pick = _lower_bounds(block, order, t)
-            probes = np.asarray(_bound_depths(m))[lb]
+            probes = _bound_depths(m)[lb]
             if l < top:
                 # sorted positions, from the lower bound on, of parent members
                 hints = np.isin(mem, hierarchy.members[l + 1][p // 2])[order]

@@ -1,7 +1,61 @@
+import math
+
 import numpy as np
 
 from threebench.conv3sum import antidiagonal_cells, oracle_conv3sum, solve_conv_blocked
-from threebench.core import ComparisonLedger
+from threebench.core import ComparisonLedger, as_reals, box_order, difference_ticks
+
+
+def _counted_bound(raws, key, ledger, upper):
+    """``bisect_left`` (``bisect_right`` when `upper`) written out, one
+    3-linear tick per probe."""
+    lo, hi = 0, len(raws)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        ledger.tick(3)
+        if (raws[mid] <= key) if upper else (raws[mid] < key):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _conv_scalar(values, group_size, ledger, probe_log=None):
+    """The blocked search written out: key by key, box by box along the
+    antidiagonal, two counted bisections per crossed box."""
+    arr = as_reals(values)
+    n = len(arr)
+    if n == 0:
+        return None
+    g = group_size if group_size is not None else max(1, math.ceil(math.sqrt(n)))
+    if g < 1:
+        raise ValueError("group size must be >= 1")
+    blocks = [arr[b * g:(b + 1) * g] for b in range(-(-n // g))]
+    difference_ticks([(blk, range(len(blk)), role)
+                      for role in ("row", "col") for blk in blocks], ledger)
+    ledger.snapshot("differences_sorted")
+    for k in range(n):
+        key = arr[k]
+        cells = antidiagonal_cells(n, k)
+        if probe_log is not None:
+            probe_log[k] = list(cells)
+        hits = []
+        idx = 0
+        while idx < len(cells):
+            bi, bj = cells[idx][0] // g, cells[idx][1] // g
+            run = [cells[idx]]
+            idx += 1
+            while idx < len(cells) and cells[idx][0] // g == bi and cells[idx][1] // g == bj:
+                run.append(cells[idx])
+                idx += 1
+            order, raws = box_order(blocks[bi], blocks[bj])
+            lb = _counted_bound(raws, key, ledger, upper=False)
+            ub = _counted_bound(raws, key, ledger, upper=True)
+            matched = {(bi * g + x, bj * g + y) for (x, y) in order[lb:ub]}
+            hits.extend(cell for cell in run if cell in matched)
+        if hits:
+            return min(hits)
+    return None
 
 
 def test_oracle_zero_singleton():
@@ -53,6 +107,25 @@ def test_blocked_matches_oracle_across_widths():
         if got is not None:
             i, j = got
             assert vals[i] + vals[j] == vals[i + j]
+
+
+def test_blocked_equals_the_scalar_search():
+    rng = np.random.default_rng(5)
+    witnesses, sizes = 0, set()
+    for trial in range(500):
+        n = int(rng.integers(0, 60))
+        uni = int(rng.choice([1, 3, 20, 10 ** 6]))
+        values = rng.integers(-uni, uni + 1, size=n).astype(float).tolist()
+        g = None if trial % 5 == 0 or n == 0 else int(rng.integers(1, n + 1))
+        sizes.add((n, g is not None and n % g != 0))
+        l1, l2, log1, log2 = ComparisonLedger(), ComparisonLedger(), {}, {}
+        got = solve_conv_blocked(values, g, l1, probe_log=log1)
+        assert got == _conv_scalar(values, g, l2, probe_log=log2)
+        assert l1.count_klinear == l2.count_klinear
+        assert log1 == log2
+        witnesses += got is not None
+    assert 0 < witnesses < 500
+    assert {0, 1} <= {n for n, _ in sizes} and any(short for _, short in sizes)
 
 
 def test_probed_cells_are_exactly_the_antidiagonal():

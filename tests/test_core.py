@@ -1,24 +1,28 @@
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threebench import harness
+from threebench.threesum import _triangle_visits
 from threebench.core import (
     ComparisonLedger,
     TaggedReal,
     as_reals,
     box_order,
     cmp_tagged,
+    _bound_depths,
     difference_ticks,
-    lower_bound,
     merge_sort_counted,
     mergesort_tick_count,
+    search_visits,
     sort_differences,
     staircase_visits,
     tag_cols,
     tag_rows,
-    upper_bound,
+    ternary_search,
 )
 
 
@@ -172,12 +176,14 @@ def _counted_bound(raws, key, upper):
        st.sampled_from(["sorted", "unsorted"]))
 @settings(max_examples=300, deadline=None)
 def test_bounds_match_a_counted_loop_on_sorted_tied_and_unsorted_lists(values, key, kind):
+    # the depth table that conv, tmp dt and sampled price their bisections from
     raws = [float(v) for v in (sorted(values) if kind == "sorted" else values)]
-    for fn, upper in ((lower_bound, False), (upper_bound, True)):
-        led = ComparisonLedger()
+    depth = _bound_depths(len(raws))
+    assert not depth.flags.writeable
+    for bound, upper in ((bisect_left, False), (bisect_right, True)):
         idx, probes = _counted_bound(raws, float(key), upper)
-        assert fn(raws, float(key), led, arity=5) == idx
-        assert led.count_klinear == ({5: probes} if probes else {})
+        assert bound(raws, float(key)) == idx
+        assert depth[idx] == probes
 
 
 def _inline_staircase(svals, g):
@@ -196,12 +202,71 @@ def _inline_staircase(svals, g):
     return visits
 
 
+def _visits(idx, lo, hi):
+    return list(zip(idx.tolist(), lo.tolist(), hi.tolist()))
+
+
 def test_staircase_visits_match_the_inline_walk():
+    # the 3SUM walk is the prefix of each key's walk that stays in lo <= hi
     for gen in harness.GENERATORS:
         for n in (1, 2, 17, 40):
             svals = sorted(harness.generate("3sum", n, gen, 4).tolist())
             for g in (1, 3, 7, n):
-                assert list(staircase_visits(svals, g)) == _inline_staircase(svals, g)
+                firsts = list(range(0, n, g))
+                row_max = [svals[min(i + g, n) - 1] for i in firsts]
+                col_min = [svals[i] for i in firsts]
+                visits = _visits(*staircase_visits(row_max, col_min, [-v for v in svals],
+                                                   np.arange(n) // g))
+                assert [v for v in visits if v[1] <= v[2]] == _inline_staircase(svals, g)
+                assert _visits(*_triangle_visits(svals, g)) == _inline_staircase(svals, g)
+
+
+def _inline_unbalanced(row_max, col_min, keys):
+    visits = []
+    for t, key in enumerate(keys):
+        lo, hi = 0, len(col_min) - 1
+        while lo < len(row_max) and hi >= 0:
+            visits.append((t, lo, hi))
+            if row_max[lo] + col_min[hi] > key:
+                hi -= 1
+            else:
+                lo += 1
+    return visits
+
+
+def test_staircase_visits_walk_unbalanced_grids_to_their_edge():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        ma, mb = (int(x) for x in rng.integers(1, 9, size=2))
+        uni = int(rng.choice([3, 30, 10 ** 6]))
+        row_max = np.sort(rng.integers(-uni, uni + 1, size=ma)).astype(float)
+        col_min = np.sort(rng.integers(-uni, uni + 1, size=mb)).astype(float)
+        keys = rng.integers(-2 * uni, 2 * uni + 1, size=int(rng.integers(0, 12))).astype(float)
+        got = _visits(*staircase_visits(row_max, col_min, keys, mb - 1))
+        assert got == _inline_unbalanced(row_max.tolist(), col_min.tolist(), keys.tolist())
+
+
+def test_search_visits_equal_a_ternary_search_per_visit():
+    # probes up to and including the first hit, plus one per earlier miss
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        uni = int(rng.choice([2, 9, 10 ** 6]))
+        rows = [rng.integers(-uni, uni + 1, size=int(rng.integers(1, 6))).astype(float)
+                for _ in range(int(rng.integers(1, 4)))]
+        cols = [rng.integers(-uni, uni + 1, size=int(rng.integers(1, 6))).astype(float)
+                for _ in range(int(rng.integers(1, 4)))]
+        nv = int(rng.integers(0, 25))
+        lo = rng.integers(0, len(rows), size=nv)
+        hi = rng.integers(0, len(cols), size=nv)
+        keys = rng.integers(-2 * uni, 2 * uni + 1, size=nv).astype(float)
+        led, first = ComparisonLedger(), None
+        for t in range(nv):
+            raws = box_order(rows[lo[t]], cols[hi[t]])[1]
+            if ternary_search(raws, keys[t], led)[0] == "hit":
+                first = t
+                break
+            led.tick(3)
+        assert search_visits(rows, cols, lo, hi, keys) == (led.count_3linear, first)
 
 
 def test_box_order_equals_the_fredman_comparator_order():

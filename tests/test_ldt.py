@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from threebench import harness
-from threebench.core import ComparisonLedger
+from threebench.core import (ComparisonLedger, as_reals, box_order, difference_ticks,
+                             sorted_counted, ternary_search)
 from threebench.ldt import LinearForm, oracle_kldt, reduce_kldt, solve_kldt
+from threebench.threesum import default_group_size
 
 
 def _brute(phi, values):
@@ -14,6 +16,64 @@ def _brute(phi, values):
         if phi.evaluate(combo) == 0.0:
             return True
     return False
+
+
+def _kldt_scalar(phi, values, group_size, ledger):
+    """The walk written out: each key of C walks the unbalanced grid from
+    its NE box, ternary-searching every box it visits."""
+    k = phi.arity
+    a_list, b_list, c_list = reduce_kldt(phi, as_reals(values))
+    if not a_list or not b_list or not c_list:
+        return False
+    a_sorted = sorted_counted(a_list, ledger, arity=k - 1)
+    b_sorted = sorted_counted(b_list, ledger, arity=k - 1)
+    g = group_size if group_size is not None else default_group_size(len(a_sorted))
+    if g < 1:
+        raise ValueError("group size must be >= 1")
+    a_groups = [a_sorted[i:i + g] for i in range(0, len(a_sorted), g)]
+    b_groups = [b_sorted[j:j + g] for j in range(0, len(b_sorted), g)]
+    ma, mb = len(a_groups), len(b_groups)
+    difference_ticks([(grp, range(len(grp)), "row") for grp in a_groups]
+                     + [(grp, range(len(grp)), "col") for grp in b_groups],
+                     ledger, arity=2 * k - 2)
+    ledger.snapshot("differences_sorted")
+    for c in c_list:
+        key = -c
+        lo, hi = 0, mb - 1
+        while lo < ma and hi >= 0:
+            res, _ = ternary_search(box_order(a_groups[lo], b_groups[hi])[1], key, ledger,
+                                    arity=k)
+            if res == "hit":
+                return True
+            ledger.tick(k)
+            if a_groups[lo][-1] + b_groups[hi][0] > key:
+                hi -= 1
+            else:
+                lo += 1
+    return False
+
+
+def test_solver_equals_the_scalar_walk():
+    rng = np.random.default_rng(7)
+    sizes, decisions = set(), set()
+    for trial in range(500):
+        k = (3, 5)[trial % 2]
+        n = int(rng.integers(0, 25 if k == 3 else 9))
+        uni = int(rng.choice([1, 3, 12, 10 ** 6]))
+        coeffs = [float(rng.integers(-2, 3))]
+        coeffs += [float(x) if x else 1.0 for x in rng.integers(-3, 4, size=k)]
+        phi = LinearForm(tuple(coeffs))
+        values = rng.integers(-uni, uni + 1, size=n).astype(float).tolist()
+        size = n ** ((k - 1) // 2)
+        g = None if trial % 5 == 0 or size == 0 else int(rng.integers(1, size + 1))
+        sizes.add((n, g is not None and size % g != 0))
+        l1, l2 = ComparisonLedger(), ComparisonLedger()
+        found = solve_kldt(phi, values, g, l1)
+        assert found == _kldt_scalar(phi, values, g, l2)
+        assert l1.count_klinear == l2.count_klinear
+        decisions.add(found)
+    assert {0, 1} <= {n for n, _ in sizes} and any(short for _, short in sizes)
+    assert decisions == {False, True}
 
 
 def test_form_validation():

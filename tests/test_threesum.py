@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from threebench.core import ComparisonLedger, TaggedReal, staircase_visits
+from threebench.core import ComparisonLedger, TaggedReal
 from threebench.threesum import (
     BoxView,
     Grouping,
@@ -14,6 +14,7 @@ from threebench.threesum import (
     oracle_3sum,
     quadratic_tick_count,
     solve_decision_tree,
+    _triangle_visits,
     solve_quadratic,
     ternary_search,
 )
@@ -131,8 +132,7 @@ def test_grouping_bounds_and_extremes():
     assert grouping.num_groups == 3
     assert grouping.group_values(0) == (0.0, 1.0, 2.0, 3.0)
     assert grouping.group_values(2) == (8.0, 9.0)  # short last group
-    assert grouping.gmin(1) == 4.0 and grouping.gmax(1) == 7.0
-    assert grouping.gmax(2) == 9.0
+    assert grouping.bounds(1) == (4, 8) and grouping.bounds(2) == (8, 10)
     with pytest.raises(ValueError):
         Grouping((2.0, 1.0), 1)
 
@@ -221,7 +221,7 @@ def test_staircase_walk_keeps_every_remaining_witness_pair():
     for _ in range(10):
         n = int(rng.integers(2, 25))
         svals = sorted(rng.integers(-8, 9, size=n).astype(float).tolist())
-        for k, lo, hi in staircase_visits(svals, g):
+        for k, lo, hi in zip(*(col.tolist() for col in _triangle_visits(svals, g))):
             _assert_walk_invariant(svals, k, g, lo, hi)
             rows, cols = svals[lo * g:(lo + 1) * g], svals[hi * g:(hi + 1) * g]
             if any(a + b == -svals[k] for a in rows for b in cols):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from threebench.core import ComparisonLedger, difference_ticks, lower_bound
+from threebench.core import ComparisonLedger, difference_ticks
 from threebench.harness import GENERATORS, generate
 from threebench.trimatrix import (
     BIG_CUT,
@@ -210,6 +210,19 @@ def test_hint_distance_stays_small_on_average():
     assert np.mean(stats) <= 2.0
 
 
+def _lower_bound(raws, key, ledger):
+    """``bisect_left`` written out, one 3-linear tick per probe."""
+    lo, hi = 0, len(raws)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        ledger.tick(3)
+        if raws[mid] < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _sampled_scalar(A, B, T, group_size, rng, ledger, hint_stats):
     """Per-cell reference of the sampled variant: sorts each interval of
     each cell in Python, binary-searches the top level and walks every
@@ -245,7 +258,7 @@ def _sampled_scalar(A, B, T, group_size, rng, ledger, hint_stats):
             kappas = []
             for p in range(len(hierarchy.members[top])):
                 order, raws = get_order(top, p)
-                idx = lower_bound(raws, tgt, ledger)
+                idx = _lower_bound(raws, tgt, ledger)
                 kappas.append(order[idx] if idx < len(order) else None)
 
             for l in range(top - 1, -1, -1):
@@ -264,7 +277,7 @@ def _sampled_scalar(A, B, T, group_size, rng, ledger, hint_stats):
                                     hint = k
                                     break
                         if hint is None:
-                            idx = lower_bound(craws, tgt, ledger)
+                            idx = _lower_bound(craws, tgt, ledger)
                             nxt.append(corder[idx] if idx < len(corder) else None)
                             continue
                         pos = corder.index(hint)
