@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threebench import harness
-from threebench.threesum import _triangle_visits
 from threebench.core import (
     ComparisonLedger,
     TaggedReal,
+    _bound_depths,
     as_reals,
     box_order,
     cmp_tagged,
-    _bound_depths,
     difference_ticks,
     merge_sort_counted,
     mergesort_tick_count,
@@ -24,6 +23,7 @@ from threebench.core import (
     tag_rows,
     ternary_search,
 )
+from threebench.threesum import _triangle_visits
 
 
 def test_tagged_real_orders_lexicographically():

@@ -14,9 +14,9 @@ from threebench.threesum import (
     oracle_3sum,
     quadratic_tick_count,
     solve_decision_tree,
-    _triangle_visits,
     solve_quadratic,
     ternary_search,
+    _triangle_visits,
 )
 
 # A 10x10 block whose row generators and column generators are frozen; the
