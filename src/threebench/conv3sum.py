@@ -49,8 +49,8 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
     `probe_log`, when given, maps k to the list of candidate cells
     examined for that key.
     """
-    arr = as_reals(values)
-    n = len(arr)
+    a = np.array(as_reals(values))
+    n = len(a)
     if n == 0:
         return None
     g = group_size if group_size is not None else max(1, math.ceil(math.sqrt(n)))
@@ -58,7 +58,6 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
         raise ValueError("group size must be >= 1")
     m = -(-n // g)
 
-    a = np.array(arr)
     blocks = [a[b * g:(b + 1) * g] for b in range(m)]
     difference_ticks([(blk, range(len(blk)), role)
                       for role in ("row", "col") for blk in blocks], ledger)
