@@ -5,11 +5,13 @@ Coordinates only need to be totally ordered and mutually comparable, so
 callers may use floats or lexicographic tuples; the latter is how the
 solvers emulate tie-broken (perturbed) reals exactly.
 
-Every solver certifies sorted orders through the two helpers at the end:
+Every solver certifies sorted orders through the two helpers at the end.
 :func:`match_candidates` matches candidate certificates to (red, blue)
-pairs, and :func:`sorting_permutations` applies it to the permutations
-of a short sum vector.  No solver builds points or calls
-:func:`report_dominating_pairs` itself.
+pairs through :func:`report_dominating_pairs`; the contour catalog's
+``threesum.match_boxes`` is its one solver caller.
+:func:`sorting_permutations` certifies the permutations of a short sum
+vector for the permutation matchers, as one array kernel that evaluates
+the same coordinate comparisons for all pairs at once and builds no points.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Sequence
+
+import numpy as np
 
 RED = "red"
 BLUE = "blue"
@@ -139,27 +143,54 @@ def match_candidates(candidates, red_ids, blue_ids, coords,
     return matched
 
 
-def sorting_permutations(reds, blues, width: int) -> dict:
+def sorting_permutations(reds, blues, width: int):
     """For every pair ``(r, b)``, the permutation of ``range(width)`` that
     sorts ``reds[r][k] + blues[b][k]``, ties broken by k.
 
-    Fredman's trick: the permutation sorts the sums exactly when each
-    consecutive red difference ``(dv, dk)`` dominates the negated blue
-    difference ``(-dv, 0)``, compared lexicographically.  Returns
-    ``{(r, b): permutation}``.
+    Fredman's trick: a permutation ``pi`` sorts the sums exactly when, for
+    every ``x``, the red difference ``reds[r][pi[x+1]] - reds[r][pi[x]]``
+    dominates the negated blue difference ``blues[b][pi[x]] - blues[b][pi[x+1]]``,
+    a tie counting only when ``pi[x+1] > pi[x]`` (the lexicographic
+    ``(dv, dk) >= (-dv, 0)`` of the tie-broken reals).  Each consecutive
+    index pair is compared once, over all (r, b) pairs at once.
+
+    Returns ``(perms, index)``: the ``(width!, width)`` table of permutations
+    in ``itertools.permutations`` order, and the ``(len(reds), len(blues))``
+    array whose entry ``[r, b]`` is the row of `perms` matched by that pair.
+    Raises ValueError unless every row holds `width` values and every pair
+    matches exactly one permutation (rounded differences can match several).
     """
+    reds, blues = _rows(reds, width), _rows(blues, width)
+    perms = np.array(list(permutations(range(width))), dtype=np.intp)
+    before = {}
+    for p in range(width):
+        for q in range(width):
+            if p != q:
+                red = (reds[:, q] - reds[:, p])[:, None]
+                blue = (blues[:, p] - blues[:, q])[None, :]
+                before[p, q] = red >= blue if q > p else red > blue
 
-    def coords(pi, color, i):
-        if color == RED:
-            v = reds[i]
-            return tuple((v[pi[x + 1]] - v[pi[x]], pi[x + 1] - pi[x])
-                         for x in range(width - 1))
-        v = blues[i]
-        return tuple((v[pi[x]] - v[pi[x + 1]], 0) for x in range(width - 1))
+    shape = (len(reds), len(blues))
+    index = np.zeros(shape, dtype=np.intp)
+    count = np.zeros(shape, dtype=np.intp)
+    for row, pi in enumerate(perms.tolist()):
+        match = np.ones(shape, dtype=bool)
+        for p, q in zip(pi, pi[1:]):
+            match &= before[p, q]
+        count += match
+        np.copyto(index, row, where=match)
+    if (count == 0).any():
+        raise ValueError("a pair matched no permutation")
+    if (count > 1).any():
+        raise ValueError("two permutations matched one pair: its rounded "
+                         "differences order no single permutation")
+    return perms, index
 
-    matched = match_candidates(permutations(range(width)), range(len(reds)),
-                               range(len(blues)), coords)
-    assert len(matched) == len(reds) * len(blues), "a pair matched no permutation"
-    assert all(len(perms) == 1 for perms in matched.values()), \
-        "two permutations matched one pair"
-    return {pair: perms[0] for pair, perms in matched.items()}
+
+def _rows(rows, width: int) -> np.ndarray:
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.size == 0 and arr.ndim == 1:
+        arr = arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"every row must hold width = {width} values")
+    return arr

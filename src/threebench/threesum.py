@@ -842,8 +842,9 @@ def solve_subquadratic(values, params: Optional[SubquadraticParams],
 
 def solve_subquadratic_simple(values, group_size: Optional[int],
                               ledger: ComparisonLedger):
-    """Whole-box permutation matching: enumerate every sorting permutation
-    of a full box and match boxes to permutations via dominance, then walk.
+    """Whole-box permutation matching: certify, for every pair of full
+    groups, the one permutation of the box's g*g positions whose
+    consecutive differences dominate (``sorting_permutations``), then walk.
 
     Feasible only for tiny group sizes ((g*g)! permutations)."""
     arr = as_reals(values)
@@ -860,22 +861,22 @@ def solve_subquadratic_simple(values, group_size: Optional[int],
     svals = sorted_counted(arr, ledger)
     ledger.snapshot("step1_sorted")
     grouping = Grouping(tuple(svals), g)
-    m = grouping.num_groups
-    full = [grouping.group_values(i) for i in range(m) if grouping.group_len(i) == g]
-    # spread each group over the g*g row-major positions t = x*g + y: column
-    # groups are red (value at y = t % g), row groups blue (x = t // g), and
-    # ties in t order like the (row, col) tags
-    cells = range(g * g)
-    perms = sorting_permutations([[v[t % g] for t in cells] for v in full],
-                                 [[v[t // g] for t in cells] for v in full], g * g)
-    assigned = {(i, j): [divmod(t, g) for t in pi] for (j, i), pi in perms.items()}
+    full = len(svals) // g
+    # spread each full group over the g*g row-major positions t = x*g + y:
+    # column groups are red (value at y = t % g), row groups blue (x = t // g),
+    # and ties in t order like the (row, col) tags
+    groups = np.array(svals[:full * g], dtype=np.float64).reshape(full, g)
+    cells = np.arange(g * g)
+    perms, index = sorting_permutations(groups[:, cells % g], groups[:, cells // g], g * g)
     ledger.snapshot("matched_boxes")
 
     def searcher(ij):
-        rows, cols = grouping.group_values(ij[0]), grouping.group_values(ij[1])
-        order = assigned.get(ij)
-        if order is None:
+        i, j = ij
+        rows, cols = grouping.group_values(i), grouping.group_values(j)
+        if max(i, j) >= full:
             return _sorted_search(rows, cols, ledger)
+        # box (i, j) pairs red column group j with blue row group i
+        order = [divmod(t, g) for t in perms[index[j, i]].tolist()]
         return _OrderSearch(order, _raws(rows, cols, order))
 
     witness = _staircase_walk(svals, g, searcher, ledger)

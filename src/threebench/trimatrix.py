@@ -190,10 +190,12 @@ def target_min_plus_dt(A, B, T, group_size: Optional[int],
 
 def target_min_plus_dominance(A, B, T, group_size: Optional[int] = None
                               ) -> TargetProductResult:
-    """Strip-wise product where each cell's candidate order is identified by
-    matching row points against column points, one dominance call per
-    (strip, permutation).  The lower bound of each cell's target in its
-    matched order is not charged (ROADMAP item 2)."""
+    """Strip-wise product where each cell's candidate order is the one
+    permutation whose consecutive row differences dominate the column
+    differences, certified for every cell of a strip by one
+    ``sorting_permutations`` call.  Neither the certification nor the
+    lower bound of each cell's target in its matched order is charged
+    (ROADMAP item 2)."""
     a, b, t = as_operand(A), as_operand(B), as_target(T)
     _check_dims(a, b, t)
     ae, be = _encode(a), _encode(b)
@@ -209,14 +211,9 @@ def target_min_plus_dominance(A, B, T, group_size: Optional[int] = None
         k1 = min(k0 + g, s)
         w = k1 - k0
         # rows of the A strip are red, columns of the B strip blue
-        assigned = sorting_permutations(ae[:, k0:k1].tolist(), be[k0:k1, :].T.tolist(), w)
-        # sorting_permutations assigns every cell exactly one permutation
-        cells = np.array(list(assigned), dtype=np.int64).reshape(-1, 2)
-        perms = np.empty((r, tcols, w), dtype=np.int64)
-        perms[cells[:, 0], cells[:, 1]] = np.array(list(assigned.values()),
-                                                   dtype=np.int64).reshape(-1, w)
+        perms, index = sorting_permutations(ae[:, k0:k1], be[k0:k1, :].T, w)
         block = _cell_sums(ae, be, slice(k0, k1))
-        idx, val, pick = _lower_bounds(block, perms, t)  # uncharged
+        idx, val, pick = _lower_bounds(block, perms[index], t)  # uncharged
         _keep_smaller(c_out, w_out, (idx < w) & (val < BIG_CUT), val, k0 + pick)
     return TargetProductResult(c_out, w_out)
 

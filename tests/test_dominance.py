@@ -1,3 +1,6 @@
+import math
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -119,16 +122,79 @@ def test_sorting_permutations_equal_a_stable_argsort(width):
     for universe in (3, 1000):
         reds = rng.integers(0, universe, size=(4, width)).astype(float)
         blues = rng.integers(0, universe, size=(3, width)).astype(float)
-        got = sorting_permutations(reds.tolist(), blues.tolist(), width)
-        assert set(got) == {(r, b) for r in range(4) for b in range(3)}
-        for (r, b), pi in got.items():
-            assert list(pi) == np.argsort(reds[r] + blues[b], kind="stable").tolist()
+        perms, index = sorting_permutations(reds.tolist(), blues.tolist(), width)
+        assert index.shape == (4, 3)
+        assert np.array_equal(perms[index], np.argsort(reds[:, None] + blues[None, :],
+                                                       axis=2, kind="stable"))
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
 def test_sorting_permutations_of_all_ties_are_the_identity(width):
-    got = sorting_permutations([[2.0] * width] * 3, [[-1.0] * width] * 2, width)
-    assert got == {(r, b): tuple(range(width)) for r in range(3) for b in range(2)}
+    perms, index = sorting_permutations([[2.0] * width] * 3, [[-1.0] * width] * 2, width)
+    assert perms[0].tolist() == list(range(width))
+    assert index.tolist() == [[0, 0]] * 3
+
+
+def _dominance_route(reds, blues, width):
+    """The reference: one divide-and-conquer dominance report per permutation
+    on lexicographic (value, tag) coordinates; ``{(r, b): [permutations]}``."""
+
+    def coords(pi, color, i):
+        if color == RED:
+            v = reds[i]
+            return tuple((v[pi[x + 1]] - v[pi[x]], pi[x + 1] - pi[x])
+                         for x in range(width - 1))
+        v = blues[i]
+        return tuple((v[pi[x]] - v[pi[x + 1]], 0) for x in range(width - 1))
+
+    return match_candidates(permutations(range(width)), range(len(reds)),
+                            range(len(blues)), coords)
+
+
+def test_sorting_permutations_equal_the_dominance_route():
+    rng = np.random.default_rng(8)
+    universes = (lambda size: rng.integers(-1, 2, size=size).astype(float),
+                 lambda size: rng.integers(0, 4, size=size).astype(float),
+                 lambda size: rng.choice([0.1, 0.2, 0.3, 0.7], size=size),
+                 lambda size: rng.uniform(-1.0, 1.0, size=size))
+    for trial in range(320):
+        width = int(rng.integers(1, 7))
+        most = 3 if width == 6 else 8
+        r, b = (int(x) for x in rng.integers(0, most + 1, size=2))
+        draw = universes[trial % len(universes)]
+        reds, blues = draw((r, width)), draw((b, width))
+        want = _dominance_route(reds.tolist(), blues.tolist(), width)
+        if any(len(found) != 1 for found in want.values()):
+            with pytest.raises(ValueError):
+                sorting_permutations(reds, blues, width)
+            continue
+        perms, index = sorting_permutations(reds, blues, width)
+        assert perms.tolist() == [list(pi) for pi in permutations(range(width))]
+        assert index.shape == (r, b)
+        got = {(i, j): [tuple(perms[index[i, j]].tolist())] for i in range(r) for j in range(b)}
+        assert got == want, (trial, width)
+
+
+@pytest.mark.parametrize("reds, blues", [
+    ([[1.0, 2.0, 3.0]], [[0.0, 0.0, 0.0]]),
+    ([[1.0]], [[0.0, 0.0]]),
+    ([[1.0, 2.0]], [[0.0, 0.0], [0.0]]),
+])
+def test_sorting_permutations_reject_rows_of_another_width(reds, blues):
+    with pytest.raises(ValueError):
+        sorting_permutations(reds, blues, 2)
+
+
+@pytest.mark.parametrize("reds, blues, message", [
+    # 1e16 + 2 - 3 rounds to 1e16, so the rounded differences order the three
+    # sums cyclically and three permutations match
+    ([[3.0, 1e16 + 2, 1.0]], [[0.1, -1e16, 0.6]], "two permutations"),
+    # NaN compares false both ways, so no permutation matches
+    ([[math.nan, 0.0]], [[0.0, 0.0]], "no permutation"),
+])
+def test_sorting_permutations_refuse_a_pair_not_matched_exactly_once(reds, blues, message):
+    with pytest.raises(ValueError, match=message):
+        sorting_permutations(reds, blues, len(reds[0]))
 
 
 def test_match_candidates_equals_per_candidate_brute_force():
