@@ -6,6 +6,7 @@ from .core import (
     TaggedReal,
     as_reals,
     box_order,
+    cut_groups,
     difference_ticks,
     merge_sort_counted,
     mergesort_tick_count,
@@ -29,7 +30,6 @@ from .dominance import (
 from .threesum import (
     BoxView,
     Contour,
-    Grouping,
     LegalPairCatalog,
     PointSet,
     SubquadraticParams,

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ComparisonLedger, _bound_depths, as_reals, difference_ticks
+from .core import ComparisonLedger, _bound_depths, as_reals, cut_groups, difference_ticks
 
 
 def oracle_conv3sum(values: Sequence[float]) -> Optional[tuple[int, int]]:
@@ -54,11 +54,8 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
     if n == 0:
         return None
     g = group_size if group_size is not None else max(1, math.ceil(math.sqrt(n)))
-    if g < 1:
-        raise ValueError("group size must be >= 1")
-    m = -(-n // g)
-
-    blocks = [a[b * g:(b + 1) * g] for b in range(m)]
+    blocks = cut_groups(a, g)
+    m = len(blocks)
     difference_ticks([(blk, range(len(blk)), role)
                       for role in ("row", "col") for blk in blocks], ledger)
     ledger.snapshot("differences_sorted")

@@ -14,7 +14,9 @@ difference lists; :func:`box_order` reads a box's sorted order off that
 sort for free; :func:`staircase_visits` lists the boxes every key's walk
 visits; and :func:`search_visits` prices, in closed form, the search of
 each visited box at one tick per probe of :func:`ternary_search`.
-Solvers accept input reals through :func:`as_reals`.
+Solvers accept input reals through :func:`as_reals`, sort them with
+:func:`sorted_counted` and cut the sorted list into groups with
+:func:`cut_groups`.
 """
 
 from __future__ import annotations
@@ -71,14 +73,6 @@ def tag_rows(values: Sequence[float]) -> list[TaggedReal]:
 def tag_cols(values: Sequence[float]) -> list[TaggedReal]:
     """Tag a list for use as Cartesian-sum columns: value j becomes (v, 0, j)."""
     return [TaggedReal(float(v), 0, j) for j, v in enumerate(values)]
-
-
-def sign(x: float) -> int:
-    if x < 0:
-        return -1
-    if x > 0:
-        return 1
-    return 0
 
 
 def cmp_tagged(a: TaggedReal, b: TaggedReal) -> int:
@@ -186,17 +180,6 @@ def merge_sort_counted(items: Sequence, compare: Callable) -> list:
     return out
 
 
-def sorted_counted(values: Sequence[float], ledger: ComparisonLedger,
-                   arity: int = 2) -> list[float]:
-    """Sort raw input reals, charging one tick of `arity` per comparison."""
-
-    def compare(x, y):
-        ledger.tick(arity)
-        return sign(x - y)
-
-    return merge_sort_counted(values, compare)
-
-
 def sort_differences(groups: Sequence[Sequence[TaggedReal]],
                      ledger: ComparisonLedger, arity: int = 4) -> list[TaggedReal]:
     """Sort the union of all within-group difference lists.
@@ -272,6 +255,23 @@ def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None) -> in
                                         u[None, mid:], tags[None, mid:])
         width = step
     return total
+
+
+def sorted_counted(values: Sequence[float], ledger: ComparisonLedger,
+                   arity: int = 2) -> list[float]:
+    """Sort raw input reals stably, charging one tick of `arity` per
+    comparison :func:`merge_sort_counted` would make on them."""
+    arr = np.asarray(values, dtype=np.float64)
+    ledger.tick(arity, mergesort_tick_count(arr))
+    return np.sort(arr, kind="stable").tolist()
+
+
+def cut_groups(values: Sequence[float], g: int) -> list[np.ndarray]:
+    """Consecutive runs of `g` values as float64 arrays; the last may be short."""
+    if g < 1:
+        raise ValueError("group size must be >= 1")
+    arr = np.asarray(values, dtype=np.float64)
+    return [arr[i:i + g] for i in range(0, len(arr), g)]
 
 
 # -- the grouped-search kernel -------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (ComparisonLedger, as_reals, difference_ticks, search_visits,
+from .core import (ComparisonLedger, as_reals, cut_groups, difference_ticks, search_visits,
                    sorted_counted, staircase_visits)
 from .threesum import default_group_size
 
@@ -95,13 +95,11 @@ def solve_kldt(phi: LinearForm, values: Sequence[float],
     if not a_list or not b_list or not c_list:
         return False
 
-    a_sorted = np.array(sorted_counted(a_list, ledger, arity=k - 1))
-    b_sorted = np.array(sorted_counted(b_list, ledger, arity=k - 1))
+    a_sorted = sorted_counted(a_list, ledger, arity=k - 1)
+    b_sorted = sorted_counted(b_list, ledger, arity=k - 1)
     g = group_size if group_size is not None else default_group_size(len(a_sorted))
-    if g < 1:
-        raise ValueError("group size must be >= 1")
-    a_groups = [a_sorted[i:i + g] for i in range(0, len(a_sorted), g)]
-    b_groups = [b_sorted[j:j + g] for j in range(0, len(b_sorted), g)]
+    a_groups = cut_groups(a_sorted, g)
+    b_groups = cut_groups(b_sorted, g)
 
     segments = [(grp, range(len(grp)), "row") for grp in a_groups] \
         + [(grp, range(len(grp)), "col") for grp in b_groups]

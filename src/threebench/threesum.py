@@ -39,6 +39,7 @@ from .core import (
     _binsearch_depths,  # unused here; perfbench's fill_caches reads it
     as_reals,
     box_order,
+    cut_groups,
     difference_ticks,
     mergesort_tick_count,
     search_visits,
@@ -75,40 +76,6 @@ def default_group_size(n: int) -> int:
 # groups and boxes
 
 
-@dataclass(frozen=True)
-class Grouping:
-    """Sorted input values cut into runs of `group_size` (last may be short)."""
-
-    values: tuple[float, ...]
-    group_size: int
-
-    def __post_init__(self):
-        if self.group_size < 1:
-            raise ValueError("group size must be >= 1")
-        if any(self.values[i] > self.values[i + 1] for i in range(len(self.values) - 1)):
-            raise ValueError("values must be sorted ascending")
-
-    @property
-    def num_groups(self) -> int:
-        n = len(self.values)
-        return max(0, -(-n // self.group_size))
-
-    def bounds(self, i: int) -> tuple[int, int]:
-        n = len(self.values)
-        start = i * self.group_size
-        if not (0 <= start < n):
-            raise IndexError(f"group {i} out of range")
-        return start, min(start + self.group_size, n)
-
-    def group_len(self, i: int) -> int:
-        a, b = self.bounds(i)
-        return b - a
-
-    def group_values(self, i: int) -> tuple[float, ...]:
-        a, b = self.bounds(i)
-        return self.values[a:b]
-
-
 class BoxView:
     """One group-pair box of a Cartesian sum, totally ordered via tags.
 
@@ -119,10 +86,6 @@ class BoxView:
     def __init__(self, rows: Sequence[TaggedReal], cols: Sequence[TaggedReal]):
         self.rows = list(rows)
         self.cols = list(cols)
-
-    @classmethod
-    def from_grouping(cls, grouping: Grouping, i: int, j: int) -> "BoxView":
-        return cls(tag_rows(grouping.group_values(i)), tag_cols(grouping.group_values(j)))
 
     @property
     def nrows(self) -> int:
@@ -248,17 +211,12 @@ def oracle_3sum(values: Sequence[float]) -> Optional[tuple[float, float, float]]
     return (float(arr[i]), float(arr[j]), float(arr[k]))
 
 
-def _sort_unique_counted(values, ledger):
-    """Sort then deduplicate, both instrumented at arity 2."""
-    svals = sorted_counted(values, ledger)
-    if not svals:
-        return []
-    out = [svals[0]]
-    for t in range(1, len(svals)):
-        ledger.tick(2)
-        if svals[t] != svals[t - 1]:
-            out.append(svals[t])
-    return out
+def _sort_unique_counted(values, ledger) -> np.ndarray:
+    """Sort, then drop each value equal to its predecessor: one 2-linear tick
+    per comparison of the sort and per adjacent pair."""
+    svals = np.array(sorted_counted(values, ledger))
+    ledger.tick(2, max(len(svals) - 1, 0))
+    return svals[np.append(True, svals[1:] != svals[:-1])] if len(svals) else svals
 
 
 def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger):
@@ -270,8 +228,8 @@ def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger):
     and columns of the implicit sum matrix hold distinct values, which
     makes the witness list complete.
     """
-    ua = _sort_unique_counted(as_reals(a_vals), ledger)
-    ub = _sort_unique_counted(as_reals(b_vals), ledger)
+    ua = _sort_unique_counted(as_reals(a_vals), ledger).tolist()
+    ub = _sort_unique_counted(as_reals(b_vals), ledger).tolist()
     witnesses = []
     if not ua or not ub:
         return witnesses
@@ -294,13 +252,9 @@ def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger):
 def quadratic_tick_count(a_vals, b_vals, c_vals, ledger: ComparisonLedger) -> bool:
     """Fast twin of :func:`solve_quadratic`: identical ledger counts and
     decision, no witness enumeration."""
-    a, b, c = (np.asarray(as_reals(v)) for v in (a_vals, b_vals, c_vals))
-    for arr in (a, b):
-        ledger.tick(2, mergesort_tick_count(arr))
-        if len(arr) > 1:
-            ledger.tick(2, len(arr) - 1)
-    ua = np.unique(a)
-    ub = np.unique(b)
+    ua = _sort_unique_counted(as_reals(a_vals), ledger)
+    ub = _sort_unique_counted(as_reals(b_vals), ledger)
+    c = np.asarray(as_reals(c_vals))
     if len(ua) == 0 or len(ub) == 0 or len(c) == 0:
         return False
     na, nb = len(ua), len(ub)
@@ -342,21 +296,18 @@ def solve_decision_tree(values, group_size: Optional[int], ledger: ComparisonLed
     if n == 0:
         return None
     g = group_size if group_size is not None else default_group_size(n)
-    if g < 1:
-        raise ValueError("group size must be >= 1")
     if mode == "reference":
         return _decision_tree_reference(arr, g, ledger)
     if mode == "fast":
-        return _decision_tree_fast(np.asarray(arr, dtype=np.float64), g, ledger)
+        return _decision_tree_fast(arr, g, ledger)
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def _decision_tree_reference(arr, g, ledger):
     svals = sorted_counted(arr, ledger)
     ledger.snapshot("step1_sorted")
-    grouping = Grouping(tuple(svals), g)
-    m = grouping.num_groups
-    groups = [grouping.group_values(i) for i in range(m)]
+    groups = cut_groups(svals, g)
+    m = len(groups)
     sort_differences([tag_rows(v) for v in groups] + [tag_cols(v) for v in groups], ledger)
     ledger.snapshot("step2_differences")
     # every box's sorted order follows from the sorted differences for free
@@ -368,16 +319,13 @@ def _decision_tree_reference(arr, g, ledger):
     return witness
 
 
-def _decision_tree_fast(arr0: np.ndarray, g: int, ledger: ComparisonLedger):
-    n = len(arr0)
-    ledger.tick(2, mergesort_tick_count(arr0))
-    arr = np.sort(arr0, kind="stable")
+def _decision_tree_fast(arr, g: int, ledger: ComparisonLedger):
+    arr = np.array(sorted_counted(arr, ledger))
     ledger.snapshot("step1_sorted")
 
-    m = -(-n // g)
-    if m >= (1 << 20):
+    groups = cut_groups(arr, g)
+    if len(groups) >= (1 << 20):
         raise ValueError("too many groups for the fast path")
-    groups = [arr[i * g:min((i + 1) * g, n)] for i in range(m)]
     difference_ticks([(seg, np.arange(len(seg)), role)
                       for role in ("row", "col") for seg in groups], ledger)
     ledger.snapshot("step2_differences")
@@ -513,7 +461,6 @@ class CatalogEntry:
     anchor: tuple[int, int]
     anchor_prime: tuple[int, int]
     order: tuple  # mid-region positions in claimed ascending order
-    key: bytes
 
 
 @dataclass
@@ -524,7 +471,7 @@ class LegalPairCatalog:
     width: int
     point_set: PointSet
     span: int
-    entries: dict
+    entries: list
 
 
 def enumerate_legal_pairs(width: int, point_set: PointSet, span: int) -> LegalPairCatalog:
@@ -549,7 +496,7 @@ def enumerate_legal_pairs(width: int, point_set: PointSet, span: int) -> LegalPa
         anchors.append([pos for pos, mv in zip(ct.steps, ct.moves)
                         if mv == "S" and pos in pset])
 
-    entries: dict[bytes, CatalogEntry] = {}
+    entries: list[CatalogEntry] = []
     for a, tau in enumerate(contours):
         if not anchors[a]:
             continue
@@ -569,8 +516,7 @@ def enumerate_legal_pairs(width: int, point_set: PointSet, span: int) -> LegalPa
                     if len(mid) > span or mid & pset:
                         continue
                     for pi in permutations(sorted(mid)):
-                        key = repr((tau.moves, anchor, tau_p.moves, anchor_p, pi)).encode()
-                        entries[key] = CatalogEntry(tau, tau_p, anchor, anchor_p, pi, key)
+                        entries.append(CatalogEntry(tau, tau_p, anchor, anchor_p, pi))
                         if len(entries) > CATALOG_BUDGET:
                             raise ValueError(
                                 f"catalog exceeds budget of {CATALOG_BUDGET} entries; "
@@ -628,21 +574,21 @@ def _entry_coords(entry, vals, color):
     return tuple(coords)
 
 
-def match_boxes(grouping: Grouping, catalog: LegalPairCatalog,
+def match_boxes(groups, catalog: LegalPairCatalog,
                 report=report_dominating_pairs) -> dict:
     """Assign catalog entries to boxes via bichromatic dominance.
 
-    For each entry, every full column group becomes a red point and every
-    full row group a blue point; a dominating pair certifies that the
-    entry's contours and ordering are correct for that box.  Returns
+    ``groups`` are the sorted input's groups (:func:`cut_groups`).  For each
+    entry, every full column group becomes a red point and every full row
+    group a blue point; a dominating pair certifies that the entry's
+    contours and ordering are correct for that box.  Returns
     {(i, j): {(anchor, anchor'): entry}}.
     """
     g = catalog.width
-    m = grouping.num_groups
-    full = [i for i in range(m) if grouping.group_len(i) == g]
+    vals = {i: grp.tolist() for i, grp in enumerate(groups) if len(grp) == g}
+    full = list(vals)
     if not full:
         return {}
-    vals = {i: grouping.group_values(i) for i in full}
     max_dim = 4 * g - 4 + max(0, catalog.span - 1)
 
     def coords(entry, color, i):
@@ -650,7 +596,7 @@ def match_boxes(grouping: Grouping, catalog: LegalPairCatalog,
         assert len(out) <= max_dim
         return out
 
-    matched = match_candidates(catalog.entries.values(), full, full, coords, report)
+    matched = match_candidates(catalog.entries, full, full, coords, report)
     assignments: dict = {}
     for (j, i), entries in matched.items():
         slot = assignments[(i, j)] = {}
@@ -700,9 +646,9 @@ def _sorted_search(rows, cols, ledger: ComparisonLedger) -> _OrderSearch:
     return _OrderSearch(order, raws)
 
 
-def _build_box_searcher(grouping, i, j, point_set, assignments, ledger):
-    g = grouping.group_size
-    rows, cols = grouping.group_values(i), grouping.group_values(j)
+def _build_box_searcher(groups, i, j, point_set, assignments, ledger):
+    g = point_set.width
+    rows, cols = groups[i].tolist(), groups[j].tolist()
     if len(rows) != g or len(cols) != g:
         return _sorted_search(rows, cols, ledger)
     links = assignments.get((i, j), {})
@@ -828,13 +774,13 @@ def solve_subquadratic(values, params: Optional[SubquadraticParams],
 
     svals = sorted_counted(arr, ledger)
     ledger.snapshot("step1_sorted")
-    grouping = Grouping(tuple(svals), g)
-    assignments = match_boxes(grouping, catalog)
+    groups = cut_groups(svals, g)
+    assignments = match_boxes(groups, catalog)
     ledger.snapshot("matched_boxes")
 
     witness = _staircase_walk(
         svals, g,
-        lambda box: _build_box_searcher(grouping, *box, point_set, assignments, ledger),
+        lambda box: _build_box_searcher(groups, *box, point_set, assignments, ledger),
         ledger)
     ledger.snapshot("step4_done")
     return witness
@@ -852,27 +798,25 @@ def solve_subquadratic_simple(values, group_size: Optional[int],
     if n == 0:
         return None
     g = group_size if group_size is not None else (1 if n < 4 else 2)
-    if g < 1:
-        raise ValueError("group size must be >= 1")
     if math.factorial(g * g) > PERM_BUDGET:
         raise ValueError(f"group size {g} needs {math.factorial(g*g)} permutations; "
                          f"at most {PERM_BUDGET} are enumerated")
 
     svals = sorted_counted(arr, ledger)
     ledger.snapshot("step1_sorted")
-    grouping = Grouping(tuple(svals), g)
+    groups = cut_groups(svals, g)
     full = len(svals) // g
     # spread each full group over the g*g row-major positions t = x*g + y:
     # column groups are red (value at y = t % g), row groups blue (x = t // g),
     # and ties in t order like the (row, col) tags
-    groups = np.array(svals[:full * g], dtype=np.float64).reshape(full, g)
+    square = np.reshape(groups[:full], (full, g))
     cells = np.arange(g * g)
-    perms, index = sorting_permutations(groups[:, cells % g], groups[:, cells // g], g * g)
+    perms, index = sorting_permutations(square[:, cells % g], square[:, cells // g], g * g)
     ledger.snapshot("matched_boxes")
 
     def searcher(ij):
         i, j = ij
-        rows, cols = grouping.group_values(i), grouping.group_values(j)
+        rows, cols = groups[i].tolist(), groups[j].tolist()
         if max(i, j) >= full:
             return _sorted_search(rows, cols, ledger)
         # box (i, j) pairs red column group j with blue row group i

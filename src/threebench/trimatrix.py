@@ -565,14 +565,10 @@ def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
     difference_ticks([(ws, vs, role) for role in ("row", "col") for ws, vs in pairs], ledger)
     ledger.snapshot("differences_sorted")
 
-    common_cache: dict = {}
     for (u, v, w_uv) in sorted(orientation.directed):
-        candidates = common_cache.get((u, v))
-        if candidates is None:
-            out_u = {x for (x, _) in out.get(u, [])}
-            out_v = {x for (x, _) in out.get(v, [])}
-            candidates = sorted(out_u & out_v)
-            common_cache[(u, v)] = candidates
+        out_u = {x for (x, _) in out.get(u, [])}
+        out_v = {x for (x, _) in out.get(v, [])}
+        candidates = sorted(out_u & out_v)
         if not candidates:
             continue
         key = -w_uv

@@ -13,11 +13,13 @@ from threebench.core import (
     as_reals,
     box_order,
     cmp_tagged,
+    cut_groups,
     difference_ticks,
     merge_sort_counted,
     mergesort_tick_count,
     search_visits,
     sort_differences,
+    sorted_counted,
     staircase_visits,
     tag_cols,
     tag_rows,
@@ -154,6 +156,48 @@ def test_vectorised_tick_count_untagged(values):
 
     merge_sort_counted(values, cmp)
     assert mergesort_tick_count(np.array(values, dtype=np.float64)) == counter["n"]
+
+
+def _sorted_counted_reference(values, ledger, arity=2):
+    """The Python mergesort that :func:`sorted_counted` reproduces."""
+
+    def compare(x, y):
+        ledger.tick(arity)
+        d = x - y
+        return (d > 0) - (d < 0)
+
+    return merge_sort_counted(values, compare)
+
+
+def test_sorted_counted_matches_the_python_mergesort():
+    # repr tells -0.0 from 0.0, so the order inside runs of equal values counts
+    rng = np.random.default_rng(3)
+    pools = (
+        lambda n: rng.integers(-3, 4, size=n).astype(float),
+        lambda n: rng.choice([-0.0, 0.0, 1.0, -1.0], size=n),
+        lambda n: rng.choice([1e16, 1e16 + 2, -1e16, -1e16 - 2, 0.0], size=n),
+        lambda n: rng.normal(size=n),
+    )
+    for pool in pools:
+        for _ in range(100):
+            values = pool(int(rng.integers(0, 50))).tolist()
+            for arity in (2, 4):
+                want_led, got_led = ComparisonLedger(), ComparisonLedger()
+                want = _sorted_counted_reference(values, want_led, arity)
+                assert repr(sorted_counted(values, got_led, arity)) == repr(want)
+                assert got_led.count_klinear == want_led.count_klinear
+
+
+def test_cut_groups_bounds_and_extremes():
+    groups = cut_groups([float(v) for v in range(10)], 4)
+    assert [grp.tolist() for grp in groups] == [[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0],
+                                                [8.0, 9.0]]  # short last group
+    assert all(grp.dtype == np.float64 for grp in groups)
+    assert cut_groups([], 3) == []
+    assert [grp.tolist() for grp in cut_groups([2.0, 1.0], 5)] == [[2.0, 1.0]]  # g > n
+    for g in (0, -1):
+        with pytest.raises(ValueError, match="group size must be >= 1"):
+            cut_groups([1.0, 2.0], g)
 
 
 # -- the grouped-search kernel -------------------------------------------------

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from threebench import threesum
-from threebench.core import ComparisonLedger, TaggedReal
+from threebench.core import ComparisonLedger, TaggedReal, cut_groups, tag_cols, tag_rows
 from threebench.threesum import (
     BoxView,
-    Grouping,
     SubquadraticParams,
     _all_contours,
     cached_catalog,
@@ -135,14 +134,14 @@ def test_enumerated_pairs_satisfy_legality():
     ps = deterministic_point_set(2, 0)  # corners only
     cat = enumerate_legal_pairs(2, ps, 4)
     assert cat.entries
-    for entry in cat.entries.values():
+    for entry in cat.entries:
         _entry_is_legal(entry, ps, 4)
 
 
 def test_width_one_catalog_is_empty():
     ps = deterministic_point_set(1, 0)
     cat = enumerate_legal_pairs(1, ps, 4)
-    assert cat.entries == {}
+    assert cat.entries == []
 
 
 def test_pair_count_is_bounded():
@@ -151,7 +150,7 @@ def test_pair_count_is_bounded():
         span = min(4, grid_span(g, 1 if g == 3 else 0)) if g == 3 else 3
         cat = enumerate_legal_pairs(g, ps, span)
         pairs = {(e.tau.moves, e.anchor, e.tau_prime.moves, e.anchor_prime)
-                 for e in cat.entries.values()}
+                 for e in cat.entries}
         assert len(pairs) <= 2 ** (4 * g)
 
 
@@ -191,11 +190,11 @@ def test_matched_entries_are_the_true_contours():
     ps = deterministic_point_set(g, q)
     cat = cached_catalog(g, ps, span)
     vals = np.sort(rng.integers(-10 ** 6, 10 ** 6, size=64)).astype(float)
-    grouping = Grouping(tuple(vals), g)
-    assignments = match_boxes(grouping, cat)
+    groups = cut_groups(vals, g)
+    assignments = match_boxes(groups, cat)
     assert assignments
     for (i, j), slots in assignments.items():
-        box = BoxView.from_grouping(grouping, i, j)
+        box = BoxView(tag_rows(groups[i]), tag_cols(groups[j]))
         for (anchor, anchor_p), entry in slots.items():
             assert compute_contour(box, box.tagged(*anchor)).moves == entry.tau.moves
             assert compute_contour(box, box.tagged(*anchor_p)).moves == entry.tau_prime.moves
@@ -211,13 +210,13 @@ def test_non_bad_boxes_receive_full_chains():
     span = grid_span(g, q)
     cat = cached_catalog(g, ps, span)
     vals = np.sort(rng.integers(-10 ** 6, 10 ** 6, size=63)).astype(float)
-    grouping = Grouping(tuple(vals), g)
-    assignments = match_boxes(grouping, cat)
-    m = grouping.num_groups
+    groups = cut_groups(vals, g)
+    assignments = match_boxes(groups, cat)
+    m = len(groups)
     for i in range(m):
         for j in range(m):
-            if grouping.group_len(i) == g and grouping.group_len(j) == g:
-                box = BoxView.from_grouping(grouping, i, j)
+            if len(groups[i]) == g and len(groups[j]) == g:
+                box = BoxView(tag_rows(groups[i]), tag_cols(groups[j]))
                 assert not is_bad(box, ps, span)
                 assert len(assignments[(i, j)]) == ps.count - 1
 
@@ -228,10 +227,10 @@ def test_corner_anchored_pair_matches_direct_contours():
     ps = deterministic_point_set(g, 0)
     cat = cached_catalog(g, ps, 2)
     vals = np.sort(rng.integers(-50, 50, size=8)).astype(float)
-    grouping = Grouping(tuple(vals), g)
-    assignments = match_boxes(grouping, cat)
+    groups = cut_groups(vals, g)
+    assignments = match_boxes(groups, cat)
     for (i, j), slots in assignments.items():
-        box = BoxView.from_grouping(grouping, i, j)
+        box = BoxView(tag_rows(groups[i]), tag_cols(groups[j]))
         entry = slots[((0, 0), (g - 1, g - 1))]
         assert compute_contour(box, box.tagged(0, 0)).moves == entry.tau.moves
 
@@ -256,12 +255,11 @@ def test_subquadratic_deterministic_matches_oracle_with_zero_bad_boxes():
         assert (w is not None) == (oracle_3sum(vals) is not None)
         if w is not None:
             assert sum(w) == 0.0
-        grouping = Grouping(tuple(sorted(vals.tolist())), g)
-        m = grouping.num_groups
-        for i in range(m):
-            for j in range(m):
-                if grouping.group_len(i) == g == grouping.group_len(j):
-                    assert not is_bad(BoxView.from_grouping(grouping, i, j), ps, span)
+        groups = cut_groups(np.sort(vals), g)
+        for i in range(len(groups)):
+            for j in range(len(groups)):
+                if len(groups[i]) == g == len(groups[j]):
+                    assert not is_bad(BoxView(tag_rows(groups[i]), tag_cols(groups[j])), ps, span)
 
 
 def test_subquadratic_randomized_matches_oracle():

@@ -2,12 +2,10 @@ import bisect
 import math
 
 import numpy as np
-import pytest
 
 from threebench.core import ComparisonLedger, TaggedReal
 from threebench.threesum import (
     BoxView,
-    Grouping,
     compute_contour,
     default_group_size,
     leq_positions,
@@ -127,16 +125,6 @@ def test_contour_classification_matches_values_exhaustively():
                             assert (x, y) not in leq
 
 
-def test_grouping_bounds_and_extremes():
-    grouping = Grouping(tuple(float(v) for v in range(10)), 4)
-    assert grouping.num_groups == 3
-    assert grouping.group_values(0) == (0.0, 1.0, 2.0, 3.0)
-    assert grouping.group_values(2) == (8.0, 9.0)  # short last group
-    assert grouping.bounds(1) == (4, 8) and grouping.bounds(2) == (8, 10)
-    with pytest.raises(ValueError):
-        Grouping((2.0, 1.0), 1)
-
-
 def test_decision_tree_finds_planted_witness():
     led = ComparisonLedger()
     w = solve_decision_tree([-3.0, 1.0, 2.0], 2, led)
@@ -226,6 +214,17 @@ def test_staircase_walk_keeps_every_remaining_witness_pair():
             rows, cols = svals[lo * g:(lo + 1) * g], svals[hi * g:(hi + 1) * g]
             if any(a + b == -svals[k] for a in rows for b in cols):
                 break
+
+
+def test_triangle_walk_keeps_k_over_g_plus_one_visits_per_key():
+    rng = np.random.default_rng(21)
+    for _ in range(400):
+        n = int(rng.integers(1, 80))
+        uni = int(rng.choice([3, 30, 10 ** 6]))
+        svals = np.sort(rng.integers(-uni, uni + 1, size=n)).astype(float)
+        g = int(rng.integers(1, n + 2))
+        k, _, _ = _triangle_visits(svals, g)
+        assert np.bincount(k, minlength=n).tolist() == (np.arange(n) // g + 1).tolist()
 
 
 def test_fast_path_replicates_reference_ledger_exactly():
