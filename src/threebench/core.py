@@ -206,24 +206,29 @@ def sort_differences(groups: Sequence[Sequence[TaggedReal]],
 #
 # The fast solver paths never run the Python mergesort above; they compute
 # the exact number of comparisons it would make.  For a stable two-way merge
-# of sorted runs L and R (ties go left), the comparison count is
-# |L| + |R| - t where t is the length of the run flushed after the other
-# side empties.  Both t and run maxima are permutation-invariant, so the
-# count needs only the *unsorted* chunk contents at every width.
+# of sorted runs L and R (ties go left), the run with the larger (value,
+# tag) maximum outlasts the other: if max L <= max R, L empties first after
+# |L| + #{r in R : r < max L} comparisons; otherwise R does, after
+# |R| + #{l in L : l <= max R}.  Counts and maxima are permutation-invariant,
+# so they need only the *unsorted* run contents at every width.  The
+# maximum of a run at width 2w is the larger of its halves' maxima, so each
+# level carries one (value, tag) maximum per run up from the level below at
+# O(N/w) cost, and counts only the run that outlasts, against the other
+# run's maximum: one compare of the N values with a per-run threshold (NaN
+# for runs that empty first, so they never count), one count, and one
+# equality test whose sparse hits alone are resolved by tag.
 
 
-def _merge_comparisons(lu, lt, ru, rt) -> int:
-    """Comparisons of merging each row's left run with its right run, summed
-    over rows; the runs are given unsorted as 2-D (value, tag) arrays."""
-    lowest = np.iinfo(np.int64).min
-    lmax_u = lu.max(axis=1, keepdims=True)
-    lmax_t = np.where(lu == lmax_u, lt, lowest).max(axis=1, keepdims=True)
-    rmax_u = ru.max(axis=1, keepdims=True)
-    rmax_t = np.where(ru == rmax_u, rt, lowest).max(axis=1, keepdims=True)
-    left_first = ((lmax_u < rmax_u) | ((lmax_u == rmax_u) & (lmax_t <= rmax_t)))[:, 0]
-    cnt_r = ((ru < lmax_u) | ((ru == lmax_u) & (rt < lmax_t))).sum(axis=1)
-    cnt_l = ((lu < rmax_u) | ((lu == rmax_u) & (lt <= rmax_t))).sum(axis=1)
-    return int(np.where(left_first, lu.shape[1] + cnt_r, ru.shape[1] + cnt_l).sum())
+def _tie_count(pos, left_first, keep, top_t, tags, step) -> int:
+    """How many values at `pos`, each equal to its block's threshold, count
+    by tag: a right-run value below the left maximum's tag when the left run
+    empties first, else a left-run value at or below the right maximum's."""
+    if not len(pos):
+        return 0
+    block = pos // step
+    if tags is None:
+        return int(np.count_nonzero(~left_first[block]))
+    return int(np.count_nonzero(tags[pos] < top_t[keep[block] ^ 1] + ~left_first[block]))
 
 
 def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None) -> int:
@@ -231,28 +236,51 @@ def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None) -> in
 
     Matches :func:`merge_sort_counted` with a comparator ordering by value
     then tag.  ``tags=None`` means all ties compare equal, which is what an
-    instrumented raw-value comparator reports.
+    instrumented raw-value comparator reports.  Refuses a `u` that is not
+    one-dimensional and `tags` of another length.
     """
     u = np.asarray(u, dtype=np.float64)
-    n = len(u)
-    if tags is None:
-        tags = np.zeros(n, dtype=np.int64)
-    else:
+    if u.ndim != 1:
+        raise ValueError("u must be one-dimensional")
+    if tags is not None:
         tags = np.asarray(tags, dtype=np.int64)
+        if tags.shape != u.shape:
+            raise ValueError("tags must be as long as u")
+    n = len(u)
+    top_u, top_t = u, tags  # (value, tag) maximum of every run at this width
     total = 0
     width = 1
     while width < n:
         step = 2 * width
-        full = n - n % step
-        if full:
-            bu = u[:full].reshape(-1, step)
-            bt = tags[:full].reshape(-1, step)
-            total += _merge_comparisons(bu[:, :width], bt[:, :width], bu[:, width:], bt[:, width:])
-        # trailing block: left run of `width`, right run short
-        mid = full + width
-        if mid < n:
-            total += _merge_comparisons(u[None, full:mid], tags[None, full:mid],
-                                        u[None, mid:], tags[None, mid:])
+        nfull, rest = divmod(n, step)
+        pairs = nfull + (rest > width)  # blocks whose right run is nonempty
+        lu, ru = top_u[0:2 * pairs:2], top_u[1:2 * pairs:2]
+        if tags is None:
+            left_first = lu <= ru
+        else:
+            lt, rt = top_t[0:2 * pairs:2], top_t[1:2 * pairs:2]
+            left_first = (lu < ru) | ((lu == ru) & (lt <= rt))
+        # per block, the run that outlasts; `keep ^ 1` is the one that empties
+        keep = np.arange(0, 2 * pairs, 2) + left_first
+        if nfull:
+            thr = np.full(2 * nfull, np.nan)
+            thr[keep[:nfull]] = top_u[keep[:nfull] ^ 1]
+            thr = thr.reshape(nfull, 2, 1)
+            blocks = u[:nfull * step].reshape(nfull, 2, width)
+            total += nfull * width + int(np.count_nonzero(blocks < thr))
+            total += _tie_count(np.flatnonzero(blocks == thr), left_first, keep, top_t, tags, step)
+        if pairs > nfull:
+            # trailing block: left run of `width`, right run short
+            run, other = int(keep[-1]), int(keep[-1]) ^ 1
+            side, thr = u[run * width:(run + 1) * width], top_u[other]
+            total += min(width, n - other * width) + int(np.count_nonzero(side < thr))
+            total += _tie_count(run * width + np.flatnonzero(side == thr),
+                                left_first, keep, top_t, tags, step)
+        if len(top_u) > 2 * pairs:  # an unpaired last run keeps its maximum
+            keep = np.append(keep, len(top_u) - 1)
+        top_u = top_u[keep]
+        if tags is not None:
+            top_t = top_t[keep]
         width = step
     return total
 
@@ -291,16 +319,35 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     """
     if not segments:
         return 0
-    spans = [int(np.ptp(tags)) for _, tags, role in segments if role == "col" and len(tags)]
-    base = 2 * max(spans, default=0) + 2
-    values, tags = [], []
-    for vals, idx, role in segments:
-        vals = np.asarray(vals, dtype=np.float64)
-        idx = np.asarray(idx, dtype=np.int64)
-        values.append(np.subtract.outer(vals, vals).ravel())
-        diff = np.subtract.outer(idx, idx).ravel()
-        tags.append(diff * base if role == "row" else diff)
-    count = mergesort_tick_count(np.concatenate(values), np.concatenate(tags))
+    lengths = [len(vals) for vals, _, _ in segments]
+    ends = np.cumsum([m * m for m in lengths], dtype=np.int64)
+    classes: dict[int, list[int]] = {}
+    for k, m in enumerate(lengths):
+        if m:
+            classes.setdefault(m, []).append(k)
+    # one stack per segment length: values, index tags and roles side by side
+    stacks, span = [], 0
+    for m, ks in classes.items():
+        vals = np.array([segments[k][0] for k in ks], dtype=np.float64)
+        idx = np.array([segments[k][1] for k in ks], dtype=np.int64)
+        roles = np.array([segments[k][2] for k in ks])
+        cols = roles == "col"
+        if cols.any():
+            span = max(span, int((idx[cols].max(axis=1) - idx[cols].min(axis=1)).max()))
+        stacks.append((m, np.array(ks), vals, idx, roles == "row"))
+    base = 2 * span + 2
+    values = np.empty(int(ends[-1]))
+    tags = np.empty(len(values), dtype=np.int64)
+    for m, ks, vals, idx, rows in stacks:
+        idx[rows] *= base
+        # segments adjacent in `segments` fill one slice of the list
+        cuts = [0, *(np.flatnonzero(np.diff(ks) != 1) + 1).tolist(), len(ks)]
+        for a, b in zip(cuts, cuts[1:]):
+            lo, hi = ends[ks[a]] - m * m, ends[ks[b - 1]]
+            shape = (b - a, m, m)
+            np.subtract(vals[a:b, :, None], vals[a:b, None, :], out=values[lo:hi].reshape(shape))
+            np.subtract(idx[a:b, :, None], idx[a:b, None, :], out=tags[lo:hi].reshape(shape))
+    count = mergesort_tick_count(values, tags)
     ledger.tick(arity, count)
     return count
 

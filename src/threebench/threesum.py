@@ -249,6 +249,10 @@ def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger):
     return witnesses
 
 
+# differences per membership pass of quadratic_tick_count
+_FOUND_CHUNK = 1 << 18
+
+
 def quadratic_tick_count(a_vals, b_vals, c_vals, ledger: ComparisonLedger) -> bool:
     """Fast twin of :func:`solve_quadratic`: identical ledger counts and
     decision, no witness enumeration."""
@@ -263,16 +267,15 @@ def quadratic_tick_count(a_vals, b_vals, c_vals, ledger: ComparisonLedger) -> bo
     hend = np.searchsorted(ub, keys - ua[-1], side="right") - 1
     iters = np.where(lend < na, lend + nb, na + (nb - 1) - hend)
     ledger.tick(3, int(iters.sum()))
-    found = False
-    chunk = max(1, (1 << 22) // max(1, na))
+    # membership of every keys - ua in ub; the NaN past the end equals no
+    # difference, also none that overflowed to +inf
+    ubx = np.append(ub, np.nan)
+    chunk = max(1, _FOUND_CHUNK // na)
     for base in range(0, len(keys), chunk):
-        diff = keys[base:base + chunk, None] - ua[None, :]
-        pos = np.searchsorted(ub, diff.ravel())
-        ok = pos < nb
-        if np.any(ub[np.minimum(pos, nb - 1)][ok] == diff.ravel()[ok]):
-            found = True
-            break
-    return found
+        diff = (keys[base:base + chunk, None] - ua).ravel()
+        if (ubx[np.searchsorted(ub, diff)] == diff).any():
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

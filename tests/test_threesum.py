@@ -2,7 +2,9 @@ import bisect
 import math
 
 import numpy as np
+import pytest
 
+from threebench import threesum
 from threebench.core import ComparisonLedger, TaggedReal
 from threebench.threesum import (
     BoxView,
@@ -79,6 +81,35 @@ def test_quadratic_tick_bound_and_fast_twin():
         wits = solve_quadratic(a, b, c, l1)
         found = quadratic_tick_count(a, b, c, l2)
         assert bool(wits) == found
+        assert l1.count_klinear == l2.count_klinear
+
+
+def test_quadratic_twin_reads_no_witness_from_an_overflowed_difference():
+    # -c - a overflows to +inf above every b, then to -inf below every b
+    b = [1.0, 2.0]
+    for a, c in (([-1.7e308], [-1.7e308]), ([1.7e308], [1.7e308])):
+        l1, l2 = ComparisonLedger(), ComparisonLedger()
+        assert solve_quadratic(a, b, c, l1) == []
+        with np.errstate(over="ignore"):
+            assert quadratic_tick_count(a, b, c, l2) is False
+        assert l1.count_klinear == l2.count_klinear
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_quadratic_twin_decides_keys_past_the_last_full_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(threesum, "_FOUND_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for trial in range(40):
+        a = rng.integers(-40, 41, size=int(rng.integers(1, 9))).astype(float).tolist()
+        b = rng.integers(-40, 41, size=int(rng.integers(1, 9))).astype(float).tolist()
+        # no c below 200 in size can close a triple; the planted one comes last
+        c = rng.integers(200, 300, size=int(rng.integers(0, 30))).astype(float).tolist()
+        planted = trial % 2 == 0
+        if planted:
+            c.append(-(a[-1] + b[0]))
+        l1, l2 = ComparisonLedger(), ComparisonLedger()
+        assert bool(solve_quadratic(a, b, c, l1)) is planted
+        assert quadratic_tick_count(a, b, c, l2) is planted
         assert l1.count_klinear == l2.count_klinear
 
 
