@@ -102,7 +102,8 @@ def test_quadratic_twin_decides_keys_past_the_last_full_chunk(monkeypatch, chunk
     for trial in range(40):
         a = rng.integers(-40, 41, size=int(rng.integers(1, 9))).astype(float).tolist()
         b = rng.integers(-40, 41, size=int(rng.integers(1, 9))).astype(float).tolist()
-        # no c below 200 in size can close a triple; the planted one comes last
+        # every c is at least 200 and |a + b| <= 80, so only the planted
+        # last c closes a triple
         c = rng.integers(200, 300, size=int(rng.integers(0, 30))).astype(float).tolist()
         planted = trial % 2 == 0
         if planted:
