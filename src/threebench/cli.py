@@ -35,15 +35,12 @@ def _build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", help="run one solver on an instance file")
     solve.add_argument("problem", choices=harness.PROBLEMS)
-    solve.add_argument("--algo", required=True)
+    solve.add_argument("--algo", required=True, choices=sorted({a for _, a in harness.SOLVERS}))
     solve.add_argument("--input", required=True)
-    solve.add_argument("--g", type=int)
-    solve.add_argument("--s", type=int)
-    solve.add_argument("--p", type=int)
-    solve.add_argument("--q", type=int)
-    solve.add_argument("--K", type=int)
+    for key in harness.PARAMS:
+        solve.add_argument(f"--{key}", type=int)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--k", type=int, default=3, help="ldt arity")
+    solve.add_argument("--k", type=int, help="ldt arity (default 3, or that of --alphas)")
     solve.add_argument("--alphas", help="ldt coefficients a0,a1,...,ak")
     solve.add_argument("--no-check", action="store_true",
                        help="skip the oracle cross-check")
@@ -88,12 +85,8 @@ def _load_instance(problem, path):
 
 
 def _solve_options(args):
-    options = {}
-    for key in ("g", "s", "p", "q", "K"):
-        val = getattr(args, key)
-        if val is not None:
-            options[key] = val
-    options["k"] = args.k
+    options = {key: getattr(args, key) for key in harness.PARAMS + ("k",)
+               if getattr(args, key) is not None}
     if args.alphas:
         options["alphas"] = tuple(float(t) for t in args.alphas.split(","))
     return options
@@ -112,6 +105,7 @@ def _cmd_solve(args) -> int:
     print(f"problem: {args.problem}")
     print(f"algo: {args.algo}")
     print(f"n: {size}")
+    print(" ".join(["params:"] + [f"{key}={val}" for key, val in params.items()]))
     print(f"decision: {'witness' if found else 'no-witness'}")
     if found and payload is not None and args.problem != "tmp":
         print(f"witness: {' '.join(str(x) for x in payload)}")

@@ -28,6 +28,20 @@ def oracle_conv3sum(values: Sequence[float]) -> Optional[tuple[int, int]]:
     return None
 
 
+def default_block_size(n: int) -> int:
+    return max(1, math.ceil(math.sqrt(n)))
+
+
+def solve_conv_naive(values: Sequence[float], ledger: ComparisonLedger):
+    """The quadratic scan: :func:`oracle_conv3sum`, with one 3-linear tick per
+    pair (i, j) it tests in lexicographic order, up to the first witness."""
+    arr = as_reals(values)
+    witness = oracle_conv3sum(arr)
+    i, j = witness or (len(arr), -1)
+    ledger.tick(3, i * len(arr) - i * (i - 1) // 2 + j + 1)
+    return witness
+
+
 def antidiagonal_cells(n: int, k: int) -> list[tuple[int, int]]:
     """All in-range cells (i, k-i); rows and columns are pairwise distinct."""
     lo = max(0, k - (n - 1))
@@ -53,7 +67,7 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
     n = len(a)
     if n == 0:
         return None
-    g = group_size if group_size is not None else max(1, math.ceil(math.sqrt(n)))
+    g = group_size if group_size is not None else default_block_size(n)
     blocks = cut_groups(a, g)
     m = len(blocks)
     difference_ticks([(blk, range(len(blk)), role)

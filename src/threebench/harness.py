@@ -18,12 +18,13 @@ from . import conv3sum as conv_mod
 from . import ldt as ldt_mod
 from . import threesum as ts
 from . import trimatrix as tm
-from .core import ComparisonLedger, as_reals
+from .core import ComparisonLedger
 
 PROBLEMS = ("3sum", "ldt", "tmp", "zerotri", "conv")
 GENERATORS = ("uniform", "planted", "duplicate-heavy", "integer-universe")
 
-CSV_HEADER = "problem,algo,n,seed,g,s,p,q,K,found,ticks3,ticks4,ticksK,wall_ns"
+PARAMS = ("g", "s", "p", "q", "K")
+CSV_HEADER = f"problem,algo,n,seed,{','.join(PARAMS)},found,ticks3,ticks4,ticksK,wall_ns"
 
 DEFAULT_ORACLE_CAPS = {"3sum": 128, "conv": 128, "ldt": 64, "zerotri": 64, "tmp": 32}
 
@@ -55,6 +56,8 @@ class ExperimentConfig:
             raise ValueError("sizes must be positive")
         if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("sizes must be strictly ascending")
+        for algo in self.algos:
+            _runner(self.problem, algo)
 
 
 @dataclass
@@ -76,7 +79,7 @@ class RunRecord:
 
     def csv_row(self) -> str:
         cells = [self.problem, self.algo, str(self.n), str(self.seed)]
-        for key in ("g", "s", "p", "q", "K"):
+        for key in PARAMS:
             v = self.params.get(key)
             cells.append("" if v is None else str(v))
         cells.extend(["1" if self.found else "0", str(self.ticks3),
@@ -192,131 +195,135 @@ def generate(problem: str, n: int, mode: str, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# solver adapters: (instance, options, ledger, seed) -> (found, payload, params)
+# solvers: (problem, algo) -> runner(instance, options, ledger, seed), which
+# returns (found, payload, params).  A runner looks its solver up in the
+# solver's module when it runs, so a span that rebinds the module attribute
+# sees the call.  `params` holds every parameter the solver reads; one left
+# out of `options` is resolved by the rule the solver's module applies to None.
 
 
 def _default_form(options) -> ldt_mod.LinearForm:
-    k = int(options.get("k", 3))
-    alphas = options.get("alphas")
+    k, alphas = options.get("k"), options.get("alphas")
     if alphas is None:
-        alphas = (0.0,) + (1.0,) * k
+        alphas = (0.0,) + (1.0,) * (3 if k is None else k)
+    elif k is not None and len(alphas) != k + 1:
+        raise ValueError(f"arity k = {k} conflicts with {len(alphas)} coefficients a0..ak")
     return ldt_mod.LinearForm(tuple(float(a) for a in alphas))
 
 
-def _run_3sum(algo, values, options, ledger, seed):
-    arr = list(values)
-    n = len(arr)
-    if algo == "quadratic":
-        if n <= 400:
-            wits = ts.solve_quadratic(arr, arr, arr, ledger)
-            return bool(wits), (wits[0] if wits else None), {}
-        found = ts.quadratic_tick_count(arr, arr, arr, ledger)
-        return found, None, {}
-    if algo in ("dt", "dt-reference", "dt-fast"):
-        g = options.get("g")
-        if g is None:
-            g = ts.default_group_size(n)
-        mode = "reference" if algo == "dt-reference" else "fast"
-        w = ts.solve_decision_tree(arr, g, ledger, mode=mode)
-        return w is not None, w, {"g": g}
-    if algo == "subq-simple":
-        g = options.get("g")
-        if g is None:
-            g = 1 if n < 4 else 2
-        w = ts.solve_subquadratic_simple(arr, g, ledger)
-        return w is not None, w, {"g": g}
-    if algo in ("subq-det", "subq-rand"):
-        params = ts.SubquadraticParams(
-            group_size=options.get("g"),
-            span=options.get("s"),
-            mode="deterministic" if algo == "subq-det" else "randomized",
-            seed=seed,
-            point_count=options.get("p"),
-            grid_side=options.get("q"))
-        w = ts.solve_subquadratic(arr, params, ledger)
-        params = ts.resolve_subquadratic_params(n, params)
-        used = {"g": params.group_size, "s": params.span}
-        if algo == "subq-det":
-            used["q"] = params.grid_side
-        else:
-            used["p"] = params.point_count
-        return w is not None, w, used
-    raise ValueError(f"unknown 3sum algo {algo!r}")
+def _given(options, key, rule, *size):
+    value = options.get(key)
+    return rule(*size) if value is None else value
 
 
-def _run_conv(algo, values, options, ledger, seed):
-    arr = as_reals(values)
-    n = len(arr)
-    if algo == "blocked":
-        g = options.get("g")
-        if g is None:
-            g = max(1, math.ceil(math.sqrt(max(1, n))))
-        w = conv_mod.solve_conv_blocked(arr, g, ledger)
-        return w is not None, w, {"g": g}
-    if algo == "naive":
-        found = None
-        for i in range(n):
-            for j in range(n - i):
-                ledger.tick(3)
-                if arr[i] + arr[j] == arr[i + j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        return found is not None, found, {}
-    raise ValueError(f"unknown conv algo {algo!r}")
+def _witness(w, **params):
+    return w is not None, w, params
 
 
-def _run_ldt(algo, values, options, ledger, seed):
-    if algo != "kldt":
-        raise ValueError(f"unknown ldt algo {algo!r}")
+def _quadratic(values, options, ledger, seed):
+    if len(values) <= 400:
+        wits = ts.solve_quadratic(values, values, values, ledger)
+        return bool(wits), (wits[0] if wits else None), {}
+    return ts.quadratic_tick_count(values, values, values, ledger), None, {}
+
+
+def _decision_tree(mode):
+    def run(values, options, ledger, seed):
+        g = _given(options, "g", ts.default_group_size, len(values))
+        return _witness(ts.solve_decision_tree(values, g, ledger, mode=mode), g=g)
+    return run
+
+
+def _subquadratic_simple(values, options, ledger, seed):
+    g = _given(options, "g", ts.default_simple_group_size, len(values))
+    return _witness(ts.solve_subquadratic_simple(values, g, ledger), g=g)
+
+
+def _subquadratic(mode):
+    def run(values, options, ledger, seed):
+        p = ts.resolve_subquadratic_params(len(values), ts.SubquadraticParams(
+            options.get("g"), options.get("s"), mode, seed, options.get("p"), options.get("q")))
+        extra = {"q": p.grid_side} if mode == "deterministic" else {"p": p.point_count}
+        return _witness(ts.solve_subquadratic(values, p, ledger),
+                        g=p.group_size, s=p.span, **extra)
+    return run
+
+
+def _conv_blocked(values, options, ledger, seed):
+    g = _given(options, "g", conv_mod.default_block_size, len(values))
+    return _witness(conv_mod.solve_conv_blocked(values, g, ledger), g=g)
+
+
+def _conv_naive(values, options, ledger, seed):
+    return _witness(conv_mod.solve_conv_naive(values, ledger))
+
+
+def _kldt(values, options, ledger, seed):
     phi = _default_form(options)
-    arr = list(values)
-    g = options.get("g")
-    found = ldt_mod.solve_kldt(phi, arr, g, ledger)
-    return found, None, {"g": g}
+    g = _given(options, "g", ldt_mod.default_kldt_group_size, phi.arity, len(values))
+    return ldt_mod.solve_kldt(phi, values, g, ledger), None, {"g": g}
 
 
-def _run_zerotri(algo, graph, options, ledger, seed):
-    if algo.startswith("dense-"):
-        variant = algo.split("-", 1)[1]
-        w = tm.zero_triangle_dense(graph, variant, options.get("g"), ledger, seed)
-        return w is not None, w, {"g": options.get("g")}
-    if algo == "sparse":
-        k = options.get("K")
-        if k is None:
-            k = tm.default_color_count(graph.m)
-        w = tm.zero_triangle_sparse(graph, k, ledger, seed)
-        return w is not None, w, {"K": k}
-    if algo == "sparse-core":
-        w = tm.zero_triangle_core(graph, options.get("K"), ledger=ledger)
-        return w is not None, w, {"K": options.get("K")}
-    raise ValueError(f"unknown zerotri algo {algo!r}")
+def _width(variant, options, size):
+    rule = tm.TARGET_VARIANTS[variant]
+    return {} if rule is None else {"g": _given(options, "g", rule, size)}
 
 
-def _run_tmp(algo, instance, options, ledger, seed):
-    a, b, t = instance
-    g = options.get("g")
-    if algo == "trivial":
-        res = tm.target_min_plus_trivial(a, b, t)
-    elif algo == "dt":
-        res = tm.target_min_plus_dt(a, b, t, g, ledger)
-    elif algo == "dominance":
-        res = tm.target_min_plus_dominance(a, b, t, g)
-    elif algo == "sampled":
-        res = tm.target_min_plus_sampled(a, b, t, g, _rng(seed, 99), ledger)
-    else:
-        raise ValueError(f"unknown tmp algo {algo!r}")
-    found = bool(np.isfinite(res.values).any())
-    return found, res, {"g": g}
+def _dense(variant):
+    def run(graph, options, ledger, seed):
+        params = _width(variant, options, graph.n)
+        w = tm.zero_triangle_dense(graph, variant, params.get("g"), ledger, seed)
+        return _witness(w, **params)
+    return run
 
 
-_RUNNERS = {"3sum": _run_3sum, "conv": _run_conv, "ldt": _run_ldt,
-            "zerotri": _run_zerotri, "tmp": _run_tmp}
+def _sparse(graph, options, ledger, seed):
+    k = _given(options, "K", tm.default_color_count, graph.m)
+    return _witness(tm.zero_triangle_sparse(graph, k, ledger, seed), K=k)
+
+
+def _sparse_core(graph, options, ledger, seed):
+    k = _given(options, "K", tm.default_degree_threshold, graph.m)
+    return _witness(tm.zero_triangle_core(graph, k, ledger=ledger), K=k)
+
+
+def _target(variant):
+    def run(instance, options, ledger, seed):
+        params = _width(variant, options, instance[0].shape[1])
+        res = tm.target_product(*instance, variant, params.get("g"), ledger, _rng(seed, 99))
+        return bool(np.isfinite(res.values).any()), res, params
+    return run
+
+
+SOLVERS = {
+    ("3sum", "quadratic"): _quadratic,
+    ("3sum", "dt"): _decision_tree("fast"),
+    ("3sum", "dt-reference"): _decision_tree("reference"),
+    ("3sum", "dt-fast"): _decision_tree("fast"),
+    ("3sum", "subq-simple"): _subquadratic_simple,
+    ("3sum", "subq-det"): _subquadratic("deterministic"),
+    ("3sum", "subq-rand"): _subquadratic("randomized"),
+    ("conv", "naive"): _conv_naive,
+    ("conv", "blocked"): _conv_blocked,
+    ("ldt", "kldt"): _kldt,
+    **{("zerotri", "dense-" + v): _dense(v) for v in tm.TARGET_VARIANTS},
+    ("zerotri", "sparse"): _sparse,
+    ("zerotri", "sparse-core"): _sparse_core,
+    **{("tmp", v): _target(v) for v in tm.TARGET_VARIANTS},
+}
+
+
+def _runner(problem, algo):
+    runner = SOLVERS.get((problem, algo))
+    if runner is None:
+        raise ValueError(f"unknown {problem} algo {algo!r}")
+    return runner
 
 
 def run_solver(problem, algo, instance, options, ledger, seed):
-    return _RUNNERS[problem](algo, instance, options, ledger, seed)
+    """Run one solver; returns (found, payload, params), params being the
+    parameters the solver read, with their resolved values."""
+    return _runner(problem, algo)(instance, options, ledger, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +415,7 @@ def read_records(path) -> list:
         for line in fh:
             cells = line.rstrip("\n").split(",")
             params = {}
-            for key, cell in zip(("g", "s", "p", "q", "K"), cells[4:9]):
+            for key, cell in zip(PARAMS, cells[4:9]):
                 if cell:
                     params[key] = int(cell)
             records.append(RunRecord(

@@ -70,6 +70,12 @@ def reduce_kldt(phi: LinearForm, values: Sequence[float]):
     return a_list, b_list, c_list
 
 
+def default_kldt_group_size(arity: int, n: int) -> int:
+    """Group size of :func:`solve_kldt`: sqrt(N log N) for the |A| = N =
+    n^((k-1)/2) elements of the reduction's first list."""
+    return default_group_size(n ** ((arity - 1) // 2))
+
+
 def oracle_kldt(phi: LinearForm, values: Sequence[float]) -> bool:
     """Exhaustive scan of S^k."""
     k = phi.arity
@@ -97,7 +103,7 @@ def solve_kldt(phi: LinearForm, values: Sequence[float],
 
     a_sorted = sorted_counted(a_list, ledger, arity=k - 1)
     b_sorted = sorted_counted(b_list, ledger, arity=k - 1)
-    g = group_size if group_size is not None else default_group_size(len(a_sorted))
+    g = group_size if group_size is not None else default_kldt_group_size(k, len(c_list))
     a_groups = cut_groups(a_sorted, g)
     b_groups = cut_groups(b_sorted, g)
 

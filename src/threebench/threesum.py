@@ -72,6 +72,10 @@ def default_group_size(n: int) -> int:
     return max(1, math.ceil(math.sqrt(n * math.log2(n + 2))))
 
 
+def default_simple_group_size(n: int) -> int:
+    return 1 if n < 4 else 2
+
+
 # ---------------------------------------------------------------------------
 # groups and boxes
 
@@ -800,7 +804,7 @@ def solve_subquadratic_simple(values, group_size: Optional[int],
     n = len(arr)
     if n == 0:
         return None
-    g = group_size if group_size is not None else (1 if n < 4 else 2)
+    g = group_size if group_size is not None else default_simple_group_size(n)
     if math.factorial(g * g) > PERM_BUDGET:
         raise ValueError(f"group size {g} needs {math.factorial(g*g)} permutations; "
                          f"at most {PERM_BUDGET} are enumerated")

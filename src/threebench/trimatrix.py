@@ -25,6 +25,8 @@ import numpy as np
 
 from .core import ComparisonLedger, _bound_depths, difference_ticks, ternary_search
 from .dominance import sorting_permutations
+# the dt variant's strip width is the grouped search's sqrt(s log s) group size
+from .threesum import default_group_size as default_strip_width
 
 INF = math.inf
 # The Fredman machinery rides +inf through as a huge finite sentinel.  With
@@ -87,10 +89,12 @@ def _encode(arr: np.ndarray) -> np.ndarray:
     return np.where(inf_mask, BIG, arr)
 
 
-def default_strip_width(s: int) -> int:
-    if s <= 1:
-        return 1
-    return max(1, math.ceil(math.sqrt(s * math.log2(s + 2))))
+def default_dominance_width(s: int) -> int:
+    return min(3, max(1, s))
+
+
+def default_sample_base(n: int) -> int:
+    return max(1, math.ceil(math.sqrt(n)))
 
 
 def _cell_sums(ae: np.ndarray, be: np.ndarray, ks) -> np.ndarray:
@@ -201,7 +205,7 @@ def target_min_plus_dominance(A, B, T, group_size: Optional[int] = None
     ae, be = _encode(a), _encode(b)
     r, s = a.shape
     tcols = b.shape[1]
-    g = group_size if group_size is not None else min(3, max(1, s))
+    g = group_size if group_size is not None else default_dominance_width(s)
     if not (1 <= g <= 6):
         raise ValueError("permutation enumeration needs 1 <= width <= 6")
 
@@ -303,7 +307,7 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
     if n == 0:
         return TargetProductResult(c_out, w_out)
     ae, be = _encode(a), _encode(b)
-    g = group_size if group_size is not None else max(1, math.ceil(math.sqrt(n)))
+    g = group_size if group_size is not None else default_sample_base(n)
     hierarchy = build_sample_hierarchy(n, g, rng)
     # per sampled interval: its A-row diffs, then its B-column diffs
     segments = []
@@ -411,6 +415,26 @@ def graph_matrices(graph: WeightedGraph):
     return a, a.copy(), t
 
 
+# each target-product variant and the rule that sets its strip width or
+# sample base when given None; the trivial scan reads neither
+TARGET_VARIANTS = {"trivial": None, "dt": default_strip_width,
+                   "dominance": default_dominance_width, "sampled": default_sample_base}
+
+
+def target_product(A, B, T, variant: str, group_size: Optional[int],
+                   ledger: ComparisonLedger, rng: np.random.Generator) -> TargetProductResult:
+    """The target product computed by one of :data:`TARGET_VARIANTS`."""
+    if variant == "trivial":
+        return target_min_plus_trivial(A, B, T)
+    if variant == "dt":
+        return target_min_plus_dt(A, B, T, group_size, ledger)
+    if variant == "dominance":
+        return target_min_plus_dominance(A, B, T, group_size)
+    if variant == "sampled":
+        return target_min_plus_sampled(A, B, T, group_size, rng, ledger)
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def zero_triangle_dense(graph: WeightedGraph, variant: str = "trivial",
                         group_size: Optional[int] = None,
                         ledger: Optional[ComparisonLedger] = None,
@@ -421,17 +445,8 @@ def zero_triangle_dense(graph: WeightedGraph, variant: str = "trivial",
         return None
     a, b, t = graph_matrices(graph)
     ledger = ledger if ledger is not None else ComparisonLedger()
-    if variant == "trivial":
-        res = target_min_plus_trivial(a, b, t)
-    elif variant == "dt":
-        res = target_min_plus_dt(a, b, t, group_size, ledger)
-    elif variant == "dominance":
-        res = target_min_plus_dominance(a, b, t, group_size)
-    elif variant == "sampled":
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        res = target_min_plus_sampled(a, b, t, group_size, rng, ledger)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    res = target_product(a, b, t, variant, group_size, ledger, rng)
     for (u, v, _) in sorted((min(u, v), max(u, v), w) for (u, v, w) in graph.edges):
         if res.value(u, v) == t[u, v]:
             x = res.witness(u, v)
@@ -586,6 +601,10 @@ def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
     return None
 
 
+def default_degree_threshold(m: int) -> int:
+    return max(2, math.ceil(math.sqrt(m)))
+
+
 def zero_triangle_core(graph: WeightedGraph, delta: Optional[int] = None,
                        ledger: Optional[ComparisonLedger] = None):
     """Split solve: orient greedily until every remaining vertex has degree
@@ -593,7 +612,7 @@ def zero_triangle_core(graph: WeightedGraph, delta: Optional[int] = None,
     remainder (the high-degree core) to the dense difference-list backend."""
     if graph.m == 0:
         return None
-    d = delta if delta is not None else max(2, math.ceil(math.sqrt(graph.m)))
+    d = delta if delta is not None else default_degree_threshold(graph.m)
     if d < 1:
         raise ValueError("degree threshold must be >= 1")
     ledger = ledger if ledger is not None else ComparisonLedger()

@@ -25,6 +25,7 @@ ENTRY_POINTS = {
     (trimatrix, "zero_triangle_sparse"): ["graph", "color_count", "ledger", "seed"],
     (trimatrix, "zero_triangle_core"): ["graph", "delta", "ledger"],
     (conv3sum, "solve_conv_blocked"): ["values", "group_size", "ledger", "probe_log"],
+    (conv3sum, "solve_conv_naive"): ["values", "ledger"],
     (ldt, "solve_kldt"): ["phi", "values", "group_size", "ledger"],
 }
 

@@ -12,6 +12,8 @@ and says so; any other change must leave every row byte-identical.
 import os
 import sys
 
+import pytest
+
 from threebench import harness
 from threebench.core import ComparisonLedger
 
@@ -78,6 +80,33 @@ def test_golden_ticks_are_unchanged():
     assert len(got) == len(golden)
     for cell, want, have in zip(grid(), golden[1:], got[1:]):
         assert have == want, cell
+
+
+def test_the_grid_covers_every_solver():
+    assert {(p, a) for p, algos in ALGOS.items() for a in algos} == set(harness.SOLVERS)
+
+
+# the parameters each solver reads; every other solver reads g alone
+READS = {("3sum", "quadratic"): (), ("3sum", "subq-det"): ("g", "s", "q"),
+         ("3sum", "subq-rand"): ("g", "s", "p"), ("conv", "naive"): (),
+         ("zerotri", "dense-trivial"): (), ("zerotri", "sparse"): ("K",),
+         ("zerotri", "sparse-core"): ("K",), ("tmp", "trivial"): ()}
+
+
+def _run(problem, algo, instance, options):
+    ledger = ComparisonLedger()
+    found, _, params = harness.run_solver(problem, algo, instance, options, ledger, SEED)
+    return found, ledger.count_klinear, params
+
+
+@pytest.mark.parametrize("problem,algo", sorted(harness.SOLVERS))
+def test_reported_params_are_the_ones_that_ran(problem, algo):
+    instance = harness.generate(problem, SIZES[problem][0], "uniform", SEED)
+    first = _run(problem, algo, instance, {})
+    params = first[2]
+    assert sorted(params) == sorted(READS.get((problem, algo), ("g",)))
+    assert all(type(v) is int for v in params.values()), params
+    assert _run(problem, algo, instance, params) == first
 
 
 if __name__ == "__main__":

@@ -111,6 +111,17 @@ def test_config_validation():
         harness.ExperimentConfig("3sum", ("dt",), (16, 8))
     with pytest.raises(ValueError):
         harness.ExperimentConfig("nope", ("dt",), (8,))
+    with pytest.raises(ValueError, match="bogus"):
+        harness.ExperimentConfig("3sum", ("dt", "bogus"), (8,))
+    with pytest.raises(ValueError, match="blocked"):
+        harness.ExperimentConfig("3sum", ("blocked",), (8,))
+
+
+@pytest.mark.parametrize("problem,algo", [("tmp", "trivial"), ("zerotri", "dense-trivial")])
+def test_a_parameter_the_solver_ignores_is_not_reported(problem, algo):
+    instance = harness.generate(problem, 6, "planted", 1)
+    _, _, params = harness.run_solver(problem, algo, instance, {"g": 4}, ComparisonLedger(), 1)
+    assert params == {}
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +168,11 @@ def test_cli_solve_3sum(tmp_path, capsys):
     assert rc == 0
     assert "decision: witness" in out
     assert "ticks4:" in out
+    assert "params: g=3\n" in out  # default_group_size(3)
+    assert cli.main(["solve", "3sum", "--algo", "subq-det", "--input", str(path), "--g", "1"]) == 0
+    assert "params: g=1 s=0 q=1\n" in capsys.readouterr().out
+    assert cli.main(["solve", "3sum", "--algo", "quadratic", "--input", str(path)]) == 0
+    assert "params:\n" in capsys.readouterr().out
 
 
 def test_cli_solve_all_problems(tmp_path, capsys):
@@ -182,6 +198,36 @@ def test_cli_solve_all_problems(tmp_path, capsys):
 def test_cli_usage_error_returns_one(capsys):
     assert cli.main(["solve", "3sum"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_cli_refuses_an_algo_of_another_problem_or_none(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "in.txt"
+    _write_vector(path, [5.0, 1.0, 2.0, 3.0])
+    assert cli.main(["solve", "conv", "--algo", "dt", "--input", str(path)]) == 1
+    assert "unknown conv algo 'dt'" in capsys.readouterr().err
+    assert cli.main(["solve", "conv", "--algo", "bogus", "--input", str(path)]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_solver", no_run)
+    csv = tmp_path / "never.csv"
+    assert cli.main(["bench", "--problem", "3sum", "--algos", "dt,bogus",
+                     "--sizes", "8", "--csv", str(csv)]) == 1
+    assert "bogus" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+def test_cli_refuses_k_that_conflicts_with_alphas(tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    _write_vector(path, [5.0, 1.0, -2.0, 3.0])
+    args = ["solve", "ldt", "--algo", "kldt", "--input", str(path)]
+    assert cli.main(args + ["--k", "5", "--alphas", "0,1,1,1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cli.main(args + ["--k", "3", "--alphas", "0,1,1,1"]) == 0
+    assert cli.main(args + ["--alphas", "0,1,1,1,1,1"]) == 0  # the arity of --alphas
+    assert cli.main(args + ["--k", "5"]) == 0
 
 
 def test_cli_non_finite_input_is_an_error(tmp_path, capsys):
