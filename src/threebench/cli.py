@@ -98,6 +98,11 @@ def _cmd_solve(args) -> int:
     ledger = ComparisonLedger()
     found, payload, params = harness.run_solver(
         args.problem, args.algo, instance, options, ledger, args.seed)
+    # params holds what the solver read; k and alphas make the form of ldt
+    unread = set(options) - set(params) - ({"k", "alphas"} if args.problem == "ldt" else set())
+    if unread:
+        raise ValueError(f"{args.problem} {args.algo} reads no "
+                         + ", ".join(f"--{key}" for key in sorted(unread)))
     size = harness._instance_size(args.problem, instance)
     cap = harness.DEFAULT_ORACLE_CAPS[args.problem]
     if not args.no_check and size <= cap:

@@ -253,32 +253,86 @@ def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger):
     return witnesses
 
 
-# differences per membership pass of quadratic_tick_count
-_FOUND_CHUNK = 1 << 18
+# row strips of quadratic_tick_count's walk; it walks len(keys) / _STRIPS
+# keys at a time
+_STRIPS = 4
+
+
+def _walk_length(lo, hi, end_lo, end_hi):
+    """Steps of a two-pointer walk from (lo, hi) to (end_lo, end_hi): each
+    step moves one pointer by one."""
+    return (end_lo - lo) + (hi - end_hi)
+
+
+def _walk_end(ua, ub, keys, lend, r0, r1):
+    """Where the walk of each key through rows [r0, r1) leaves them when it
+    starts in row r0 at or right of that row's last column with sum <= key:
+    through column -1 at the first row whose sum with ub[0] exceeds the key
+    (``lend``, at least r0), else below row r1 - 1 at that row's last column
+    with sum <= key."""
+    last = np.searchsorted(ua[r1 - 1] + ub, keys, side="right") - 1
+    by_col = lend < r1
+    return np.where(by_col, np.maximum(lend, r0), r1), np.where(by_col, -1, last)
 
 
 def quadratic_tick_count(a_vals, b_vals, c_vals, ledger: ComparisonLedger) -> bool:
     """Fast twin of :func:`solve_quadratic`: identical ledger counts and
-    decision, no witness enumeration."""
+    decision, no witness enumeration.
+
+    It books the walk's length in closed form and decides by stepping the
+    walk itself on raw sums ``a + b == key``, row strip by row strip, for a
+    chunk of keys at once (:func:`_walk_strips`)."""
     ua = _sort_unique_counted(as_reals(a_vals), ledger)
     ub = _sort_unique_counted(as_reals(b_vals), ledger)
-    c = np.asarray(as_reals(c_vals))
-    if len(ua) == 0 or len(ub) == 0 or len(c) == 0:
+    keys = -np.asarray(as_reals(c_vals))
+    if len(ua) == 0 or len(ub) == 0 or len(keys) == 0:
         return False
     na, nb = len(ua), len(ub)
-    keys = -c
-    lend = np.searchsorted(ua, keys - ub[0], side="right")
-    hend = np.searchsorted(ub, keys - ua[-1], side="right") - 1
-    iters = np.where(lend < na, lend + nb, na + (nb - 1) - hend)
-    ledger.tick(3, int(iters.sum()))
-    # membership of every keys - ua in ub; the NaN past the end equals no
-    # difference, also none that overflowed to +inf
-    ubx = np.append(ub, np.nan)
-    chunk = max(1, _FOUND_CHUNK // na)
-    for base in range(0, len(keys), chunk):
-        diff = (keys[base:base + chunk, None] - ua).ravel()
-        if (ubx[np.searchsorted(ub, diff)] == diff).any():
+    strips = min(_STRIPS, na)
+    cuts = np.arange(strips + 1) * na // strips
+    chunk = -(-len(keys) // _STRIPS)
+    with np.errstate(over="ignore"):  # a sum past the double range is +-inf, as in Python
+        lend = np.searchsorted(ua + ub[0], keys, side="right")
+        walk = _walk_length(0, nb - 1, *_walk_end(ua, ub, keys, lend, 0, na))
+        ledger.tick(3, int(walk.sum()))
+        return any(_walk_strips(ua, ub, keys[i:i + chunk], lend[i:i + chunk], cuts)
+                   for i in range(0, len(keys), chunk))
+
+
+def _walk_strips(ua, ub, keys, lend, cuts) -> bool:
+    """Step the walk of every key through every row strip [cuts[s],
+    cuts[s + 1]) at once; True at the first step with a sum equal to its key.
+
+    A strip's walk starts in its first row at the last column with sum <=
+    key: the walk from the NE corner reaches that cell, and every cell it
+    passes on the way has a sum above the key.  Each walk then takes its
+    closed-form length in steps, the longest first, so the live walks are a
+    prefix.  A -inf row after every strip and a +inf column -1 push a walk
+    that overruns its strip further off it, so a walk that ends anywhere but
+    at its closed-form end trips the final assertion.
+    """
+    uax = np.insert(ua, cuts[1:], -np.inf)  # row r of strip s sits at r + s
+    ubx = np.append(ub, np.inf)
+    walks = []
+    for s, (r0, r1) in enumerate(zip(cuts[:-1], cuts[1:])):
+        end_lo, end_hi = _walk_end(ua, ub, keys, lend, r0, r1)
+        h0 = np.searchsorted(ua[r0] + ub, keys, side="right") - 1
+        walks.append((np.full(len(keys), r0 + s), h0, end_lo + s, end_hi))
+    lo, hi, end_lo, end_hi = (np.concatenate(v) for v in zip(*walks))
+    steps = _walk_length(lo, hi, end_lo, end_hi)
+    order = np.argsort(-steps)
+    lo, hi, end_lo, end_hi = lo[order], hi[order], end_lo[order], end_hi[order]
+    key = np.tile(keys, len(walks))[order]
+    for m in (len(steps) - np.cumsum(np.bincount(steps))[:-1]).tolist():
+        l, h, k = lo[:m], hi[:m], key[:m]
+        # "wrap" keeps an overrun in bounds, for the assertion to report
+        sums = uax.take(l, mode="wrap") + ubx.take(h, mode="wrap")
+        if (sums == k).any():
             return True
+        up = sums <= k
+        l += up
+        h -= ~up
+    assert ((lo == end_lo) & (hi == end_hi)).all(), "a walk ended off its closed-form end"
     return False
 
 

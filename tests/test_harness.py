@@ -230,6 +230,30 @@ def test_cli_refuses_k_that_conflicts_with_alphas(tmp_path, capsys):
     assert cli.main(args + ["--k", "5"]) == 0
 
 
+def test_cli_refuses_a_parameter_the_solver_does_not_read(tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    _write_vector(path, [5.0, 1.0, -2.0, 3.0])
+    for problem, algo, flags, err in [
+        ("3sum", "dt", ["--s", "5", "--k", "7"], "3sum dt reads no --k, --s"),
+        ("3sum", "quadratic", ["--g", "2"], "--g"),
+        ("3sum", "subq-det", ["--p", "4"], "--p"),
+        ("3sum", "subq-rand", ["--q", "4"], "--q"),
+        ("conv", "blocked", ["--alphas", "0,1,1,1"], "--alphas"),
+        ("ldt", "kldt", ["--K", "2"], "--K"),
+    ]:
+        assert cli.main(["solve", problem, "--algo", algo, "--input", str(path)] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and err in captured.err
+        assert captured.out == ""
+    for problem, algo, flags in [
+        ("3sum", "dt", ["--g", "2"]),
+        ("3sum", "subq-det", ["--g", "1", "--s", "0", "--q", "1"]),
+        ("3sum", "subq-rand", ["--p", "4"]),
+        ("ldt", "kldt", ["--g", "2", "--k", "3", "--alphas", "0,1,1,1"]),
+    ]:
+        assert cli.main(["solve", problem, "--algo", algo, "--input", str(path)] + flags) == 0
+
+
 def test_cli_non_finite_input_is_an_error(tmp_path, capsys):
     path = tmp_path / "in.txt"
     _write_vector(path, [1.0, float("nan"), -1.0, 0.5])

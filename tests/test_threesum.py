@@ -1,5 +1,6 @@
 import bisect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,23 +96,79 @@ def test_quadratic_twin_reads_no_witness_from_an_overflowed_difference():
         assert l1.count_klinear == l2.count_klinear
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 64])
-def test_quadratic_twin_decides_keys_past_the_last_full_chunk(monkeypatch, chunk):
-    monkeypatch.setattr(threesum, "_FOUND_CHUNK", chunk)
-    rng = np.random.default_rng(chunk)
-    for trial in range(40):
-        a = rng.integers(-40, 41, size=int(rng.integers(1, 9))).astype(float).tolist()
-        b = rng.integers(-40, 41, size=int(rng.integers(1, 9))).astype(float).tolist()
-        # every c is at least 200 and |a + b| <= 80, so only the planted
-        # last c closes a triple
-        c = rng.integers(200, 300, size=int(rng.integers(0, 30))).astype(float).tolist()
+def _quadratic_pair(a, b, c):
+    l1, l2 = ComparisonLedger(), ComparisonLedger()
+    found = bool(solve_quadratic(a, b, c, l1))
+    assert quadratic_tick_count(a, b, c, l2) is found
+    assert l1.count_klinear == l2.count_klinear
+    return found
+
+
+def test_quadratic_twin_decides_a_planted_last_key():
+    # 1 to 4 row strips, 1 to 4 key chunks, the witness in any strip
+    rng = np.random.default_rng(12)
+    strips, chunks = set(), set()
+    for trial in range(400):
+        # a + b is even and every c odd, so only the planted last c closes
+        # a triple
+        a = (2.0 * rng.integers(-20, 21, size=int(rng.integers(1, 9)))).tolist()
+        b = (2.0 * rng.integers(-20, 21, size=int(rng.integers(1, 9)))).tolist()
+        c = (2.0 * rng.integers(-41, 41, size=int(rng.integers(0, 30))) + 1.0).tolist()
         planted = trial % 2 == 0
         if planted:
-            c.append(-(a[-1] + b[0]))
-        l1, l2 = ComparisonLedger(), ComparisonLedger()
-        assert bool(solve_quadratic(a, b, c, l1)) is planted
-        assert quadratic_tick_count(a, b, c, l2) is planted
-        assert l1.count_klinear == l2.count_klinear
+            c.append(-(rng.choice(a) + rng.choice(b)))
+        assert _quadratic_pair(a, b, c) is planted
+        strips.add(min(threesum._STRIPS, len(set(a))))
+        if c:
+            chunk = math.ceil(len(c) / threesum._STRIPS)
+            chunks.add(math.ceil(len(c) / chunk))
+    assert strips == chunks == {1, 2, 3, 4}
+
+
+def test_quadratic_twin_decides_on_raw_sums_like_the_walk():
+    # -0.9 + 0.1 == -0.8 while -0.8 - -0.9 != 0.1, and the reverse
+    assert _quadratic_pair([-0.9], [0.1], [0.8]) is True
+    assert _quadratic_pair([-0.9], [0.7], [0.2]) is False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _quadratic_pair([1.7e308], [1.7e308, 1.0], [-1.0]) is False
+    rng = np.random.default_rng(13)
+    for _ in range(1500):
+        a, b, c = (np.round(rng.normal(size=int(rng.integers(1, 41))), 1) for _ in range(3))
+        _quadratic_pair(a, b, c)
+
+
+def _one_step_past(through_column):
+    """Patch for ``_walk_end``: move each walk's end, and with it the length,
+    one step past the true end, down a row or left a column."""
+    def patch(exact):
+        def end(*args):
+            lo, hi = exact(*args)
+            if through_column:
+                return np.where(hi < 0, lo + 1, lo), hi
+            return lo, np.where(hi >= 0, hi - 1, hi)
+        return end
+    return patch
+
+
+@pytest.mark.parametrize("name,patch", [
+    ("_walk_length", lambda exact: lambda *args: np.maximum(exact(*args) - 1, 0)),
+    ("_walk_length", lambda exact: lambda *args: exact(*args) + 1),
+    ("_walk_end", _one_step_past(through_column=True)),
+    ("_walk_end", _one_step_past(through_column=False)),
+])
+def test_quadratic_twin_trips_on_a_walk_length_off_by_one(monkeypatch, name, patch):
+    monkeypatch.setattr(threesum, name, patch(getattr(threesum, name)))
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        # a + b is even and every c odd: no witness, so every walk runs out;
+        # keys -81 and 81 leave every strip through column -1 and below
+        a = 2.0 * rng.integers(-20, 21, size=int(rng.integers(1, 12)))
+        b = 2.0 * rng.integers(-20, 21, size=int(rng.integers(1, 12)))
+        c = np.append(2.0 * rng.integers(-40, 40, size=int(rng.integers(0, 12))) + 1.0,
+                      [-81.0, 81.0])
+        with pytest.raises(AssertionError, match="closed-form end"):
+            quadratic_tick_count(a, b, c, ComparisonLedger())
 
 
 def test_contour_below_minimum_marches_west_along_row_zero():
