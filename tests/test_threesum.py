@@ -125,6 +125,23 @@ def test_quadratic_twin_decides_a_planted_last_key():
     assert strips == chunks == {1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("strips", [1, 5, 64])
+def test_quadratic_twin_decides_keys_past_the_last_full_chunk(monkeypatch, strips):
+    # len(c) / strips keys a chunk, rounded up: the last chunk is often short
+    monkeypatch.setattr(threesum, "_STRIPS", strips)
+    rng = np.random.default_rng(strips)
+    for trial in range(40):
+        a = rng.integers(-40, 41, size=int(rng.integers(1, 9))).astype(float).tolist()
+        b = rng.integers(-40, 41, size=int(rng.integers(1, 9))).astype(float).tolist()
+        # every c is at least 200 and |a + b| <= 80, so only the planted
+        # last c closes a triple
+        c = rng.integers(200, 300, size=int(rng.integers(0, 30))).astype(float).tolist()
+        planted = trial % 2 == 0
+        if planted:
+            c.append(-(a[-1] + b[0]))
+        assert _quadratic_pair(a, b, c) is planted
+
+
 def test_quadratic_twin_decides_on_raw_sums_like_the_walk():
     # -0.9 + 0.1 == -0.8 while -0.8 - -0.9 != 0.1, and the reverse
     assert _quadratic_pair([-0.9], [0.1], [0.8]) is True
