@@ -23,7 +23,6 @@ from .dominance import (
     RED,
     LabeledPoint,
     c_epsilon,
-    match_candidates,
     report_dominating_pairs,
     sorting_permutations,
 )

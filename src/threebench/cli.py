@@ -39,7 +39,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--input", required=True)
     for key in harness.PARAMS:
         solve.add_argument(f"--{key}", type=int)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=int, help="seed of a sampling solver (default 0)")
     solve.add_argument("--k", type=int, help="ldt arity (default 3, or that of --alphas)")
     solve.add_argument("--alphas", help="ldt coefficients a0,a1,...,ak")
     solve.add_argument("--no-check", action="store_true",
@@ -97,9 +97,10 @@ def _cmd_solve(args) -> int:
     options = _solve_options(args)
     ledger = ComparisonLedger()
     found, payload, params = harness.run_solver(
-        args.problem, args.algo, instance, options, ledger, args.seed)
+        args.problem, args.algo, instance, options, ledger, args.seed or 0)
     # params holds what the solver read; k and alphas make the form of ldt
-    unread = set(options) - set(params) - ({"k", "alphas"} if args.problem == "ldt" else set())
+    given = set(options) | ({"seed"} if args.seed is not None else set())
+    unread = given - set(params) - ({"k", "alphas"} if args.problem == "ldt" else set())
     if unread:
         raise ValueError(f"{args.problem} {args.algo} reads no "
                          + ", ".join(f"--{key}" for key in sorted(unread)))

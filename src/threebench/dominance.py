@@ -5,10 +5,9 @@ Coordinates only need to be totally ordered and mutually comparable, so
 callers may use floats or lexicographic tuples; the latter is how the
 solvers emulate tie-broken (perturbed) reals exactly.
 
-Every solver certifies sorted orders through the two helpers at the end.
-:func:`match_candidates` matches candidate certificates to (red, blue)
-pairs through :func:`report_dominating_pairs`; the contour catalog's
-``threesum.match_boxes`` is its one solver caller.
+Solvers certify sorted orders by Fredman's trick in one of two ways.  The
+contour catalog's ``threesum.match_boxes`` builds points from each catalog
+entry's index map and calls :func:`report_dominating_pairs` once per entry.
 :func:`sorting_permutations` certifies the permutations of a short sum
 vector for the permutation matchers, as one array kernel that evaluates
 the same coordinate comparisons for all pairs at once and builds no points.
@@ -119,28 +118,6 @@ def _report(reds, blues, dim, sink) -> int:
 
 
 # -- certification by Fredman's trick ------------------------------------------
-
-
-def match_candidates(candidates, red_ids, blue_ids, coords,
-                     report=report_dominating_pairs) -> dict:
-    """Certify candidates by bichromatic dominance, one report per candidate.
-
-    For each candidate ``c``, every ``i`` in `red_ids` becomes the red point
-    ``coords(c, RED, i)`` and every ``j`` in `blue_ids` the blue point
-    ``coords(c, BLUE, j)``.  Returns ``{(red_id, blue_id): [candidates]}``
-    listing, in candidate order, every candidate whose red point dominates
-    its blue point.
-    """
-    matched: dict = {}
-    for cand in candidates:
-        points = [LabeledPoint(coords(cand, RED, i), RED, i) for i in red_ids]
-        points += [LabeledPoint(coords(cand, BLUE, j), BLUE, j) for j in blue_ids]
-
-        def sink(red, blue, cand=cand):
-            matched.setdefault((red.id, blue.id), []).append(cand)
-
-        report(points, sink)
-    return matched
 
 
 def sorting_permutations(reds, blues, width: int):

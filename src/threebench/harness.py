@@ -198,8 +198,9 @@ def generate(problem: str, n: int, mode: str, seed: int):
 # solvers: (problem, algo) -> runner(instance, options, ledger, seed), which
 # returns (found, payload, params).  A runner looks its solver up in the
 # solver's module when it runs, so a span that rebinds the module attribute
-# sees the call.  `params` holds every parameter the solver reads; one left
-# out of `options` is resolved by the rule the solver's module applies to None.
+# sees the call.  `params` holds every parameter the solver reads, the seed
+# included when the solver draws from it; one left out of `options` is
+# resolved by the rule the solver's module applies to None.
 
 
 def _default_form(options) -> ldt_mod.LinearForm:
@@ -243,7 +244,8 @@ def _subquadratic(mode):
     def run(values, options, ledger, seed):
         p = ts.resolve_subquadratic_params(len(values), ts.SubquadraticParams(
             options.get("g"), options.get("s"), mode, seed, options.get("p"), options.get("q")))
-        extra = {"q": p.grid_side} if mode == "deterministic" else {"p": p.point_count}
+        extra = {"q": p.grid_side} if mode == "deterministic" \
+            else {"p": p.point_count, "seed": seed}
         return _witness(ts.solve_subquadratic(values, p, ledger),
                         g=p.group_size, s=p.span, **extra)
     return run
@@ -264,14 +266,17 @@ def _kldt(values, options, ledger, seed):
     return ldt_mod.solve_kldt(phi, values, g, ledger), None, {"g": g}
 
 
-def _width(variant, options, size):
+def _variant_params(variant, options, size, seed):
+    """What a target-product variant reads: the width its rule sets, and the
+    seed when the variant samples."""
     rule = tm.TARGET_VARIANTS[variant]
-    return {} if rule is None else {"g": _given(options, "g", rule, size)}
+    params = {} if rule is None else {"g": _given(options, "g", rule, size)}
+    return {**params, "seed": seed} if variant == "sampled" else params
 
 
 def _dense(variant):
     def run(graph, options, ledger, seed):
-        params = _width(variant, options, graph.n)
+        params = _variant_params(variant, options, graph.n, seed)
         w = tm.zero_triangle_dense(graph, variant, params.get("g"), ledger, seed)
         return _witness(w, **params)
     return run
@@ -279,7 +284,7 @@ def _dense(variant):
 
 def _sparse(graph, options, ledger, seed):
     k = _given(options, "K", tm.default_color_count, graph.m)
-    return _witness(tm.zero_triangle_sparse(graph, k, ledger, seed), K=k)
+    return _witness(tm.zero_triangle_sparse(graph, k, ledger, seed), K=k, seed=seed)
 
 
 def _sparse_core(graph, options, ledger, seed):
@@ -289,7 +294,7 @@ def _sparse_core(graph, options, ledger, seed):
 
 def _target(variant):
     def run(instance, options, ledger, seed):
-        params = _width(variant, options, instance[0].shape[1])
+        params = _variant_params(variant, options, instance[0].shape[1], seed)
         res = tm.target_product(*instance, variant, params.get("g"), ledger, _rng(seed, 99))
         return bool(np.isfinite(res.values).any()), res, params
     return run

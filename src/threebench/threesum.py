@@ -50,7 +50,7 @@ from .core import (
     tag_rows,
     ternary_search,
 )
-from .dominance import RED, match_candidates, report_dominating_pairs, sorting_permutations
+from .dominance import BLUE, RED, LabeledPoint, report_dominating_pairs, sorting_permutations
 
 SOUTHERN = "southern"
 WESTERN = "western"
@@ -597,42 +597,27 @@ def cached_catalog(width: int, point_set: PointSet, span: int) -> LegalPairCatal
     return cat
 
 
-def _contour_coords(contour, anchor, vals, color):
-    """Dominance coordinates certifying `contour` as the search path of the
-    value at `anchor`.  Lexicographic (value, row tag, col tag) triples keep
-    the certificate exact under ties."""
-    l, m_ = anchor
-    red = color == RED  # red points come from column groups, blue from rows
-    out = []
-    for (pos, mv) in zip(contour.steps, contour.moves):
-        if pos == anchor:
-            continue
-        tr, tc = pos
-        sigma = 1 if mv == "W" else -1
-        if red:
-            out.append((sigma * (vals[tc] - vals[m_]), 0, sigma * (tc - m_)))
-        else:
-            out.append((sigma * (vals[l] - vals[tr]), sigma * (l - tr), 0))
-    return out
-
-
-def _order_coords(order, vals, color):
-    red = color == RED
-    out = []
-    for t in range(len(order) - 1):
-        (x0, y0), (x1, y1) = order[t], order[t + 1]
-        if red:
-            out.append((vals[y1] - vals[y0], 0, y1 - y0))
-        else:
-            out.append((vals[x0] - vals[x1], x0 - x1, 0))
-    return out
-
-
-def _entry_coords(entry, vals, color):
-    coords = _contour_coords(entry.tau, entry.anchor, vals, color)
-    coords += _contour_coords(entry.tau_prime, entry.anchor_prime, vals, color)
-    coords += _order_coords(entry.order, vals, color)
-    return tuple(coords)
+def _entry_map(entry):
+    """Index maps ``(a, b, sign)``, red then blue, of the dominance
+    coordinates certifying `entry`'s contours as the search paths of the
+    values at its anchors, and its order as the between region's sorted
+    order.  Coordinate t of a group with values v is
+    ``sign[t] * (v[a[t]] - v[b[t]])``, tagged ``sign[t] * (a[t] - b[t])``:
+    red points come from column groups and carry the column tag, blue
+    points from row groups and carry the row tag, so lexicographic
+    (value, row tag, col tag) triples keep the certificate exact under ties.
+    """
+    red, blue = [], []
+    for contour, (l, m) in ((entry.tau, entry.anchor), (entry.tau_prime, entry.anchor_prime)):
+        for (tr, tc), mv in zip(contour.steps, contour.moves):
+            if (tr, tc) != (l, m):
+                sigma = 1 if mv == "W" else -1
+                red.append((tc, m, sigma))
+                blue.append((l, tr, sigma))
+    for (x0, y0), (x1, y1) in zip(entry.order, entry.order[1:]):
+        red.append((y1, y0, 1))
+        blue.append((x0, x1, 1))
+    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T for rows in (red, blue))
 
 
 def match_boxes(groups, catalog: LegalPairCatalog,
@@ -641,23 +626,31 @@ def match_boxes(groups, catalog: LegalPairCatalog,
 
     ``groups`` are the sorted input's groups (:func:`cut_groups`).  For each
     entry, every full column group becomes a red point and every full row
-    group a blue point; a dominating pair certifies that the entry's
-    contours and ordering are correct for that box.  Returns
-    {(i, j): {(anchor, anchor'): entry}}.
+    group a blue point, one `report` call per entry; a dominating pair
+    certifies that the entry's contours and ordering are correct for that
+    box.  Returns {(i, j): {(anchor, anchor'): entry}}.
     """
     g = catalog.width
-    vals = {i: grp.tolist() for i, grp in enumerate(groups) if len(grp) == g}
-    full = list(vals)
+    full = [i for i, grp in enumerate(groups) if len(grp) == g]
     if not full:
         return {}
+    values = np.array([groups[i] for i in full], dtype=np.float64)
     max_dim = 4 * g - 4 + max(0, catalog.span - 1)
-
-    def coords(entry, color, i):
-        out = _entry_coords(entry, vals[i], color)
-        assert len(out) <= max_dim
-        return out
-
-    matched = match_candidates(catalog.entries, full, full, coords, report)
+    matched: dict = {}
+    for entry in catalog.entries:
+        points = []
+        for color, (a, b, sign) in zip((RED, BLUE), _entry_map(entry)):
+            assert len(a) <= max_dim
+            tags = (sign * (a - b)).tolist()
+            zeros = [0] * len(tags)
+            row_tags, col_tags = (zeros, tags) if color == RED else (tags, zeros)
+            coords = (sign * (values[:, a] - values[:, b])).tolist()
+            points += [LabeledPoint(tuple(zip(row, row_tags, col_tags)), color, i)
+                       for i, row in zip(full, coords)]
+        report(points, lambda red, blue, entry=entry:
+               matched.setdefault((red.id, blue.id), []).append(entry))
+    # filled after the reports, not from the sink: filling it there left the
+    # heap fragmented enough to raise perfbench's `reductions` peak RSS by 8 %
     assignments: dict = {}
     for (j, i), entries in matched.items():
         slot = assignments[(i, j)] = {}

@@ -9,7 +9,6 @@ from threebench.dominance import (
     RED,
     LabeledPoint,
     c_epsilon,
-    match_candidates,
     report_dominating_pairs,
     sorting_permutations,
 )
@@ -138,17 +137,16 @@ def test_sorting_permutations_of_all_ties_are_the_identity(width):
 def _dominance_route(reds, blues, width):
     """The reference: one divide-and-conquer dominance report per permutation
     on lexicographic (value, tag) coordinates; ``{(r, b): [permutations]}``."""
-
-    def coords(pi, color, i):
-        if color == RED:
-            v = reds[i]
-            return tuple((v[pi[x + 1]] - v[pi[x]], pi[x + 1] - pi[x])
-                         for x in range(width - 1))
-        v = blues[i]
-        return tuple((v[pi[x]] - v[pi[x + 1]], 0) for x in range(width - 1))
-
-    return match_candidates(permutations(range(width)), range(len(reds)),
-                            range(len(blues)), coords)
+    matched = {}
+    for pi in permutations(range(width)):
+        steps = list(zip(pi, pi[1:]))
+        points = [LabeledPoint(tuple((v[q] - v[p], q - p) for p, q in steps), RED, i)
+                  for i, v in enumerate(reds)]
+        points += [LabeledPoint(tuple((v[p] - v[q], 0) for p, q in steps), BLUE, j)
+                   for j, v in enumerate(blues)]
+        report_dominating_pairs(
+            points, lambda red, blue, pi=pi: matched.setdefault((red.id, blue.id), []).append(pi))
+    return matched
 
 
 def test_sorting_permutations_equal_the_dominance_route():
@@ -195,22 +193,3 @@ def test_sorting_permutations_reject_rows_of_another_width(reds, blues):
 def test_sorting_permutations_refuse_a_pair_not_matched_exactly_once(reds, blues, message):
     with pytest.raises(ValueError, match=message):
         sorting_permutations(reds, blues, len(reds[0]))
-
-
-def test_match_candidates_equals_per_candidate_brute_force():
-    rng = np.random.default_rng(1)
-    # 22 points per candidate: past the brute-force cutoff of the recursion
-    red_ids, blue_ids = list(range(0, 24, 2)), list(range(1, 20, 2))
-    table = {(c, color, i): tuple(float(v) for v in rng.integers(0, 4, size=3))
-             for c in range(12) for color in (RED, BLUE) for i in range(24)}
-
-    def coords(c, color, i):
-        return table[(c, color, i)]
-
-    want = {}
-    for c in range(12):
-        for i in red_ids:
-            for j in blue_ids:
-                if all(x >= y for x, y in zip(coords(c, RED, i), coords(c, BLUE, j))):
-                    want.setdefault((i, j), []).append(c)
-    assert match_candidates(range(12), red_ids, blue_ids, coords) == want

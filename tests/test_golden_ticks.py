@@ -88,9 +88,10 @@ def test_the_grid_covers_every_solver():
 
 # the parameters each solver reads; every other solver reads g alone
 READS = {("3sum", "quadratic"): (), ("3sum", "subq-det"): ("g", "s", "q"),
-         ("3sum", "subq-rand"): ("g", "s", "p"), ("conv", "naive"): (),
-         ("zerotri", "dense-trivial"): (), ("zerotri", "sparse"): ("K",),
-         ("zerotri", "sparse-core"): ("K",), ("tmp", "trivial"): ()}
+         ("3sum", "subq-rand"): ("g", "s", "p", "seed"), ("conv", "naive"): (),
+         ("zerotri", "dense-trivial"): (), ("zerotri", "dense-sampled"): ("g", "seed"),
+         ("zerotri", "sparse"): ("K", "seed"), ("zerotri", "sparse-core"): ("K",),
+         ("tmp", "trivial"): (), ("tmp", "sampled"): ("g", "seed")}
 
 
 def _run(problem, algo, instance, options):

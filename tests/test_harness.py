@@ -240,6 +240,8 @@ def test_cli_refuses_a_parameter_the_solver_does_not_read(tmp_path, capsys):
         ("3sum", "subq-rand", ["--q", "4"], "--q"),
         ("conv", "blocked", ["--alphas", "0,1,1,1"], "--alphas"),
         ("ldt", "kldt", ["--K", "2"], "--K"),
+        ("3sum", "dt", ["--seed", "5"], "3sum dt reads no --seed"),
+        ("3sum", "subq-det", ["--seed", "0"], "--seed"),
     ]:
         assert cli.main(["solve", problem, "--algo", algo, "--input", str(path)] + flags) == 1
         captured = capsys.readouterr()
@@ -252,6 +254,16 @@ def test_cli_refuses_a_parameter_the_solver_does_not_read(tmp_path, capsys):
         ("ldt", "kldt", ["--g", "2", "--k", "3", "--alphas", "0,1,1,1"]),
     ]:
         assert cli.main(["solve", problem, "--algo", algo, "--input", str(path)] + flags) == 0
+
+
+def test_cli_solve_lists_the_seed_of_a_sampling_solver(tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    _write_vector(path, [5.0, 1.0, -2.0, 3.0])
+    solve = ["solve", "3sum", "--algo", "subq-rand", "--input", str(path)]
+    assert cli.main(solve) == 0
+    assert "params: g=2 s=2 p=4 seed=0\n" in capsys.readouterr().out
+    assert cli.main(solve + ["--seed", "5"]) == 0
+    assert "params: g=2 s=2 p=4 seed=5\n" in capsys.readouterr().out
 
 
 def test_cli_non_finite_input_is_an_error(tmp_path, capsys):

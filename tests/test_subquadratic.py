@@ -3,6 +3,7 @@ import pytest
 
 from threebench import threesum
 from threebench.core import ComparisonLedger, TaggedReal, cut_groups, tag_cols, tag_rows
+from threebench.dominance import BLUE, RED, LabeledPoint
 from threebench.threesum import (
     BoxView,
     SubquadraticParams,
@@ -233,6 +234,67 @@ def test_corner_anchored_pair_matches_direct_contours():
         box = BoxView(tag_rows(groups[i]), tag_cols(groups[j]))
         entry = slots[((0, 0), (g - 1, g - 1))]
         assert compute_contour(box, box.tagged(0, 0)).moves == entry.tau.moves
+
+
+# the per-coordinate builders that match_boxes' index maps replaced: the oracle
+
+
+def _contour_coords(contour, anchor, vals, color):
+    l, m_ = anchor
+    red = color == RED  # red points come from column groups, blue from rows
+    out = []
+    for (pos, mv) in zip(contour.steps, contour.moves):
+        if pos == anchor:
+            continue
+        tr, tc = pos
+        sigma = 1 if mv == "W" else -1
+        if red:
+            out.append((sigma * (vals[tc] - vals[m_]), 0, sigma * (tc - m_)))
+        else:
+            out.append((sigma * (vals[l] - vals[tr]), sigma * (l - tr), 0))
+    return out
+
+
+def _order_coords(order, vals, color):
+    red = color == RED
+    out = []
+    for t in range(len(order) - 1):
+        (x0, y0), (x1, y1) = order[t], order[t + 1]
+        if red:
+            out.append((vals[y1] - vals[y0], 0, y1 - y0))
+        else:
+            out.append((vals[x0] - vals[x1], x0 - x1, 0))
+    return out
+
+
+def _entry_coords(entry, vals, color):
+    coords = _contour_coords(entry.tau, entry.anchor, vals, color)
+    coords += _contour_coords(entry.tau_prime, entry.anchor_prime, vals, color)
+    coords += _order_coords(entry.order, vals, color)
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("g, point_set, span", [
+    (2, deterministic_point_set(2, 2), grid_span(2, 2)),
+    (3, deterministic_point_set(3, 1), grid_span(3, 1)),
+    (3, random_point_set(3, default_point_count(3, 3), np.random.default_rng(3)), 3),
+])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_match_boxes_points_equal_the_per_coordinate_builders(g, point_set, span, duplicates):
+    # with duplicates, tied values leave the tags to decide dominance
+    rng = np.random.default_rng(g)
+    draw = rng.integers(-2, 3, size=8 * g + 1).astype(float) if duplicates \
+        else rng.normal(size=8 * g + 1)
+    groups = cut_groups(np.sort(draw), g)
+    full = [(i, grp.tolist()) for i, grp in enumerate(groups) if len(grp) == g]
+    cat = cached_catalog(g, point_set, span)
+    seen = []
+    match_boxes(groups, cat, report=lambda points, sink: seen.append(points))
+    assert len(seen) == len(cat.entries) > 0
+    for entry, points in zip(cat.entries, seen):
+        want = [LabeledPoint(_entry_coords(entry, vals, color), color, i)
+                for color in (RED, BLUE) for i, vals in full]
+        assert points == want
 
 
 # ---------------------------------------------------------------------------
