@@ -43,7 +43,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--k", type=int, help="ldt arity (default 3, or that of --alphas)")
     solve.add_argument("--alphas", help="ldt coefficients a0,a1,...,ak")
     solve.add_argument("--no-check", action="store_true",
-                       help="skip the oracle cross-check")
+                       help="skip the witness check and the oracle cross-check")
 
     bench = sub.add_parser("bench", help="run an experiment grid, write CSV")
     bench.add_argument("--config", help="key = value file; flags override")
@@ -105,9 +105,10 @@ def _cmd_solve(args) -> int:
         raise ValueError(f"{args.problem} {args.algo} reads no "
                          + ", ".join(f"--{key}" for key in sorted(unread)))
     size = harness._instance_size(args.problem, instance)
-    cap = harness.DEFAULT_ORACLE_CAPS[args.problem]
-    if not args.no_check and size <= cap:
-        harness.cross_check(args.problem, instance, found, payload, options)
+    if not args.no_check:
+        harness.check_witness(args.problem, instance, found, payload)
+        if size <= harness.DEFAULT_ORACLE_CAPS[args.problem]:
+            harness.cross_check(args.problem, instance, found, payload, options)
     print(f"problem: {args.problem}")
     print(f"algo: {args.algo}")
     print(f"n: {size}")

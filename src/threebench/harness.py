@@ -222,10 +222,7 @@ def _witness(w, **params):
 
 
 def _quadratic(values, options, ledger, seed):
-    if len(values) <= 400:
-        wits = ts.solve_quadratic(values, values, values, ledger)
-        return bool(wits), (wits[0] if wits else None), {}
-    return ts.quadratic_tick_count(values, values, values, ledger), None, {}
+    return _witness(ts.solve_quadratic(values, values, values, ledger))
 
 
 def _decision_tree(mode):
@@ -343,6 +340,19 @@ def _instance_size(problem, instance) -> int:
     return len(instance)
 
 
+def check_witness(problem, instance, found, payload) -> None:
+    """Abort unless a 3SUM solver returned a witness exactly when it said
+    found, drawn from the input with a + b == -c.  Needs no oracle, so it
+    runs at every n."""
+    if problem != "3sum":
+        return
+    exact = payload is None or (
+        payload[0] + payload[1] == -payload[2]
+        and set(payload) <= set(np.asarray(instance, dtype=np.float64).tolist()))
+    if bool(found) != (payload is not None) or not exact:
+        raise OracleMismatch(f"3sum: solver said {bool(found)} with witness {payload}")
+
+
 def cross_check(problem, instance, found, payload, options) -> None:
     """Abort with a diagnostic when the solver's decision disagrees with
     the matching brute-force oracle."""
@@ -377,8 +387,9 @@ def cross_check(problem, instance, found, payload, options) -> None:
 def run_experiment(config: ExperimentConfig) -> list:
     """All (size, trial, algo) runs in deterministic order.
 
-    Each run under the oracle cap is cross-checked; a mismatch raises
-    OracleMismatch.  Writes the CSV when the config names a path.
+    Each 3SUM witness is checked, and each run under the oracle cap is
+    cross-checked; a failure raises OracleMismatch.  Writes the CSV when the
+    config names a path.
     """
     cap = config.oracle_cap if config.oracle_cap is not None \
         else DEFAULT_ORACLE_CAPS[config.problem]
@@ -393,6 +404,7 @@ def run_experiment(config: ExperimentConfig) -> list:
                 found, payload, params = run_solver(
                     config.problem, algo, instance, config.options, ledger, trial_seed)
                 wall = time.perf_counter_ns() - t0
+                check_witness(config.problem, instance, found, payload)
                 if _instance_size(config.problem, instance) <= cap:
                     cross_check(config.problem, instance, found, payload, config.options)
                 records.append(RunRecord(

@@ -77,15 +77,17 @@ def default_kldt_group_size(arity: int, n: int) -> int:
 
 
 def oracle_kldt(phi: LinearForm, values: Sequence[float]) -> bool:
-    """Exhaustive scan of S^k."""
+    """Exhaustive scan of S^k, one slab of n^(k-1) values per first value."""
     k = phi.arity
     vals = np.asarray(values, dtype=np.float64)
     if len(vals) ** k > ORACLE_CAP:
         raise ValueError("oracle would exceed the element cap")
-    total = np.array(float(phi.coefficients[0]))
-    for i in range(1, k + 1):
-        total = total[..., None] + phi.coefficients[i] * vals
-    return bool((total == 0.0).any())
+    for total in float(phi.coefficients[0]) + phi.coefficients[1] * vals:
+        for alpha in phi.coefficients[2:]:
+            total = total[..., None] + alpha * vals
+        if (total == 0.0).any():
+            return True
+    return False
 
 
 def solve_kldt(phi: LinearForm, values: Sequence[float],

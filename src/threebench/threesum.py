@@ -4,7 +4,7 @@ Four solver families share the same staircase search over a grid of
 group-pair boxes:
 
 * ``solve_quadratic`` - the classic two-pointer walk, one 3-linear tick
-  per step.
+  per step, stepped for many keys at once up to the first witness.
 * ``solve_decision_tree`` - groups the sorted input, pays for one sorted
   difference list, deduces every box's order from it for free, then
   binary-searches boxes.
@@ -200,19 +200,17 @@ def leq_positions(contour: Contour) -> frozenset:
 
 
 def oracle_3sum(values: Sequence[float]) -> Optional[tuple[float, float, float]]:
-    """Exhaustive scan over all ordered triples (repeats allowed)."""
+    """Exhaustive scan over all ordered triples (repeats allowed), one n x n
+    slab of sums per first value; the first zero triple in index order."""
     arr = np.asarray(values, dtype=np.float64)
-    n = len(arr)
-    if n == 0:
-        return None
-    if n > 400:
+    if len(arr) > 400:
         raise ValueError("oracle capped at n=400")
-    sums = arr[:, None, None] + arr[None, :, None] + arr[None, None, :]
-    idx = np.argwhere(sums == 0.0)
-    if len(idx) == 0:
-        return None
-    i, j, k = idx[0]
-    return (float(arr[i]), float(arr[j]), float(arr[k]))
+    for x in arr:
+        idx = np.argwhere((x + arr[:, None]) + arr[None, :] == 0.0)
+        if len(idx):
+            j, k = idx[0]
+            return (float(x), float(arr[j]), float(arr[k]))
+    return None
 
 
 def _sort_unique_counted(values, ledger) -> np.ndarray:
@@ -223,38 +221,8 @@ def _sort_unique_counted(values, ledger) -> np.ndarray:
     return svals[np.append(True, svals[1:] != svals[:-1])] if len(svals) else svals
 
 
-def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger):
-    """Two-pointer walk; returns the list of witness value triples.
-
-    One 3-linear tick per walk step (the step's sign query answers both
-    the equality test and the direction choice).  Equal sums report a
-    witness and advance the low pointer.  Inputs are deduplicated so rows
-    and columns of the implicit sum matrix hold distinct values, which
-    makes the witness list complete.
-    """
-    ua = _sort_unique_counted(as_reals(a_vals), ledger).tolist()
-    ub = _sort_unique_counted(as_reals(b_vals), ledger).tolist()
-    witnesses = []
-    if not ua or not ub:
-        return witnesses
-    for c in as_reals(c_vals):
-        key = -c
-        lo, hi = 0, len(ub) - 1
-        while lo < len(ua) and hi >= 0:
-            ledger.tick(3)
-            s = ua[lo] + ub[hi]
-            if s == key:
-                witnesses.append((ua[lo], ub[hi], c))
-                lo += 1
-            elif key < s:
-                hi -= 1
-            else:
-                lo += 1
-    return witnesses
-
-
-# row strips of quadratic_tick_count's walk; it walks len(keys) / _STRIPS
-# keys at a time
+# row strips of solve_quadratic's walk; it walks len(keys) / _STRIPS keys at
+# a time
 _STRIPS = 4
 
 
@@ -275,18 +243,21 @@ def _walk_end(ua, ub, keys, lend, r0, r1):
     return np.where(by_col, np.maximum(lend, r0), r1), np.where(by_col, -1, last)
 
 
-def quadratic_tick_count(a_vals, b_vals, c_vals, ledger: ComparisonLedger) -> bool:
-    """Fast twin of :func:`solve_quadratic`: identical ledger counts and
-    decision, no witness enumeration.
+def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger):
+    """Two-pointer walk over the sorted, deduplicated a and b for every key
+    -c; returns the first ``(a, b, c)`` it steps on with a + b == -c, or None.
 
-    It books the walk's length in closed form and decides by stepping the
-    walk itself on raw sums ``a + b == key``, row strip by row strip, for a
-    chunk of keys at once (:func:`_walk_strips`)."""
+    One 3-linear tick per step of every walk run to its end, booked in
+    closed form: the step's sign query answers both the equality test and
+    the direction choice, and an equal sum advances the low pointer.  The
+    walk itself is stepped on raw sums for a chunk of keys at once
+    (:func:`_walk_strips`) up to its first hit, which need not be the first
+    witness in input order."""
     ua = _sort_unique_counted(as_reals(a_vals), ledger)
     ub = _sort_unique_counted(as_reals(b_vals), ledger)
     keys = -np.asarray(as_reals(c_vals))
     if len(ua) == 0 or len(ub) == 0 or len(keys) == 0:
-        return False
+        return None
     na, nb = len(ua), len(ub)
     strips = min(_STRIPS, na)
     cuts = np.arange(strips + 1) * na // strips
@@ -295,13 +266,22 @@ def quadratic_tick_count(a_vals, b_vals, c_vals, ledger: ComparisonLedger) -> bo
         lend = np.searchsorted(ua + ub[0], keys, side="right")
         walk = _walk_length(0, nb - 1, *_walk_end(ua, ub, keys, lend, 0, na))
         ledger.tick(3, int(walk.sum()))
-        return any(_walk_strips(ua, ub, keys[i:i + chunk], lend[i:i + chunk], cuts)
-                   for i in range(0, len(keys), chunk))
+        chunks = (_walk_strips(ua, ub, keys[i:i + chunk], lend[i:i + chunk], cuts)
+                  for i in range(0, len(keys), chunk))
+        return next((witness for witness in chunks if witness is not None), None)
 
 
-def _walk_strips(ua, ub, keys, lend, cuts) -> bool:
+def quadratic_tick_count(a_vals, b_vals, c_vals, ledger: ComparisonLedger) -> bool:
+    """:func:`solve_quadratic`'s decision as a bool.  It stays because the
+    benchmark calls and traces it by this name, and puts the bool in one set
+    with the other solvers' decisions."""
+    return solve_quadratic(a_vals, b_vals, c_vals, ledger) is not None
+
+
+def _walk_strips(ua, ub, keys, lend, cuts):
     """Step the walk of every key through every row strip [cuts[s],
-    cuts[s + 1]) at once; True at the first step with a sum equal to its key.
+    cuts[s + 1]) at once; return ``(a, b, c)`` at the first step with a sum
+    equal to its key ``-c``, or None.
 
     A strip's walk starts in its first row at the last column with sum <=
     key: the walk from the NE corner reaches that cell, and every cell it
@@ -327,13 +307,15 @@ def _walk_strips(ua, ub, keys, lend, cuts) -> bool:
         l, h, k = lo[:m], hi[:m], key[:m]
         # "wrap" keeps an overrun in bounds, for the assertion to report
         sums = uax.take(l, mode="wrap") + ubx.take(h, mode="wrap")
-        if (sums == k).any():
-            return True
+        hit = sums == k
+        if hit.any():
+            t = hit.argmax()
+            return float(uax[l[t]]), float(ubx[h[t]]), float(-k[t])
         up = sums <= k
         l += up
         h -= ~up
     assert ((lo == end_lo) & (hi == end_hi)).all(), "a walk ended off its closed-form end"
-    return False
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_criterion_01_oracle_equivalence_3sum():
 
         results = []
         led = ComparisonLedger()
-        results.append(bool(solve_quadratic(arr, arr, arr, led)))
+        results.append(solve_quadratic(arr, arr, arr, led) is not None)
         led = ComparisonLedger()
         results.append(solve_decision_tree(arr, None, led) is not None)
         led = ComparisonLedger()

@@ -31,9 +31,9 @@ ALGOS = {
 }
 SIZES = {"3sum": (17, 48), "conv": (17, 40), "ldt": (7, 12), "zerotri": (9, 16),
          "tmp": (4, 7)}
-# group size 3 is chosen from n = 512 on, and quadratic's fast twin
-# switches on above 400; the dt rows on tie-heavy inputs pin probe counts on
-# boxes whose sums repeat
+# group size 3 is chosen from n = 512 on, and quadratic's walk is pinned at
+# that size too; the dt rows on tie-heavy inputs pin probe counts on boxes
+# whose sums repeat
 LARGE = [("3sum", algo, 520, "uniform") for algo in ("subq-det", "subq-rand", "dt",
                                                       "quadratic")]
 LARGE += [("3sum", "dt", 520, "duplicate-heavy"), ("3sum", "dt", 520, "planted")]

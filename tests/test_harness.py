@@ -307,6 +307,50 @@ def test_cli_oracle_mismatch_returns_two(tmp_path, capsys, monkeypatch):
     assert "oracle mismatch" in capsys.readouterr().err
 
 
+def test_cli_quadratic_prints_a_witness_above_the_oracle_cap(tmp_path, capsys):
+    values = harness.generate("3sum", 500, "planted", 1)
+    path = tmp_path / "in.txt"
+    _write_vector(path, values)
+    assert cli.main(["solve", "3sum", "--algo", "quadratic", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    wits = [line.split()[1:] for line in out.splitlines() if line.startswith("witness: ")]
+    assert len(wits) == 1
+    a, b, c = (float(t) for t in wits[0])
+    assert {a, b, c} <= set(values.tolist()) and a + b == -c
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda a, b, c: (a + 1.0, b - 1.0, c),   # sums to zero, not drawn from the input
+    lambda a, b, c: (a, a, c),               # drawn from the input, sum not zero
+], ids=["not-drawn", "not-zero"])
+def test_a_bad_witness_above_the_oracle_cap_is_a_mismatch(tmp_path, capsys, monkeypatch,
+                                                          tamper):
+    n = 200
+    assert n > harness.DEFAULT_ORACLE_CAPS["3sum"]
+    config = harness.ExperimentConfig("3sum", ("dt",), (n,), generator="planted")
+    assert harness.run_experiment(config)[0].found
+    real = ts.solve_decision_tree
+    monkeypatch.setattr(ts, "solve_decision_tree",
+                        lambda *args, **kwargs: tamper(*real(*args, **kwargs)))
+    with pytest.raises(harness.OracleMismatch, match="witness"):
+        harness.run_experiment(config)
+    path = tmp_path / "in.txt"
+    _write_vector(path, harness.generate("3sum", n, "planted", 0))
+    solve = ["solve", "3sum", "--algo", "dt", "--input", str(path)]
+    assert cli.main(solve) == 2
+    assert "oracle mismatch" in capsys.readouterr().err
+    assert cli.main(solve + ["--no-check"]) == 0
+
+
+def test_a_decision_without_its_witness_is_a_mismatch():
+    values = [-3.0, 1.0, 2.0]
+    harness.check_witness("3sum", values, True, (1.0, 2.0, -3.0))
+    harness.check_witness("3sum", values, False, None)
+    for found, payload in ((True, None), (False, (1.0, 2.0, -3.0))):
+        with pytest.raises(harness.OracleMismatch):
+            harness.check_witness("3sum", values, found, payload)
+
+
 def test_cli_bench_and_fit(tmp_path, capsys):
     csv = tmp_path / "bench.csv"
     conf = tmp_path / "bench.conf"

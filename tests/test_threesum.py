@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from threebench import threesum
-from threebench.core import ComparisonLedger, TaggedReal
+from threebench.core import ComparisonLedger, TaggedReal, as_reals
 from threebench.threesum import (
     BoxView,
     compute_contour,
@@ -43,16 +43,53 @@ def test_oracle_direct_witness():
     assert oracle_3sum([-3.0, 1.0, 2.0]) is not None
 
 
+def _quadratic_scalar(a_vals, b_vals, c_vals, ledger):
+    """The two-pointer walk in plain Python, the oracle of solve_quadratic:
+    one 3-linear tick per step, and every witness triple.  Equal sums report
+    a witness and advance the low pointer.  Inputs are deduplicated so rows
+    and columns of the implicit sum matrix hold distinct values, which makes
+    the witness list complete."""
+    ua = threesum._sort_unique_counted(as_reals(a_vals), ledger).tolist()
+    ub = threesum._sort_unique_counted(as_reals(b_vals), ledger).tolist()
+    witnesses = []
+    if not ua or not ub:
+        return witnesses
+    for c in as_reals(c_vals):
+        key = -c
+        lo, hi = 0, len(ub) - 1
+        while lo < len(ua) and hi >= 0:
+            ledger.tick(3)
+            s = ua[lo] + ub[hi]
+            if s == key:
+                witnesses.append((ua[lo], ub[hi], c))
+                lo += 1
+            elif key < s:
+                hi -= 1
+            else:
+                lo += 1
+    return witnesses
+
+
+def _quadratic_pair(a, b, c):
+    """solve_quadratic against the scalar walk: the same decision and ledger
+    counts, and a witness from the walk's list.  Returns the witness list."""
+    l1, l2 = ComparisonLedger(), ComparisonLedger()
+    wits = _quadratic_scalar(a, b, c, l1)
+    witness = solve_quadratic(a, b, c, l2)
+    assert (witness is not None) == bool(wits)
+    assert witness is None or witness in wits
+    assert l1.count_klinear == l2.count_klinear
+    return wits
+
+
 def test_quadratic_single_zero():
-    led = ComparisonLedger()
-    wits = solve_quadratic([0.0], [0.0], [0.0], led)
-    assert wits == [(0.0, 0.0, 0.0)]
+    assert _quadratic_pair([0.0], [0.0], [0.0]) == [(0.0, 0.0, 0.0)]
+    assert solve_quadratic([0.0], [0.0], [0.0], ComparisonLedger()) == (0.0, 0.0, 0.0)
 
 
 def test_quadratic_forced_witness():
-    led = ComparisonLedger()
-    wits = solve_quadratic([1.0], [2.0], [-3.0], led)
-    assert wits == [(1.0, 2.0, -3.0)]
+    assert _quadratic_pair([1.0], [2.0], [-3.0]) == [(1.0, 2.0, -3.0)]
+    assert solve_quadratic([1.0], [2.0], [-3.0], ComparisonLedger()) == (1.0, 2.0, -3.0)
 
 
 def test_quadratic_matches_exhaustive_three_set_scan():
@@ -62,11 +99,12 @@ def test_quadratic_matches_exhaustive_three_set_scan():
         b = rng.integers(-15, 16, size=40).astype(float)
         c = rng.integers(-15, 16, size=40).astype(float)
         led = ComparisonLedger()
-        got = set(solve_quadratic(a, b, c, led))
+        got = set(_quadratic_scalar(a, b, c, led))
         want = {(float(x), float(y), float(z))
                 for x in set(a) for y in set(b) for z in set(c)
                 if x + y + z == 0}
         assert got == want
+        assert set(_quadratic_pair(a, b, c)) == want
         assert led.count_3linear <= len(c) * (len(set(a)) + len(set(b)))
 
 
@@ -78,30 +116,19 @@ def test_quadratic_tick_bound_and_fast_twin():
         a = rng.integers(-uni, uni + 1, size=na).astype(float).tolist()
         b = rng.integers(-uni, uni + 1, size=nb).astype(float).tolist()
         c = rng.integers(-uni, uni + 1, size=nc).astype(float).tolist()
-        l1, l2 = ComparisonLedger(), ComparisonLedger()
-        wits = solve_quadratic(a, b, c, l1)
-        found = quadratic_tick_count(a, b, c, l2)
-        assert bool(wits) == found
-        assert l1.count_klinear == l2.count_klinear
+        _quadratic_pair(a, b, c)
+        led = ComparisonLedger()
+        assert quadratic_tick_count(a, b, c, led) is \
+            (solve_quadratic(a, b, c, ComparisonLedger()) is not None)
+        assert led.count_3linear <= nc * (len(set(a)) + len(set(b)))
 
 
 def test_quadratic_twin_reads_no_witness_from_an_overflowed_difference():
     # -c - a overflows to +inf above every b, then to -inf below every b
     b = [1.0, 2.0]
     for a, c in (([-1.7e308], [-1.7e308]), ([1.7e308], [1.7e308])):
-        l1, l2 = ComparisonLedger(), ComparisonLedger()
-        assert solve_quadratic(a, b, c, l1) == []
         with np.errstate(over="ignore"):
-            assert quadratic_tick_count(a, b, c, l2) is False
-        assert l1.count_klinear == l2.count_klinear
-
-
-def _quadratic_pair(a, b, c):
-    l1, l2 = ComparisonLedger(), ComparisonLedger()
-    found = bool(solve_quadratic(a, b, c, l1))
-    assert quadratic_tick_count(a, b, c, l2) is found
-    assert l1.count_klinear == l2.count_klinear
-    return found
+            assert _quadratic_pair(a, b, c) == []
 
 
 def test_quadratic_twin_decides_a_planted_last_key():
@@ -117,7 +144,7 @@ def test_quadratic_twin_decides_a_planted_last_key():
         planted = trial % 2 == 0
         if planted:
             c.append(-(rng.choice(a) + rng.choice(b)))
-        assert _quadratic_pair(a, b, c) is planted
+        assert bool(_quadratic_pair(a, b, c)) is planted
         strips.add(min(threesum._STRIPS, len(set(a))))
         if c:
             chunk = math.ceil(len(c) / threesum._STRIPS)
@@ -139,16 +166,16 @@ def test_quadratic_twin_decides_keys_past_the_last_full_chunk(monkeypatch, strip
         planted = trial % 2 == 0
         if planted:
             c.append(-(a[-1] + b[0]))
-        assert _quadratic_pair(a, b, c) is planted
+        assert bool(_quadratic_pair(a, b, c)) is planted
 
 
 def test_quadratic_twin_decides_on_raw_sums_like_the_walk():
     # -0.9 + 0.1 == -0.8 while -0.8 - -0.9 != 0.1, and the reverse
-    assert _quadratic_pair([-0.9], [0.1], [0.8]) is True
-    assert _quadratic_pair([-0.9], [0.7], [0.2]) is False
+    assert _quadratic_pair([-0.9], [0.1], [0.8]) == [(-0.9, 0.1, 0.8)]
+    assert _quadratic_pair([-0.9], [0.7], [0.2]) == []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _quadratic_pair([1.7e308], [1.7e308, 1.0], [-1.0]) is False
+        assert _quadratic_pair([1.7e308], [1.7e308, 1.0], [-1.0]) == []
     rng = np.random.default_rng(13)
     for _ in range(1500):
         a, b, c = (np.round(rng.normal(size=int(rng.integers(1, 41))), 1) for _ in range(3))
@@ -185,7 +212,7 @@ def test_quadratic_twin_trips_on_a_walk_length_off_by_one(monkeypatch, name, pat
         c = np.append(2.0 * rng.integers(-40, 40, size=int(rng.integers(0, 12))) + 1.0,
                       [-81.0, 81.0])
         with pytest.raises(AssertionError, match="closed-form end"):
-            quadratic_tick_count(a, b, c, ComparisonLedger())
+            solve_quadratic(a, b, c, ComparisonLedger())
 
 
 def test_contour_below_minimum_marches_west_along_row_zero():
@@ -396,4 +423,5 @@ def test_default_group_size_formula():
 def test_empty_input():
     led = ComparisonLedger()
     assert solve_decision_tree([], None, led) is None
-    assert solve_quadratic([], [], [], led) == []
+    assert solve_quadratic([], [], [], led) is None
+    assert _quadratic_scalar([], [], [], led) == []
