@@ -17,6 +17,15 @@ each visited box at one tick per probe of :func:`ternary_search`.
 Solvers accept input reals through :func:`as_reals`, sort them with
 :func:`sorted_counted` and cut the sorted list into groups with
 :func:`cut_groups`.
+
+Groups cut from a sorted list ascend, and a solver that says so pays for
+less than a blind sort of its differences: each row ``x`` of a group's
+difference list, read for ``y = x-1`` down to 0, is already a sorted run,
+so the counted mergesort merges the upper halves ``x > y`` from about 2n
+runs, and the lower half (the upper half negated) and the diagonal follow
+without comparisons.  Merging still costs about log 2n comparisons per
+difference, one log factor above Fredman's bound that the paper's depth
+rests on.
 """
 
 from __future__ import annotations
@@ -140,24 +149,27 @@ class ComparisonLedger:
         return {k: b.get(k, 0) - a.get(k, 0) for k in set(a) | set(b)}
 
 
-def merge_sort_counted(items: Sequence, compare: Callable) -> list:
+_NOT_ASCENDING = "a segment declared ascending does not ascend"
+
+
+def merge_sort_counted(items: Sequence, compare: Callable,
+                       starts: Optional[Sequence[int]] = None) -> list:
     """Canonical bottom-up stable mergesort; `compare` is charged per call.
 
     This is the reference sorting procedure for every instrumented sort in
-    the package: runs double from width 1, merges take the left element on
-    ties, and the trailing run is flushed without comparisons.  The
-    vectorised tick counters mirror exactly this procedure.
+    the package.  The merge starts from the sorted runs that begin at
+    `starts` (ascending, from 0), by default one run per element.  Each
+    level merges runs (0, 1), (2, 3), ..., taking the left element on ties;
+    an unpaired last run moves up without comparisons.  The vectorised tick
+    counter mirrors exactly this procedure.
     """
     out = list(items)
     n = len(out)
-    width = 1
+    bounds = [*(range(n) if starts is None else starts), n]
     buf = [None] * n
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            if mid >= hi:
-                continue
+    while len(bounds) > 2:
+        for t in range(0, len(bounds) - 2, 2):
+            lo, mid, hi = bounds[t:t + 3]
             i, j, k = lo, mid, lo
             while i < mid and j < hi:
                 if compare(out[i], out[j]) <= 0:
@@ -167,39 +179,48 @@ def merge_sort_counted(items: Sequence, compare: Callable) -> list:
                     buf[k] = out[j]
                     j += 1
                 k += 1
-            while i < mid:
-                buf[k] = out[i]
-                i += 1
-                k += 1
-            while j < hi:
-                buf[k] = out[j]
-                j += 1
-                k += 1
+            buf[k:hi] = out[i:mid] if i < mid else out[j:hi]
             out[lo:hi] = buf[lo:hi]
-        width *= 2
+        bounds = [*bounds[:-1:2], n]
     return out
 
 
-def sort_differences(groups: Sequence[Sequence[TaggedReal]],
-                     ledger: ComparisonLedger, arity: int = 4) -> list[TaggedReal]:
+def sort_differences(groups: Sequence[Sequence[TaggedReal]], ledger: ComparisonLedger,
+                     arity: int = 4, ascending: bool = False) -> list[TaggedReal]:
     """Sort the union of all within-group difference lists.
 
     The reference for :func:`difference_ticks`: group by group, each
-    contributes ``grp[x] - grp[y]`` for every ``(x, y)`` in row-major order.
-    Every comparison made during the sort is a sign query on a difference
-    of differences and ticks the ledger once; for plain inputs that form
-    touches four reals, for composite inputs the caller passes the wider
-    arity.
+    contributes ``grp[x] - grp[y]`` for every ``(x, y)``.  Every comparison
+    made during the sort is a sign query on a difference of differences and
+    ticks the ledger once; for plain inputs that form touches four reals,
+    for composite inputs the caller passes the wider arity.
+
+    Unsorted groups are sorted from singletons in row-major order.  When the
+    caller states that every group ascends (``ascending=True``), only the
+    upper half ``x > y`` is sorted: row ``x``, read for ``y = x-1`` down to
+    0, is already a sorted run, and the runs come group by group, then ``x =
+    1 .. m-1``.  The lower half is the upper half negated and reversed and
+    the diagonal sits between the two, both placed without comparisons.
     """
     if not groups:
         raise ValueError("groups must be nonempty")
-    diffs = [gx - gy for grp in groups for gx in grp for gy in grp]
 
     def compare(a, b):
         ledger.tick(arity)
         return cmp_tagged(a, b)
 
-    return merge_sort_counted(diffs, compare)
+    if not ascending:
+        return merge_sort_counted([gx - gy for grp in groups for gx in grp for gy in grp], compare)
+    assert all(a.u <= b.u and (a.r, a.c) < (b.r, b.c)
+               for grp in groups for a, b in zip(grp, grp[1:])), _NOT_ASCENDING
+    upper, starts = [], []
+    for grp in groups:
+        for x in range(1, len(grp)):
+            starts.append(len(upper))
+            upper.extend(grp[x] - grp[y] for y in range(x - 1, -1, -1))
+    upper = merge_sort_counted(upper, compare, starts)
+    diagonal = [d - d for grp in groups for d in grp]
+    return [-d for d in reversed(upper)] + diagonal + upper
 
 
 # -- vectorised tick counting -------------------------------------------------
@@ -210,34 +231,29 @@ def sort_differences(groups: Sequence[Sequence[TaggedReal]],
 # tag) maximum outlasts the other: if max L <= max R, L empties first after
 # |L| + #{r in R : r < max L} comparisons; otherwise R does, after
 # |R| + #{l in L : l <= max R}.  Counts and maxima are permutation-invariant,
-# so they need only the *unsorted* run contents at every width.  The
-# maximum of a run at width 2w is the larger of its halves' maxima, so each
-# level carries one (value, tag) maximum per run up from the level below at
-# O(N/w) cost, and counts only the run that outlasts, against the other
-# run's maximum: one compare of the N values with a per-run threshold (NaN
-# for runs that empty first, so they never count), one count, and one
-# equality test whose sparse hits alone are resolved by tag.
+# so they need only the *unsorted* run contents at every level, and the runs
+# of a level are contiguous slices of the input.  The maximum of a merged
+# run is the larger of its halves' maxima, so each level carries one
+# (value, tag) maximum per run up from the level below at O(runs) cost, and
+# counts only the run that outlasts, against the other run's maximum: one
+# compare of the N values with a per-run threshold (NaN for runs that empty
+# first, so they never count), one count, and one equality test whose
+# sparse hits alone are resolved by tag.  One run per element makes every
+# run but the last as wide as the level, so the values reshape against the
+# thresholds; other run layouts repeat each threshold over its run.
 
 
-def _tie_count(pos, left_first, keep, top_t, tags, step) -> int:
-    """How many values at `pos`, each equal to its block's threshold, count
-    by tag: a right-run value below the left maximum's tag when the left run
-    empties first, else a left-run value at or below the right maximum's."""
-    if not len(pos):
-        return 0
-    block = pos // step
-    if tags is None:
-        return int(np.count_nonzero(~left_first[block]))
-    return int(np.count_nonzero(tags[pos] < top_t[keep[block] ^ 1] + ~left_first[block]))
-
-
-def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None) -> int:
+def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None,
+                         starts: Optional[np.ndarray] = None) -> int:
     """Comparisons the canonical mergesort makes on (u, tags) lex keys.
 
     Matches :func:`merge_sort_counted` with a comparator ordering by value
-    then tag.  ``tags=None`` means all ties compare equal, which is what an
+    then tag, from the runs that begin at `starts` (default: one run per
+    element).  Each run must ascend; only its contents are read.
+    ``tags=None`` means all ties compare equal, which is what an
     instrumented raw-value comparator reports.  Refuses a `u` that is not
-    one-dimensional and `tags` of another length.
+    one-dimensional, `tags` of another length, and `starts` that do not
+    rise strictly from 0 below ``len(u)``.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
@@ -247,41 +263,64 @@ def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None) -> in
         if tags.shape != u.shape:
             raise ValueError("tags must be as long as u")
     n = len(u)
-    top_u, top_t = u, tags  # (value, tag) maximum of every run at this width
+    width, bounds = 1, None  # the runs: `width` apart, or between `bounds`
+    top_u, top_t = u, tags  # (value, tag) maximum of every run at this level
+    if starts is not None:
+        bounds = np.append(np.asarray(starts, dtype=np.int64), n)
+        if bounds[0] != 0 or (np.diff(bounds) <= 0).any():
+            raise ValueError("starts must rise strictly from 0 below len(u)")
+        top_u = u[bounds[1:] - 1]
+        if tags is not None:
+            top_t = tags[bounds[1:] - 1]
     total = 0
-    width = 1
-    while width < n:
-        step = 2 * width
-        nfull, rest = divmod(n, step)
-        pairs = nfull + (rest > width)  # blocks whose right run is nonempty
+    while len(top_u) > 1:
+        runs = len(top_u)
+        pairs = runs // 2
         lu, ru = top_u[0:2 * pairs:2], top_u[1:2 * pairs:2]
         if tags is None:
             left_first = lu <= ru
         else:
             lt, rt = top_t[0:2 * pairs:2], top_t[1:2 * pairs:2]
             left_first = (lu < ru) | ((lu == ru) & (lt <= rt))
-        # per block, the run that outlasts; `keep ^ 1` is the one that empties
+        # per pair, the run that outlasts; `keep ^ 1` is the one that empties
         keep = np.arange(0, 2 * pairs, 2) + left_first
-        if nfull:
-            thr = np.full(2 * nfull, np.nan)
-            thr[keep[:nfull]] = top_u[keep[:nfull] ^ 1]
-            thr = thr.reshape(nfull, 2, 1)
-            blocks = u[:nfull * step].reshape(nfull, 2, width)
-            total += nfull * width + int(np.count_nonzero(blocks < thr))
-            total += _tie_count(np.flatnonzero(blocks == thr), left_first, keep, top_t, tags, step)
-        if pairs > nfull:
-            # trailing block: left run of `width`, right run short
-            run, other = int(keep[-1]), int(keep[-1]) ^ 1
-            side, thr = u[run * width:(run + 1) * width], top_u[other]
-            total += min(width, n - other * width) + int(np.count_nonzero(side < thr))
-            total += _tie_count(run * width + np.flatnonzero(side == thr),
-                                left_first, keep, top_t, tags, step)
-        if len(top_u) > 2 * pairs:  # an unpaired last run keeps its maximum
-            keep = np.append(keep, len(top_u) - 1)
+        thr = np.full(runs, np.nan)
+        thr[keep] = top_u[keep ^ 1]
+        if bounds is None:
+            # every run but a short last one is `width` long
+            total += pairs * width
+            if runs % 2 == 0 and not left_first[-1]:  # the short last run empties
+                total -= runs * width - n
+            full = n - n % width
+            rows, thr_rows = u[:full].reshape(-1, width), thr[:full // width, None]
+            total += int(np.count_nonzero(rows < thr_rows))
+            ties = np.flatnonzero(rows == thr_rows)
+            if full < n and not np.isnan(thr[-1]):  # a short last run that outlasts
+                tail = u[full:]
+                total += int(np.count_nonzero(tail < thr[-1]))
+                ties = np.append(ties, full + np.flatnonzero(tail == thr[-1]))
+            block = ties // (2 * width)
+        else:
+            sizes = np.diff(bounds)
+            thr = np.repeat(thr, sizes)
+            total += int(sizes[keep ^ 1].sum()) + int(np.count_nonzero(u < thr))
+            ties = np.flatnonzero(u == thr)
+            block = np.searchsorted(bounds[::2], ties, "right") - 1
+        # a value equal to the threshold counts by tag: below the emptying
+        # run's maximum tag when the left run empties first, else at or below
+        if tags is None:
+            total += int(np.count_nonzero(~left_first[block]))
+        else:
+            total += int(np.count_nonzero(tags[ties] < top_t[keep[block] ^ 1] + ~left_first[block]))
+        if runs % 2:  # an unpaired last run keeps its maximum
+            keep = np.append(keep, runs - 1)
         top_u = top_u[keep]
         if tags is not None:
             top_t = top_t[keep]
-        width = step
+        if bounds is None:
+            width *= 2
+        else:
+            bounds = np.append(bounds[:-1:2], n)
     return total
 
 
@@ -305,25 +344,31 @@ def cut_groups(values: Sequence[float], g: int) -> list[np.ndarray]:
 # -- the grouped-search kernel -------------------------------------------------
 
 
-def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
+def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4,
+                     ascending: bool = False) -> int:
     """Charge the canonical mergesort of within-group difference lists.
 
     ``segments`` is an ordered list of ``(values, index_tags, role)`` with
     role ``"row"`` or ``"col"``.  Each contributes ``values[x] - values[y]``
-    tagged ``index_tags[x] - index_tags[y]`` for every ``(x, y)`` in
-    row-major order, in segment order; the count depends on that order.
-    Row tags are scaled by a base above twice any column tag, so the one
-    integer tag orders like the ``(row, col)`` tag pair of
-    :class:`TaggedReal` and the count equals :func:`sort_differences` on
-    the same groups.  Ticks the count at `arity` and returns it.
+    tagged ``index_tags[x] - index_tags[y]``.  Row tags are scaled by a base
+    above twice any column tag, so the one integer tag orders like the
+    ``(row, col)`` tag pair of :class:`TaggedReal` and the count equals
+    :func:`sort_differences` on the same groups with the same `ascending`.
+    Unsorted segments contribute every ``(x, y)`` in row-major order, in
+    segment order, sorted from singletons.  Segments the caller states
+    ascend (values not falling, index tags rising) contribute their upper
+    half alone, as one sorted run per row ``x = 1 .. m-1``; a segment that
+    does not ascend trips an assertion.  Ticks the count at `arity` and
+    returns it.
     """
     if not segments:
         return 0
     lengths = [len(vals) for vals, _, _ in segments]
-    ends = np.cumsum([m * m for m in lengths], dtype=np.int64)
+    sizes = [m * (m - 1) // 2 if ascending else m * m for m in lengths]
+    ends = np.cumsum(sizes, dtype=np.int64)
     classes: dict[int, list[int]] = {}
     for k, m in enumerate(lengths):
-        if m:
+        if sizes[k]:
             classes.setdefault(m, []).append(k)
     # one stack per segment length: values, index tags and roles side by side
     stacks, span = [], 0
@@ -331,6 +376,8 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
         vals = np.array([segments[k][0] for k in ks], dtype=np.float64)
         idx = np.array([segments[k][1] for k in ks], dtype=np.int64)
         roles = np.array([segments[k][2] for k in ks])
+        if ascending:
+            assert (np.diff(vals) >= 0).all() and (np.diff(idx) > 0).all(), _NOT_ASCENDING
         cols = roles == "col"
         if cols.any():
             span = max(span, int((idx[cols].max(axis=1) - idx[cols].min(axis=1)).max()))
@@ -343,13 +390,33 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
         # segments adjacent in `segments` fill one slice of the list
         cuts = [0, *(np.flatnonzero(np.diff(ks) != 1) + 1).tolist(), len(ks)]
         for a, b in zip(cuts, cuts[1:]):
-            lo, hi = ends[ks[a]] - m * m, ends[ks[b - 1]]
-            shape = (b - a, m, m)
-            np.subtract(vals[a:b, :, None], vals[a:b, None, :], out=values[lo:hi].reshape(shape))
-            np.subtract(idx[a:b, :, None], idx[a:b, None, :], out=tags[lo:hi].reshape(shape))
-    count = mergesort_tick_count(values, tags)
+            lo, hi = ends[ks[a]] - sizes[ks[a]], ends[ks[b - 1]]
+            if ascending:
+                x, y = _upper_half(m)
+                np.subtract(vals[a:b, x], vals[a:b, y], out=values[lo:hi].reshape(b - a, -1))
+                np.subtract(idx[a:b, x], idx[a:b, y], out=tags[lo:hi].reshape(b - a, -1))
+            else:
+                shape = (b - a, m, m)
+                np.subtract(vals[a:b, :, None], vals[a:b, None, :],
+                            out=values[lo:hi].reshape(shape))
+                np.subtract(idx[a:b, :, None], idx[a:b, None, :], out=tags[lo:hi].reshape(shape))
+    starts = None
+    if ascending:  # one run per row x = 1 .. m-1 of each segment, in segment order
+        rises = np.concatenate([np.arange(1, m) for m in lengths])
+        starts = np.cumsum(rises) - rises
+    count = mergesort_tick_count(values, tags, starts)
     ledger.tick(arity, count)
     return count
+
+
+@lru_cache(maxsize=64)
+def _upper_half(m: int):
+    """Positions ``(x, y)``, ``x > y``, of an m-segment's upper half, row by
+    row and ``y`` falling within a row (read-only)."""
+    x, y = np.tril_indices(m, -1)
+    y = x - 1 - y
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
 
 
 def box_order(row_vals, col_vals) -> tuple[list, list]:

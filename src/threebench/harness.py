@@ -340,17 +340,43 @@ def _instance_size(problem, instance) -> int:
     return len(instance)
 
 
+def _triple_holds(values, triple) -> bool:
+    a, b, c = triple
+    return a + b == -c and set(triple) <= set(np.asarray(values, dtype=np.float64).tolist())
+
+
+def _conv_pair_holds(values, pair) -> bool:
+    i, j = pair
+    a = np.asarray(values, dtype=np.float64)
+    return 0 <= min(i, j) and i + j < len(a) and a[i] + a[j] == a[i + j]
+
+
+def _zero_triangle_holds(graph, triangle) -> bool:
+    u, v, x = triangle
+    wm = graph.weight_map()
+    w = [wm.get(edge) for edge in ((u, v), (u, x), (v, x))]
+    if None in w:
+        return False
+    # the solvers add the three weights in different orders; any order counts
+    a, b, c = w
+    return a + b == -c or a + c == -b or b + c == -a
+
+
+_WITNESS_CHECKS = {"3sum": _triple_holds, "conv": _conv_pair_holds,
+                  "zerotri": _zero_triangle_holds}
+
+
 def check_witness(problem, instance, found, payload) -> None:
-    """Abort unless a 3SUM solver returned a witness exactly when it said
-    found, drawn from the input with a + b == -c.  Needs no oracle, so it
-    runs at every n."""
-    if problem != "3sum":
+    """Abort unless a solver returned a witness exactly when it said found,
+    and the witness holds: a 3SUM triple drawn from the input with
+    a + b == -c, a conv pair (i, j) with A[i] + A[j] == A[i + j], or a
+    triangle whose three edges exist and whose weights sum to zero.  Needs
+    no oracle, so it runs at every n."""
+    holds = _WITNESS_CHECKS.get(problem)
+    if holds is None:
         return
-    exact = payload is None or (
-        payload[0] + payload[1] == -payload[2]
-        and set(payload) <= set(np.asarray(instance, dtype=np.float64).tolist()))
-    if bool(found) != (payload is not None) or not exact:
-        raise OracleMismatch(f"3sum: solver said {bool(found)} with witness {payload}")
+    if bool(found) != (payload is not None) or (payload is not None and not holds(instance, payload)):
+        raise OracleMismatch(f"{problem}: solver said {bool(found)} with witness {payload}")
 
 
 def cross_check(problem, instance, found, payload, options) -> None:

@@ -203,8 +203,31 @@ def test_tick_count_matches_the_level_oracle_at_every_trailing_run(n):
     row_base = np.where(rng.random(n) < 0.5, diffs * base, diffs)
     for u in (rng.integers(-2, 3, size=n).astype(float), rng.normal(size=n), np.zeros(n)):
         assert mergesort_tick_count(u) == _tick_count_by_levels(u)
+        assert mergesort_tick_count(u, None, np.arange(n)) == _tick_count_by_levels(u)
         for tags in (rng.permutation(n), row_base):
             assert mergesort_tick_count(u, tags) == _tick_count_by_levels(u, tags)
+            assert mergesort_tick_count(u, tags, np.arange(n)) == _tick_count_by_levels(u, tags)
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), max_size=60),
+       st.sets(st.integers(1, 59)))
+@settings(max_examples=300, deadline=None)
+def test_run_merge_count_matches_the_python_merge_from_the_same_runs(pairs, cuts):
+    starts = [0] + sorted(c for c in cuts if c < len(pairs)) if pairs else []
+    items = [p for a, b in zip(starts, [*starts[1:], len(pairs)]) for p in sorted(pairs[a:b])]
+    counter = {"n": 0}
+
+    def cmp(a, b):
+        counter["n"] += 1
+        return -1 if a < b else (1 if a > b else 0)
+
+    assert merge_sort_counted(items, cmp, starts) == sorted(items)
+    u = np.array([p[0] for p in items], dtype=np.float64)
+    tags = np.array([p[1] for p in items], dtype=np.int64)
+    assert mergesort_tick_count(u, tags, starts) == counter["n"]
+    counter["n"] = 0
+    merge_sort_counted([p[0] for p in items], cmp, starts)
+    assert mergesort_tick_count(u, None, starts) == counter["n"]
 
 
 def test_tick_count_refuses_malformed_input():
@@ -214,6 +237,9 @@ def test_tick_count_refuses_malformed_input():
         mergesort_tick_count(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         mergesort_tick_count(np.arange(5.0), np.zeros((5, 1), dtype=np.int64))
+    for starts in ([], [1, 3], [0, 2, 2], [0, 5], [0, 3, 1]):
+        with pytest.raises(ValueError):
+            mergesort_tick_count(np.arange(5.0), None, starts)
 
 
 def test_dt_difference_count_at_n_1024_is_pinned():
@@ -436,6 +462,60 @@ def test_difference_ticks_count_the_reference_sort(groups, n_rows, arity):
     led2 = ComparisonLedger()
     assert difference_ticks(segments, led2, arity) == led.count(arity)
     assert led2.count_klinear == led.count_klinear
+
+
+# duplicates, signed zeros, and magnitudes whose differences round together
+# (1e16 - 1.0 == 1e16 - 0.0), so distinct differences can tie in value
+_POOL = [-1e16, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 1e16, 1e16 + 2]
+
+
+def _ascending_groups(rng, n, g):
+    """Groups of g values cut from a sorted draw of n; the last may be short."""
+    return [grp.tolist() for grp in cut_groups(np.sort(rng.choice(_POOL, size=n)), g)]
+
+
+def test_sort_differences_of_ascending_groups_is_the_lexsort_at_the_counted_price():
+    rng = np.random.default_rng(11)
+    for trial in range(400):
+        n, m = (int(x) for x in rng.integers(1, 25, size=2))
+        g = int(rng.choice([1, 2, 3, 5, n]))
+        rows = _ascending_groups(rng, n, g)
+        # the dt shape: one list's groups as rows and as columns; the kldt
+        # shape: row groups and column groups cut from two lists
+        cols = rows if trial % 2 else _ascending_groups(rng, m, g)
+        tagged = [tag_rows(grp) for grp in rows] + [tag_cols(grp) for grp in cols]
+        led = ComparisonLedger()
+        got = sort_differences(tagged, led, ascending=True)
+        assert [d.key() for d in got] == sorted((gx - gy).key()
+                                                for grp in tagged for gx in grp for gy in grp)
+        segments = [(grp, range(len(grp)), "row") for grp in rows] \
+            + [(grp, range(len(grp)), "col") for grp in cols]
+        led2 = ComparisonLedger()
+        assert difference_ticks(segments, led2, ascending=True) == led.count(4)
+        assert led2.count_klinear == led.count_klinear
+
+
+def test_ascending_difference_sort_books_fewer_ticks_than_the_blind_sort():
+    values = np.sort(harness.generate("3sum", 256, "uniform", 1))
+    segments = [(grp, range(len(grp)), role)
+                for role in ("row", "col") for grp in cut_groups(values, 16)]
+    blind = difference_ticks(segments, ComparisonLedger())
+    assert 2 * difference_ticks(segments, ComparisonLedger(), ascending=True) < blind
+
+
+@pytest.mark.parametrize("values,index", [
+    ([1.0, 3.0, 2.0], [0, 1, 2]),   # values fall
+    ([1.0, 1.0, 2.0], [1, 0, 2]),   # a value tie whose tags fall
+    ([1.0, 2.0, 3.0], [0, 2, 2]),   # tags that do not rise
+])
+def test_a_segment_declared_ascending_that_does_not_ascend_trips_an_assertion(values, index):
+    segments = [([0.0, 1.0], [0, 1], "row"), (values, index, "col")]
+    with pytest.raises(AssertionError, match="does not ascend"):
+        difference_ticks(segments, ComparisonLedger(), ascending=True)
+    groups = [tag_rows([0.0, 1.0]), [TaggedReal(v, 0, i) for v, i in zip(values, index)]]
+    with pytest.raises(AssertionError, match="does not ascend"):
+        sort_differences(groups, ComparisonLedger(), ascending=True)
+    difference_ticks(segments, ComparisonLedger())  # unsorted segments are fine undeclared
 
 
 def test_as_reals_refuses_non_finite_values():

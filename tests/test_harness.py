@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threebench import cli, harness
+from threebench import cli, conv3sum, harness, trimatrix
 from threebench import threesum as ts
 from threebench.conv3sum import oracle_conv3sum, solve_conv_blocked
 from threebench.core import ComparisonLedger
@@ -349,6 +349,42 @@ def test_a_decision_without_its_witness_is_a_mismatch():
     for found, payload in ((True, None), (False, (1.0, 2.0, -3.0))):
         with pytest.raises(harness.OracleMismatch):
             harness.check_witness("3sum", values, found, payload)
+
+
+def test_conv_pairs_and_zero_triangles_are_checked_exactly():
+    conv = [1.0, 2.0, 4.0, 6.0]  # A[1] + A[1] == A[2], A[1] + A[2] == A[3]
+    for pair in ((1, 1), (1, 2), (2, 1)):
+        harness.check_witness("conv", conv, True, pair)
+    graph = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (0, 2, -3.0), (2, 3, 4.0)))
+    for triangle in ((0, 1, 2), (2, 0, 1)):
+        harness.check_witness("zerotri", graph, True, triangle)
+    bad = [("conv", conv, (1, 3)),      # i + j out of range
+           ("conv", conv, (0, 1)),      # 1 + 2 != A[1]
+           ("conv", conv, (-1, 2)),
+           ("zerotri", graph, (0, 1, 3)),   # no edge (0, 3)
+           ("zerotri", WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0))), (0, 1, 2))]
+    for problem, instance, payload in bad:
+        with pytest.raises(harness.OracleMismatch, match="witness"):
+            harness.check_witness(problem, instance, True, payload)
+    with pytest.raises(harness.OracleMismatch):
+        harness.check_witness("zerotri", graph, True, None)
+
+
+@pytest.mark.parametrize("problem,algo,module,solver,tamper", [
+    ("conv", "blocked", conv3sum, "solve_conv_blocked", lambda w: (w[0], w[1] + 1)),
+    ("conv", "naive", conv3sum, "solve_conv_naive", lambda w: (w[1] + 1, w[0])),
+    ("zerotri", "sparse", trimatrix, "zero_triangle_sparse", lambda w: (w[0], w[1], w[1])),
+    ("zerotri", "dense-dt", trimatrix, "zero_triangle_dense", lambda w: (w[0], w[0], w[2])),
+])
+def test_a_wrong_witness_above_the_oracle_cap_is_a_mismatch(monkeypatch, problem, algo, module,
+                                                           solver, tamper):
+    n = 2 * harness.DEFAULT_ORACLE_CAPS[problem]
+    config = harness.ExperimentConfig(problem, (algo,), (n,), generator="planted")
+    assert harness.run_experiment(config)[0].found
+    real = getattr(module, solver)
+    monkeypatch.setattr(module, solver, lambda *args, **kwargs: tamper(real(*args, **kwargs)))
+    with pytest.raises(harness.OracleMismatch, match="witness"):
+        harness.run_experiment(config)
 
 
 def test_cli_bench_and_fit(tmp_path, capsys):
