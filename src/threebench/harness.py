@@ -259,7 +259,7 @@ def _conv_naive(values, options, ledger, seed):
 
 def _kldt(values, options, ledger, seed):
     phi = _default_form(options)
-    g = _given(options, "g", ldt_mod.default_kldt_group_size, phi.arity, len(values))
+    g = _given(options, "g", ldt_mod.default_kldt_group_size, len(values))
     return ldt_mod.solve_kldt(phi, values, g, ledger), None, {"g": g}
 
 

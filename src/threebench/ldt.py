@@ -70,10 +70,11 @@ def reduce_kldt(phi: LinearForm, values: Sequence[float]):
     return a_list, b_list, c_list
 
 
-def default_kldt_group_size(arity: int, n: int) -> int:
-    """Group size of :func:`solve_kldt`: sqrt(N log N) for the |A| = N =
-    n^((k-1)/2) elements of the reduction's first list."""
-    return default_group_size(n ** ((arity - 1) // 2))
+def default_kldt_group_size(n: int) -> int:
+    """Group size of :func:`solve_kldt`: sqrt(n log n) for the |C| = n keys,
+    whatever k is.  That balances the difference sort, about |A|·g values,
+    against the n walks over |A|/g row groups."""
+    return default_group_size(n)
 
 
 def oracle_kldt(phi: LinearForm, values: Sequence[float]) -> bool:
@@ -105,13 +106,13 @@ def solve_kldt(phi: LinearForm, values: Sequence[float],
 
     a_sorted = sorted_counted(a_list, ledger, arity=k - 1)
     b_sorted = sorted_counted(b_list, ledger, arity=k - 1)
-    g = group_size if group_size is not None else default_kldt_group_size(k, len(c_list))
+    g = group_size if group_size is not None else default_kldt_group_size(len(c_list))
     a_groups = cut_groups(a_sorted, g)
     b_groups = cut_groups(b_sorted, g)
 
     segments = [(grp, range(len(grp)), "row") for grp in a_groups] \
         + [(grp, range(len(grp)), "col") for grp in b_groups]
-    difference_ticks(segments, ledger, arity=2 * k - 2)
+    difference_ticks(segments, ledger, arity=2 * k - 2, ascending=True)
     ledger.snapshot("differences_sorted")
 
     keys = -np.array(c_list)

@@ -246,7 +246,7 @@ def test_dt_difference_count_at_n_1024_is_pinned():
     values = harness.generate("3sum", 1024, "uniform", 10007)
     led = ComparisonLedger()
     solve_decision_tree(values, None, led)
-    assert led.delta("step1_sorted", "step2_differences")[4] == 3_069_105
+    assert led.delta("step1_sorted", "step2_differences")[4] == 1_079_145
 
 
 def _sorted_counted_reference(values, ledger, arity=2):

@@ -27,7 +27,7 @@ def _kldt_scalar(phi, values, group_size, ledger):
         return False
     a_sorted = sorted_counted(a_list, ledger, arity=k - 1)
     b_sorted = sorted_counted(b_list, ledger, arity=k - 1)
-    g = group_size if group_size is not None else default_group_size(len(a_sorted))
+    g = group_size if group_size is not None else default_group_size(len(c_list))
     if g < 1:
         raise ValueError("group size must be >= 1")
     a_groups = [a_sorted[i:i + g] for i in range(0, len(a_sorted), g)]
@@ -35,7 +35,7 @@ def _kldt_scalar(phi, values, group_size, ledger):
     ma, mb = len(a_groups), len(b_groups)
     difference_ticks([(grp, range(len(grp)), "row") for grp in a_groups]
                      + [(grp, range(len(grp)), "col") for grp in b_groups],
-                     ledger, arity=2 * k - 2)
+                     ledger, arity=2 * k - 2, ascending=True)
     ledger.snapshot("differences_sorted")
     for c in c_list:
         key = -c
@@ -146,19 +146,18 @@ def test_solver_finds_planted_zero_for_k5():
     assert solve_kldt(phi, s, None, led) == oracle_kldt(phi, s)
 
 
-# k = 5 ledger counts and decisions, recorded before the walk moved into
-# core; the golden CSV runs k = 3 only
+# k = 5 ledger counts and decisions at the default g (set from |C| = n) and
+# the difference sort from row runs; the golden CSV runs k = 3 only
 K5_PINNED = [
-    ((0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 8, "uniform", False, {4: 604, 8: 22637, 5: 474}),
-    ((0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 8, "duplicate-heavy", True, {4: 552, 8: 22699, 5: 9}),
-    ((0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 12, "uniform", False, {4: 1812, 8: 101735, 5: 1139}),
-    ((0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 12, "duplicate-heavy", True, {4: 1778, 8: 101696, 5: 13}),
-    ((1.0, 2.0, -1.0, 1.0, -1.0, -2.0), 8, "uniform", False, {4: 549, 8: 22496, 5: 448}),
-    ((1.0, 2.0, -1.0, 1.0, -1.0, -2.0), 8, "duplicate-heavy", True, {4: 578, 8: 22326, 5: 4}),
-    ((1.0, 2.0, -1.0, 1.0, -1.0, -2.0), 12, "uniform", False,
-     {4: 1768, 8: 100300, 5: 1066}),
+    ((0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 8, "uniform", False, {4: 604, 8: 1809, 5: 986}),
+    ((0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 8, "duplicate-heavy", True, {4: 552, 8: 1847, 5: 20}),
+    ((0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 12, "uniform", False, {4: 1812, 8: 5827, 5: 3191}),
+    ((0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 12, "duplicate-heavy", True, {4: 1778, 8: 5846, 5: 33}),
+    ((1.0, 2.0, -1.0, 1.0, -1.0, -2.0), 8, "uniform", False, {4: 549, 8: 1775, 5: 972}),
+    ((1.0, 2.0, -1.0, 1.0, -1.0, -2.0), 8, "duplicate-heavy", True, {4: 578, 8: 1798, 5: 19}),
+    ((1.0, 2.0, -1.0, 1.0, -1.0, -2.0), 12, "uniform", False, {4: 1768, 8: 5846, 5: 2962}),
     ((1.0, 2.0, -1.0, 1.0, -1.0, -2.0), 12, "duplicate-heavy", True,
-     {4: 1750, 8: 101032, 5: 5}),
+     {4: 1750, 8: 5928, 5: 3}),
 ]
 
 
