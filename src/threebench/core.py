@@ -243,6 +243,34 @@ def sort_differences(groups: Sequence[Sequence[TaggedReal]], ledger: ComparisonL
 # thresholds; other run layouts repeat each threshold over its run.
 
 
+def _outlasting_count(u, tags, thr, left_first, keep, top_t, width, bounds) -> int:
+    """How many values of one merge level count against their run's
+    threshold `thr`: those below it, and those equal to it that the tags
+    put below the emptying run's maximum when the left run empties first,
+    else at or below it.  The runs lie `width` apart, or between `bounds`.
+    A function of its own so that a level's temporaries, some as long as
+    `u`, are freed before the next level allocates its own."""
+    if bounds is None:
+        n = len(u)
+        full = n - n % width
+        rows, thr_rows = u[:full].reshape(-1, width), thr[:full // width, None]
+        below = int(np.count_nonzero(rows < thr_rows))
+        ties = np.flatnonzero(rows == thr_rows)
+        if full < n and not np.isnan(thr[-1]):  # a short last run that outlasts
+            tail = u[full:]
+            below += int(np.count_nonzero(tail < thr[-1]))
+            ties = np.append(ties, full + np.flatnonzero(tail == thr[-1]))
+        block = ties // (2 * width)
+    else:
+        thr = np.repeat(thr, np.diff(bounds))
+        below = int(np.count_nonzero(u < thr))
+        ties = np.flatnonzero(u == thr)
+        block = np.searchsorted(bounds[::2], ties, "right") - 1
+    if tags is None:
+        return below + int(np.count_nonzero(~left_first[block]))
+    return below + int(np.count_nonzero(tags[ties] < top_t[keep[block] ^ 1] + ~left_first[block]))
+
+
 def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None,
                          starts: Optional[np.ndarray] = None) -> int:
     """Comparisons the canonical mergesort makes on (u, tags) lex keys.
@@ -286,32 +314,13 @@ def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None,
         keep = np.arange(0, 2 * pairs, 2) + left_first
         thr = np.full(runs, np.nan)
         thr[keep] = top_u[keep ^ 1]
-        if bounds is None:
-            # every run but a short last one is `width` long
+        if bounds is None:  # every run but a short last one is `width` long
             total += pairs * width
             if runs % 2 == 0 and not left_first[-1]:  # the short last run empties
                 total -= runs * width - n
-            full = n - n % width
-            rows, thr_rows = u[:full].reshape(-1, width), thr[:full // width, None]
-            total += int(np.count_nonzero(rows < thr_rows))
-            ties = np.flatnonzero(rows == thr_rows)
-            if full < n and not np.isnan(thr[-1]):  # a short last run that outlasts
-                tail = u[full:]
-                total += int(np.count_nonzero(tail < thr[-1]))
-                ties = np.append(ties, full + np.flatnonzero(tail == thr[-1]))
-            block = ties // (2 * width)
         else:
-            sizes = np.diff(bounds)
-            thr = np.repeat(thr, sizes)
-            total += int(sizes[keep ^ 1].sum()) + int(np.count_nonzero(u < thr))
-            ties = np.flatnonzero(u == thr)
-            block = np.searchsorted(bounds[::2], ties, "right") - 1
-        # a value equal to the threshold counts by tag: below the emptying
-        # run's maximum tag when the left run empties first, else at or below
-        if tags is None:
-            total += int(np.count_nonzero(~left_first[block]))
-        else:
-            total += int(np.count_nonzero(tags[ties] < top_t[keep[block] ^ 1] + ~left_first[block]))
+            total += int(np.diff(bounds)[keep ^ 1].sum())
+        total += _outlasting_count(u, tags, thr, left_first, keep, top_t, width, bounds)
         if runs % 2:  # an unpaired last run keeps its maximum
             keep = np.append(keep, runs - 1)
         top_u = top_u[keep]
@@ -358,8 +367,9 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4,
     segment order, sorted from singletons.  Segments the caller states
     ascend (values not falling, index tags rising) contribute their upper
     half alone, as one sorted run per row ``x = 1 .. m-1``; a segment that
-    does not ascend trips an assertion.  Ticks the count at `arity` and
-    returns it.
+    does not ascend trips an assertion.  The statement is not inferred from
+    the values: only a caller that paid to sort its segments may merge
+    from their rows.  Ticks the count at `arity` and returns it.
     """
     if not segments:
         return 0

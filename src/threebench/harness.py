@@ -375,7 +375,9 @@ def check_witness(problem, instance, found, payload) -> None:
     holds = _WITNESS_CHECKS.get(problem)
     if holds is None:
         return
-    if bool(found) != (payload is not None) or (payload is not None and not holds(instance, payload)):
+    if payload is None and not found:
+        return
+    if payload is None or not found or not holds(instance, payload):
         raise OracleMismatch(f"{problem}: solver said {bool(found)} with witness {payload}")
 
 

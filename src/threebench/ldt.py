@@ -72,8 +72,8 @@ def reduce_kldt(phi: LinearForm, values: Sequence[float]):
 
 def default_kldt_group_size(n: int) -> int:
     """Group size of :func:`solve_kldt`: sqrt(n log n) for the |C| = n keys,
-    whatever k is.  That balances the difference sort, about |A|·g values,
-    against the n walks over |A|/g row groups."""
+    whatever k is.  That balances the difference sort, about 2|A|·g
+    differences, against the n walks of about 2|A|/g boxes each."""
     return default_group_size(n)
 
 

@@ -495,14 +495,6 @@ def test_sort_differences_of_ascending_groups_is_the_lexsort_at_the_counted_pric
         assert led2.count_klinear == led.count_klinear
 
 
-def test_ascending_difference_sort_books_fewer_ticks_than_the_blind_sort():
-    values = np.sort(harness.generate("3sum", 256, "uniform", 1))
-    segments = [(grp, range(len(grp)), role)
-                for role in ("row", "col") for grp in cut_groups(values, 16)]
-    blind = difference_ticks(segments, ComparisonLedger())
-    assert 2 * difference_ticks(segments, ComparisonLedger(), ascending=True) < blind
-
-
 @pytest.mark.parametrize("values,index", [
     ([1.0, 3.0, 2.0], [0, 1, 2]),   # values fall
     ([1.0, 1.0, 2.0], [1, 0, 2]),   # a value tie whose tags fall
