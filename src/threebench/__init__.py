@@ -12,6 +12,7 @@ from .core import (
     mergesort_tick_count,
     search_visits,
     sort_differences,
+    sort_segments,
     staircase_visits,
     tag_cols,
     tag_rows,

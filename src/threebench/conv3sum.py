@@ -2,9 +2,11 @@
 
 The blocked solver cuts the implicit (unsorted) sum matrix A+A into
 index-aligned boxes and runs the grouped-search kernel of :mod:`core` on
-them: :func:`difference_ticks` pays once for the within-block difference
-lists, every box's order follows from them for free, and two bisections,
-priced in closed form, locate each A(k) in the boxes its antidiagonal crosses.
+them: :func:`sort_segments` sorts each block once, at arity 2, for both
+its row and its column role; :func:`difference_ticks` then merges the
+within-block difference lists from their rows; every box's order follows
+from them for free; and two bisections, priced in closed form, locate
+each A(k) in the boxes its antidiagonal crosses.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ComparisonLedger, _bound_depths, as_reals, cut_groups, difference_ticks
+from .core import (ComparisonLedger, _bound_depths, as_reals, cut_groups, difference_ticks,
+                   sort_segments)
 
 
 def oracle_conv3sum(values: Sequence[float]) -> Optional[tuple[int, int]]:
@@ -70,8 +73,9 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
     g = group_size if group_size is not None else default_block_size(n)
     blocks = cut_groups(a, g)
     m = len(blocks)
-    difference_ticks([(blk, range(len(blk)), role)
-                      for role in ("row", "col") for blk in blocks], ledger)
+    ordered = sort_segments([(blk, range(len(blk)), "row") for blk in blocks], ledger)
+    difference_ticks([(vals, idx, role) for role in ("row", "col") for vals, idx, _ in ordered],
+                     ledger)
     ledger.snapshot("differences_sorted")
 
     probes = np.zeros(n, dtype=np.int64)

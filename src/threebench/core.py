@@ -18,14 +18,15 @@ Solvers accept input reals through :func:`as_reals`, sort them with
 :func:`sorted_counted` and cut the sorted list into groups with
 :func:`cut_groups`.
 
-Groups cut from a sorted list ascend, and a solver that says so pays for
-less than a blind sort of its differences: each row ``x`` of a group's
-difference list, read for ``y = x-1`` down to 0, is already a sorted run,
-so the counted mergesort merges the upper halves ``x > y`` from about 2n
-runs, and the lower half (the upper half negated) and the diagonal follow
-without comparisons.  Merging still costs about log 2n comparisons per
-difference, one log factor above Fredman's bound that the paper's depth
-rests on.
+The difference sort has one path.  Every segment handed to it ascends in
+(value, tag) order: groups cut from a sorted list do, and solvers whose
+segments are unsorted pay for :func:`sort_segments` first, at arity 2.
+Then each row ``x`` of a segment's difference list, read for ``y = x-1``
+down to 0, is already a sorted run, so the counted mergesort merges the
+upper halves ``x > y`` from their rows, and the lower half (the upper half
+negated) and the diagonal follow without comparisons.  Merging still costs
+about log 2n comparisons per difference, one log factor above Fredman's
+bound that the paper's depth rests on.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class ComparisonLedger:
         return {k: b.get(k, 0) - a.get(k, 0) for k in set(a) | set(b)}
 
 
-_NOT_ASCENDING = "a segment declared ascending does not ascend"
+_NOT_ASCENDING = "a segment does not ascend in (value, tag) order"
 
 
 def merge_sort_counted(items: Sequence, compare: Callable,
@@ -186,7 +187,7 @@ def merge_sort_counted(items: Sequence, compare: Callable,
 
 
 def sort_differences(groups: Sequence[Sequence[TaggedReal]], ledger: ComparisonLedger,
-                     arity: int = 4, ascending: bool = False) -> list[TaggedReal]:
+                     arity: int = 4) -> list[TaggedReal]:
     """Sort the union of all within-group difference lists.
 
     The reference for :func:`difference_ticks`: group by group, each
@@ -195,12 +196,14 @@ def sort_differences(groups: Sequence[Sequence[TaggedReal]], ledger: ComparisonL
     ticks the ledger once; for plain inputs that form touches four reals,
     for composite inputs the caller passes the wider arity.
 
-    Unsorted groups are sorted from singletons in row-major order.  When the
-    caller states that every group ascends (``ascending=True``), only the
-    upper half ``x > y`` is sorted: row ``x``, read for ``y = x-1`` down to
-    0, is already a sorted run, and the runs come group by group, then ``x =
-    1 .. m-1``.  The lower half is the upper half negated and reversed and
-    the diagonal sits between the two, both placed without comparisons.
+    Every group must ascend in (value, tag) order, else an assertion trips.
+    Then only the upper half ``x > y`` is sorted: row ``x``, read for ``y =
+    x-1`` down to 0, is already a sorted run, and the runs come group by
+    group, then ``x = 1 .. m-1``.  The lower half is the upper half negated
+    and reversed and the diagonal sits between the two, both placed without
+    comparisons.  Rounding can tie differences that exact arithmetic keeps
+    apart, and a row falls only there; it is cut into its ascending runs,
+    which asks nothing the group's order has not answered.
     """
     if not groups:
         raise ValueError("groups must be nonempty")
@@ -209,15 +212,14 @@ def sort_differences(groups: Sequence[Sequence[TaggedReal]], ledger: ComparisonL
         ledger.tick(arity)
         return cmp_tagged(a, b)
 
-    if not ascending:
-        return merge_sort_counted([gx - gy for grp in groups for gx in grp for gy in grp], compare)
-    assert all(a.u <= b.u and (a.r, a.c) < (b.r, b.c)
-               for grp in groups for a, b in zip(grp, grp[1:])), _NOT_ASCENDING
-    upper, starts = [], []
+    assert all(a < b for grp in groups for a, b in zip(grp, grp[1:])), _NOT_ASCENDING
+    upper, rows = [], set()
     for grp in groups:
         for x in range(1, len(grp)):
-            starts.append(len(upper))
+            rows.add(len(upper))
             upper.extend(grp[x] - grp[y] for y in range(x - 1, -1, -1))
+    # rounding can tie distinct differences; a row falls only there, and is cut
+    starts = [t for t, d in enumerate(upper) if t in rows or d < upper[t - 1]]
     upper = merge_sort_counted(upper, compare, starts)
     diagonal = [d - d for grp in groups for d in grp]
     return [-d for d in reversed(upper)] + diagonal + upper
@@ -238,37 +240,52 @@ def sort_differences(groups: Sequence[Sequence[TaggedReal]], ledger: ComparisonL
 # counts only the run that outlasts, against the other run's maximum: one
 # compare of the N values with a per-run threshold (NaN for runs that empty
 # first, so they never count), one count, and one equality test whose
-# sparse hits alone are resolved by tag.  One run per element makes every
-# run but the last as wide as the level, so the values reshape against the
-# thresholds; other run layouts repeat each threshold over its run.
+# sparse hits alone are resolved by tag; each threshold is repeated over
+# its run.  The rows of a (k, n) stack are sorted each on its own, from one
+# run layout, so that equal-length segments are counted in one call.
 
 
-def _outlasting_count(u, tags, thr, left_first, keep, top_t, width, bounds) -> int:
+def _outlasting_count(u, tags, thr, left_first, keep, top_t, bounds) -> int:
     """How many values of one merge level count against their run's
     threshold `thr`: those below it, and those equal to it that the tags
     put below the emptying run's maximum when the left run empties first,
-    else at or below it.  The runs lie `width` apart, or between `bounds`.
-    A function of its own so that a level's temporaries, some as long as
-    `u`, are freed before the next level allocates its own."""
-    if bounds is None:
-        n = len(u)
-        full = n - n % width
-        rows, thr_rows = u[:full].reshape(-1, width), thr[:full // width, None]
-        below = int(np.count_nonzero(rows < thr_rows))
-        ties = np.flatnonzero(rows == thr_rows)
-        if full < n and not np.isnan(thr[-1]):  # a short last run that outlasts
-            tail = u[full:]
-            below += int(np.count_nonzero(tail < thr[-1]))
-            ties = np.append(ties, full + np.flatnonzero(tail == thr[-1]))
-        block = ties // (2 * width)
-    else:
-        thr = np.repeat(thr, np.diff(bounds))
-        below = int(np.count_nonzero(u < thr))
-        ties = np.flatnonzero(u == thr)
-        block = np.searchsorted(bounds[::2], ties, "right") - 1
-    if tags is None:
-        return below + int(np.count_nonzero(~left_first[block]))
-    return below + int(np.count_nonzero(tags[ties] < top_t[keep[block] ^ 1] + ~left_first[block]))
+    else at or below it.  The runs lie between `bounds` along each row of
+    the stack `u`.  A function of its own so that a level's temporaries,
+    some as large as `u`, are freed before the next level allocates its
+    own."""
+    thr = np.repeat(thr, np.diff(bounds), axis=1)
+    below = int(np.count_nonzero(u < thr))
+    row, pos = np.divmod(np.flatnonzero(u == thr), u.shape[1])
+    block = np.searchsorted(bounds[::2], pos, "right") - 1
+    emptied = top_t[row, keep[row, block] ^ 1] + ~left_first[row, block]
+    return below + int(np.count_nonzero(tags[row, pos] < emptied))
+
+
+def _tick_count(u, tags, bounds) -> int:
+    """Comparisons the canonical mergesort makes on each row of the (k, n)
+    stack of (u, tags) lex keys, from the runs between `bounds`, the same
+    for every row."""
+    k, n = u.shape
+    r = np.arange(k)[:, None]
+    top_u, top_t = u[:, bounds[1:] - 1], tags[:, bounds[1:] - 1]  # each run's maximum
+    total = 0
+    while top_u.shape[1] > 1:
+        runs = top_u.shape[1]
+        pairs = runs // 2
+        lu, ru = top_u[:, 0:2 * pairs:2], top_u[:, 1:2 * pairs:2]
+        lt, rt = top_t[:, 0:2 * pairs:2], top_t[:, 1:2 * pairs:2]
+        left_first = (lu < ru) | ((lu == ru) & (lt <= rt))
+        # per pair, the run that outlasts; `keep ^ 1` is the one that empties
+        keep = np.arange(0, 2 * pairs, 2) + left_first
+        thr = np.full((k, runs), np.nan)
+        thr[r, keep] = top_u[r, keep ^ 1]
+        total += int(np.diff(bounds)[keep ^ 1].sum())
+        total += _outlasting_count(u, tags, thr, left_first, keep, top_t, bounds)
+        # an unpaired last run keeps its maximum
+        keep = np.concatenate([keep, np.full((k, runs % 2), runs - 1)], axis=1)
+        top_u, top_t = top_u[r, keep], top_t[r, keep]
+        bounds = np.append(bounds[:-1:2], n)
+    return total
 
 
 def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None,
@@ -278,59 +295,23 @@ def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None,
     Matches :func:`merge_sort_counted` with a comparator ordering by value
     then tag, from the runs that begin at `starts` (default: one run per
     element).  Each run must ascend; only its contents are read.
-    ``tags=None`` means all ties compare equal, which is what an
-    instrumented raw-value comparator reports.  Refuses a `u` that is not
-    one-dimensional, `tags` of another length, and `starts` that do not
-    rise strictly from 0 below ``len(u)``.
+    ``tags=None`` means positional tags, which count exactly like a
+    raw-value comparator: in every merge the left run's elements come
+    first.  Refuses a `u` that is not one-dimensional, `tags` of another
+    length, and `starts` that do not rise strictly from 0 below ``len(u)``.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError("u must be one-dimensional")
-    if tags is not None:
-        tags = np.asarray(tags, dtype=np.int64)
-        if tags.shape != u.shape:
-            raise ValueError("tags must be as long as u")
-    n = len(u)
-    width, bounds = 1, None  # the runs: `width` apart, or between `bounds`
-    top_u, top_t = u, tags  # (value, tag) maximum of every run at this level
+    tags = np.arange(len(u)) if tags is None else np.asarray(tags, dtype=np.int64)
+    if tags.shape != u.shape:
+        raise ValueError("tags must be as long as u")
+    bounds = np.arange(len(u) + 1)
     if starts is not None:
-        bounds = np.append(np.asarray(starts, dtype=np.int64), n)
+        bounds = np.append(np.asarray(starts, dtype=np.int64), len(u))
         if bounds[0] != 0 or (np.diff(bounds) <= 0).any():
             raise ValueError("starts must rise strictly from 0 below len(u)")
-        top_u = u[bounds[1:] - 1]
-        if tags is not None:
-            top_t = tags[bounds[1:] - 1]
-    total = 0
-    while len(top_u) > 1:
-        runs = len(top_u)
-        pairs = runs // 2
-        lu, ru = top_u[0:2 * pairs:2], top_u[1:2 * pairs:2]
-        if tags is None:
-            left_first = lu <= ru
-        else:
-            lt, rt = top_t[0:2 * pairs:2], top_t[1:2 * pairs:2]
-            left_first = (lu < ru) | ((lu == ru) & (lt <= rt))
-        # per pair, the run that outlasts; `keep ^ 1` is the one that empties
-        keep = np.arange(0, 2 * pairs, 2) + left_first
-        thr = np.full(runs, np.nan)
-        thr[keep] = top_u[keep ^ 1]
-        if bounds is None:  # every run but a short last one is `width` long
-            total += pairs * width
-            if runs % 2 == 0 and not left_first[-1]:  # the short last run empties
-                total -= runs * width - n
-        else:
-            total += int(np.diff(bounds)[keep ^ 1].sum())
-        total += _outlasting_count(u, tags, thr, left_first, keep, top_t, width, bounds)
-        if runs % 2:  # an unpaired last run keeps its maximum
-            keep = np.append(keep, runs - 1)
-        top_u = top_u[keep]
-        if tags is not None:
-            top_t = top_t[keep]
-        if bounds is None:
-            width *= 2
-        else:
-            bounds = np.append(bounds[:-1:2], n)
-    return total
+    return _tick_count(u[None], tags[None], bounds)
 
 
 def sorted_counted(values: Sequence[float], ledger: ComparisonLedger,
@@ -353,68 +334,78 @@ def cut_groups(values: Sequence[float], g: int) -> list[np.ndarray]:
 # -- the grouped-search kernel -------------------------------------------------
 
 
-def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4,
-                     ascending: bool = False) -> int:
+def _stacks(segments):
+    """The ``(values, index_tags, role)`` segments grouped by length: per
+    length, their positions in `segments`, then their values, index tags
+    and roles side by side."""
+    for m in dict.fromkeys(len(vals) for vals, _, _ in segments):
+        ks = [k for k, (vals, _, _) in enumerate(segments) if len(vals) == m]
+        vals, idx, roles = zip(*(segments[k] for k in ks))
+        yield (m, ks, np.array(vals, dtype=np.float64).reshape(len(ks), m),
+               np.array(idx, dtype=np.int64).reshape(len(ks), m), np.array(roles))
+
+
+def sort_segments(segments, ledger: ComparisonLedger) -> list:
+    """Sort each ``(values, index_tags, role)`` segment by (value, index
+    tag), the order :func:`difference_ticks` requires, keeping its role.
+
+    Segments hold raw input reals, so each comparison the canonical
+    mergesort of a segment makes ticks arity 2.  Segments of one length are
+    counted together, as one stack.
+    """
+    out = [None] * len(segments)
+    for m, ks, vals, idx, roles in _stacks(segments):
+        ledger.tick(2, _tick_count(vals, idx, np.arange(m + 1)))
+        order = np.lexsort((idx, vals), axis=-1)
+        r = np.arange(len(ks))[:, None]
+        for k, *segment in zip(ks, vals[r, order], idx[r, order], roles):
+            out[k] = tuple(segment)
+    return out
+
+
+def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     """Charge the canonical mergesort of within-group difference lists.
 
     ``segments`` is an ordered list of ``(values, index_tags, role)`` with
-    role ``"row"`` or ``"col"``.  Each contributes ``values[x] - values[y]``
-    tagged ``index_tags[x] - index_tags[y]``.  Row tags are scaled by a base
-    above twice any column tag, so the one integer tag orders like the
-    ``(row, col)`` tag pair of :class:`TaggedReal` and the count equals
-    :func:`sort_differences` on the same groups with the same `ascending`.
-    Unsorted segments contribute every ``(x, y)`` in row-major order, in
-    segment order, sorted from singletons.  Segments the caller states
-    ascend (values not falling, index tags rising) contribute their upper
-    half alone, as one sorted run per row ``x = 1 .. m-1``; a segment that
-    does not ascend trips an assertion.  The statement is not inferred from
-    the values: only a caller that paid to sort its segments may merge
-    from their rows.  Ticks the count at `arity` and returns it.
+    role ``"row"`` or ``"col"``, each ascending in (value, index tag) order:
+    cut from a sorted list, or sorted by :func:`sort_segments`.  A segment
+    that does not ascend trips an assertion.  Each contributes its upper
+    half ``values[x] - values[y]``, ``x > y``, tagged ``index_tags[x] -
+    index_tags[y]``, as one sorted run per row ``x = 1 .. m-1``, cut where
+    rounding makes it fall.  Row tags are scaled by a base above twice any
+    column tag, so the one integer tag orders like the ``(row, col)`` tag
+    pair of :class:`TaggedReal` and the count equals
+    :func:`sort_differences` on the same groups.  Ticks the count at
+    `arity` and returns it.
     """
     if not segments:
         return 0
     lengths = [len(vals) for vals, _, _ in segments]
-    sizes = [m * (m - 1) // 2 if ascending else m * m for m in lengths]
+    sizes = [m * (m - 1) // 2 for m in lengths]
     ends = np.cumsum(sizes, dtype=np.int64)
-    classes: dict[int, list[int]] = {}
-    for k, m in enumerate(lengths):
-        if sizes[k]:
-            classes.setdefault(m, []).append(k)
-    # one stack per segment length: values, index tags and roles side by side
-    stacks, span = [], 0
-    for m, ks in classes.items():
-        vals = np.array([segments[k][0] for k in ks], dtype=np.float64)
-        idx = np.array([segments[k][1] for k in ks], dtype=np.int64)
-        roles = np.array([segments[k][2] for k in ks])
-        if ascending:
-            assert (np.diff(vals) >= 0).all() and (np.diff(idx) > 0).all(), _NOT_ASCENDING
+    stacks = [stack for stack in _stacks(segments) if stack[0] > 1]
+    span = 0
+    for m, ks, vals, idx, roles in stacks:
+        rise, climb = np.diff(vals), np.diff(idx)
+        assert ((rise > 0) | ((rise == 0) & (climb > 0))).all(), _NOT_ASCENDING
         cols = roles == "col"
         if cols.any():
             span = max(span, int((idx[cols].max(axis=1) - idx[cols].min(axis=1)).max()))
-        stacks.append((m, np.array(ks), vals, idx, roles == "row"))
-    base = 2 * span + 2
     values = np.empty(int(ends[-1]))
     tags = np.empty(len(values), dtype=np.int64)
-    for m, ks, vals, idx, rows in stacks:
-        idx[rows] *= base
+    for m, ks, vals, idx, roles in stacks:
+        idx[roles == "row"] *= 2 * span + 2
+        x, y = _upper_half(m)
         # segments adjacent in `segments` fill one slice of the list
         cuts = [0, *(np.flatnonzero(np.diff(ks) != 1) + 1).tolist(), len(ks)]
         for a, b in zip(cuts, cuts[1:]):
             lo, hi = ends[ks[a]] - sizes[ks[a]], ends[ks[b - 1]]
-            if ascending:
-                x, y = _upper_half(m)
-                np.subtract(vals[a:b, x], vals[a:b, y], out=values[lo:hi].reshape(b - a, -1))
-                np.subtract(idx[a:b, x], idx[a:b, y], out=tags[lo:hi].reshape(b - a, -1))
-            else:
-                shape = (b - a, m, m)
-                np.subtract(vals[a:b, :, None], vals[a:b, None, :],
-                            out=values[lo:hi].reshape(shape))
-                np.subtract(idx[a:b, :, None], idx[a:b, None, :], out=tags[lo:hi].reshape(shape))
-    starts = None
-    if ascending:  # one run per row x = 1 .. m-1 of each segment, in segment order
-        rises = np.concatenate([np.arange(1, m) for m in lengths])
-        starts = np.cumsum(rises) - rises
-    count = mergesort_tick_count(values, tags, starts)
+            np.subtract(vals[a:b, x], vals[a:b, y], out=values[lo:hi].reshape(b - a, -1))
+            np.subtract(idx[a:b, x], idx[a:b, y], out=tags[lo:hi].reshape(b - a, -1))
+    rises = np.concatenate([np.arange(1, m) for m in lengths])  # rows x = 1 .. m-1
+    # rounding can tie distinct differences; a row falls only there, and is cut
+    falls = np.flatnonzero((values[1:] == values[:-1]) & (tags[1:] < tags[:-1])) + 1
+    count = mergesort_tick_count(values, tags, np.union1d(np.cumsum(rises) - rises, falls))
     ledger.tick(arity, count)
     return count
 

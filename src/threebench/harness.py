@@ -415,9 +415,10 @@ def cross_check(problem, instance, found, payload, options) -> None:
 def run_experiment(config: ExperimentConfig) -> list:
     """All (size, trial, algo) runs in deterministic order.
 
-    Each 3SUM witness is checked, and each run under the oracle cap is
-    cross-checked; a failure raises OracleMismatch.  Writes the CSV when the
-    config names a path.
+    Each 3SUM, conv and zero-triangle witness is checked, the algos run on
+    one instance must agree on `found` (on the values and witnesses, for
+    tmp), and each run under the oracle cap is cross-checked; a failure
+    raises OracleMismatch.  Writes the CSV when the config names a path.
     """
     cap = config.oracle_cap if config.oracle_cap is not None \
         else DEFAULT_ORACLE_CAPS[config.problem]
@@ -426,6 +427,7 @@ def run_experiment(config: ExperimentConfig) -> list:
         for trial in range(config.trials):
             trial_seed = config.seed * 10007 + trial
             instance = generate(config.problem, n, config.generator, trial_seed)
+            first = None  # the first algo's name and answer on this instance
             for algo in config.algos:
                 ledger = ComparisonLedger()
                 t0 = time.perf_counter_ns()
@@ -433,6 +435,11 @@ def run_experiment(config: ExperimentConfig) -> list:
                     config.problem, algo, instance, config.options, ledger, trial_seed)
                 wall = time.perf_counter_ns() - t0
                 check_witness(config.problem, instance, found, payload)
+                answer = (payload.values.tolist(), payload.witnesses.tolist()) \
+                    if config.problem == "tmp" else bool(found)
+                first = first or (algo, answer)
+                if answer != first[1]:
+                    raise OracleMismatch(f"{config.problem}: {algo} disagrees with {first[0]}")
                 if _instance_size(config.problem, instance) <= cap:
                     cross_check(config.problem, instance, found, payload, config.options)
                 records.append(RunRecord(

@@ -112,7 +112,7 @@ def solve_kldt(phi: LinearForm, values: Sequence[float],
 
     segments = [(grp, range(len(grp)), "row") for grp in a_groups] \
         + [(grp, range(len(grp)), "col") for grp in b_groups]
-    difference_ticks(segments, ledger, arity=2 * k - 2, ascending=True)
+    difference_ticks(segments, ledger, arity=2 * k - 2)
     ledger.snapshot("differences_sorted")
 
     keys = -np.array(c_list)

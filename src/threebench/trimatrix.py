@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ComparisonLedger, _bound_depths, difference_ticks, ternary_search
+from .core import ComparisonLedger, _bound_depths, difference_ticks, sort_segments, ternary_search
 from .dominance import sorting_permutations
 # the dt variant's strip width is the grouped search's sqrt(s log s) group size
 from .threesum import default_group_size as default_strip_width
@@ -171,8 +171,9 @@ def target_min_plus_dt(A, B, T, group_size: Optional[int],
         w = k1 - k0
         # the strip's difference list: all A-row diffs, then all B-column diffs
         local = np.arange(w)
-        difference_ticks([(row[k0:k1], local, "row") for row in ae]
-                         + [(col[k0:k1], local, "col") for col in be.T], ledger)
+        difference_ticks(sort_segments([(row[k0:k1], local, "row") for row in ae]
+                                       + [(col[k0:k1], local, "col") for col in be.T], ledger),
+                         ledger)
         # per-cell candidate order, deduced (free): stable argsort equals
         # the (value, index) tie-broken order the difference ranks define
         block = _cell_sums(ae, be, slice(k0, k1))
@@ -315,7 +316,7 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
         for mem in level:
             segments += [(row[mem], mem, "row") for row in ae]
             segments += [(col[mem], mem, "col") for col in be.T]
-    difference_ticks(segments, ledger)
+    difference_ticks(sort_segments(segments, ledger), ledger)
 
     top = hierarchy.levels - 1
     walks = []  # per interval below the top: (walk length, hinted) per cell
@@ -577,7 +578,8 @@ def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
         for c in sorted(by_color):
             members = by_color[c]
             pairs.append(([w for (_, w) in members], [v for (v, _) in members]))
-    difference_ticks([(ws, vs, role) for role in ("row", "col") for ws, vs in pairs], ledger)
+    classes = sort_segments([(ws, vs, "row") for ws, vs in pairs], ledger)
+    difference_ticks([(ws, vs, role) for role in ("row", "col") for ws, vs, _ in classes], ledger)
     ledger.snapshot("differences_sorted")
 
     for (u, v, w_uv) in sorted(orientation.directed):

@@ -19,6 +19,7 @@ from threebench.core import (
     mergesort_tick_count,
     search_visits,
     sort_differences,
+    sort_segments,
     sorted_counted,
     staircase_visits,
     tag_cols,
@@ -71,10 +72,10 @@ def test_tagging_is_a_linear_extension():
 
 def test_sort_differences_single_group():
     led = ComparisonLedger()
-    group = tag_rows([1.0, 2.0])
+    group = sorted(tag_rows([4.0, 1.0, 2.0]))
     diffs = sort_differences([group], led)
-    assert [d.u for d in diffs] == [-1.0, 0.0, 0.0, 1.0]
-    assert set(led.count_klinear) == {4}
+    assert [d.u for d in diffs] == [-3.0, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
+    assert led.count_klinear == {4: 1}
 
 
 def test_sort_differences_singleton():
@@ -86,7 +87,7 @@ def test_sort_differences_singleton():
 def test_sort_differences_matches_materialized_oracle():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        groups = [tag_rows(rng.integers(-9, 10, size=4).astype(float))
+        groups = [sorted(tag_rows(rng.integers(-9, 10, size=4).astype(float)))
                   for _ in range(3)]
         led = ComparisonLedger()
         diffs = sort_differences(groups, led)
@@ -114,7 +115,7 @@ def test_ledger_counts_are_monotone_and_snapshots_frozen():
 def test_ledger_counting_is_deterministic():
     def run():
         led = ComparisonLedger()
-        groups = [tag_rows([3.0, 1.0, 2.0]), tag_rows([0.0, 0.0, 5.0])]
+        groups = [sorted(tag_rows([3.0, 1.0, 2.0])), tag_rows([0.0, 0.0, 5.0])]
         sort_differences(groups, led)
         return led.count_klinear
 
@@ -454,11 +455,12 @@ def test_box_order_breaks_ties_by_row_then_column():
 @settings(max_examples=150, deadline=None)
 def test_difference_ticks_count_the_reference_sort(groups, n_rows, arity):
     n_rows = min(n_rows, len(groups))
-    tagged = [tag_rows(grp) if t < n_rows else tag_cols(grp) for t, grp in enumerate(groups)]
+    tagged = [sorted(tag_rows(grp) if t < n_rows else tag_cols(grp))
+              for t, grp in enumerate(groups)]
     led = ComparisonLedger()
     sort_differences(tagged, led, arity)
-    segments = [(grp, range(len(grp)), "row" if t < n_rows else "col")
-                for t, grp in enumerate(groups)]
+    segments = sort_segments([(grp, range(len(grp)), "row" if t < n_rows else "col")
+                              for t, grp in enumerate(groups)], ComparisonLedger())
     led2 = ComparisonLedger()
     assert difference_ticks(segments, led2, arity) == led.count(arity)
     assert led2.count_klinear == led.count_klinear
@@ -469,6 +471,30 @@ def test_difference_ticks_count_the_reference_sort(groups, n_rows, arity):
 _POOL = [-1e16, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 1e16, 1e16 + 2]
 
 
+def test_sort_segments_is_each_segments_lexsort_at_the_counted_price():
+    rng = np.random.default_rng(5)
+    counter = {"n": 0}
+
+    def cmp(a, b):
+        counter["n"] += 1
+        return -1 if a < b else (1 if a > b else 0)
+
+    for _ in range(300):
+        lengths = rng.choice([0, 1, 2, 3, 7, 8, 9], size=int(rng.integers(1, 7)))
+        segments = [(rng.choice(_POOL, size=m), rng.permutation(m + 3)[:m], role)
+                    for m, role in zip(lengths, rng.choice(["row", "col"], size=len(lengths)))]
+        led = ComparisonLedger()
+        got = sort_segments(segments, led)
+        counter["n"] = 0
+        for (vals, idx, role), (svals, sidx, srole) in zip(segments, got):
+            want = merge_sort_counted(list(zip(vals.tolist(), idx.tolist())), cmp)
+            order = np.lexsort((idx, vals))
+            assert want == list(zip(vals[order].tolist(), idx[order].tolist()))
+            assert (svals.tolist(), sidx.tolist(), srole) == \
+                (vals[order].tolist(), idx[order].tolist(), role)
+        assert led.count_klinear == ({2: counter["n"]} if counter["n"] else {})
+
+
 def _ascending_groups(rng, n, g):
     """Groups of g values cut from a sorted draw of n; the last may be short."""
     return [grp.tolist() for grp in cut_groups(np.sort(rng.choice(_POOL, size=n)), g)]
@@ -476,38 +502,55 @@ def _ascending_groups(rng, n, g):
 
 def test_sort_differences_of_ascending_groups_is_the_lexsort_at_the_counted_price():
     rng = np.random.default_rng(11)
-    for trial in range(400):
+    for trial in range(600):
         n, m = (int(x) for x in rng.integers(1, 25, size=2))
         g = int(rng.choice([1, 2, 3, 5, n]))
-        rows = _ascending_groups(rng, n, g)
+        rows = [(grp, range(len(grp))) for grp in _ascending_groups(rng, n, g)]
         # the dt shape: one list's groups as rows and as columns; the kldt
-        # shape: row groups and column groups cut from two lists
-        cols = rows if trial % 2 else _ascending_groups(rng, m, g)
-        tagged = [tag_rows(grp) for grp in rows] + [tag_cols(grp) for grp in cols]
+        # shape: row groups and column groups cut from two lists; the
+        # sampled and sparse shape: values with permuted index tags, each
+        # segment sorted by (value, tag), whose rows rounding can make fall
+        if trial % 3 == 0:
+            cols = rows
+        elif trial % 3 == 1:
+            cols = [(grp, range(len(grp))) for grp in _ascending_groups(rng, m, g)]
+        else:
+            rows, cols = ([(vals, idx) for vals, idx, _ in sort_segments(
+                [(rng.choice(_POOL, size=g), rng.permutation(2 * g)[:g], "row")
+                 for _ in range(-(-k // g))], ComparisonLedger())] for k in (n, m))
+        tagged = [[TaggedReal(float(v), int(i), 0) for v, i in zip(*grp)] for grp in rows] \
+            + [[TaggedReal(float(v), 0, int(i)) for v, i in zip(*grp)] for grp in cols]
         led = ComparisonLedger()
-        got = sort_differences(tagged, led, ascending=True)
+        got = sort_differences(tagged, led)
         assert [d.key() for d in got] == sorted((gx - gy).key()
                                                 for grp in tagged for gx in grp for gy in grp)
-        segments = [(grp, range(len(grp)), "row") for grp in rows] \
-            + [(grp, range(len(grp)), "col") for grp in cols]
+        segments = [(*grp, "row") for grp in rows] + [(*grp, "col") for grp in cols]
         led2 = ComparisonLedger()
-        assert difference_ticks(segments, led2, ascending=True) == led.count(4)
+        assert difference_ticks(segments, led2) == led.count(4)
         assert led2.count_klinear == led.count_klinear
 
 
-@pytest.mark.parametrize("values,index", [
-    ([1.0, 3.0, 2.0], [0, 1, 2]),   # values fall
-    ([1.0, 1.0, 2.0], [1, 0, 2]),   # a value tie whose tags fall
-    ([1.0, 2.0, 3.0], [0, 2, 2]),   # tags that do not rise
+@pytest.mark.parametrize("values,index,ascends", [
+    ([1.0, 3.0, 2.0], [0, 1, 2], False),   # values fall
+    ([1.0, 1.0, 2.0], [1, 0, 2], False),   # a value tie whose tags fall
+    ([1.0, 1.0, 2.0], [0, 0, 2], False),   # a value tie whose tags tie
+    ([1.0, 2.0, 3.0], [2, 1, 0], True),    # tags that fall across rising values
 ])
-def test_a_segment_declared_ascending_that_does_not_ascend_trips_an_assertion(values, index):
+def test_a_segment_declared_ascending_that_does_not_ascend_trips_an_assertion(values, index,
+                                                                             ascends):
     segments = [([0.0, 1.0], [0, 1], "row"), (values, index, "col")]
-    with pytest.raises(AssertionError, match="does not ascend"):
-        difference_ticks(segments, ComparisonLedger(), ascending=True)
     groups = [tag_rows([0.0, 1.0]), [TaggedReal(v, 0, i) for v, i in zip(values, index)]]
+    if ascends:
+        led = ComparisonLedger()
+        got = sort_differences(groups, led)
+        assert [d.key() for d in got] == sorted((a - b).key()
+                                                for grp in groups for a in grp for b in grp)
+        assert difference_ticks(segments, ComparisonLedger()) == led.count(4) > 0
+        return
     with pytest.raises(AssertionError, match="does not ascend"):
-        sort_differences(groups, ComparisonLedger(), ascending=True)
-    difference_ticks(segments, ComparisonLedger())  # unsorted segments are fine undeclared
+        difference_ticks(segments, ComparisonLedger())
+    with pytest.raises(AssertionError, match="does not ascend"):
+        sort_differences(groups, ComparisonLedger())
 
 
 def test_as_reals_refuses_non_finite_values():

@@ -387,6 +387,26 @@ def test_a_wrong_witness_above_the_oracle_cap_is_a_mismatch(monkeypatch, problem
         harness.run_experiment(config)
 
 
+@pytest.mark.parametrize("problem,algos,module,solver,flip", [
+    ("3sum", "quadratic,dt", ts, "solve_decision_tree", lambda w: None),
+    ("conv", "naive,blocked", conv3sum, "solve_conv_blocked", lambda w: None),
+    ("zerotri", "sparse,dense-dt", trimatrix, "zero_triangle_dense", lambda w: None),
+    ("tmp", "trivial,dt", trimatrix, "target_min_plus_dt",
+     lambda r: trimatrix.TargetProductResult(np.where(r.values < 0, r.values + 1, r.values),
+                                             r.witnesses)),
+])
+def test_algos_that_disagree_above_the_oracle_cap_exit_two(capsys, monkeypatch, problem, algos,
+                                                           module, solver, flip):
+    n = 2 * harness.DEFAULT_ORACLE_CAPS[problem]
+    bench = ["bench", "--problem", problem, "--algos", algos, "--sizes", str(n),
+             "--generator", "planted"]
+    assert cli.main(bench) == 0
+    real = getattr(module, solver)
+    monkeypatch.setattr(module, solver, lambda *args, **kwargs: flip(real(*args, **kwargs)))
+    assert cli.main(bench) == 2
+    assert f"{algos.split(',')[1]} disagrees with" in capsys.readouterr().err
+
+
 def test_cli_bench_and_fit(tmp_path, capsys):
     csv = tmp_path / "bench.csv"
     conf = tmp_path / "bench.conf"

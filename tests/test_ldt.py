@@ -35,7 +35,7 @@ def _kldt_scalar(phi, values, group_size, ledger):
     ma, mb = len(a_groups), len(b_groups)
     difference_ticks([(grp, range(len(grp)), "row") for grp in a_groups]
                      + [(grp, range(len(grp)), "col") for grp in b_groups],
-                     ledger, arity=2 * k - 2, ascending=True)
+                     ledger, arity=2 * k - 2)
     ledger.snapshot("differences_sorted")
     for c in c_list:
         key = -c

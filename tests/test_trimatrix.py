@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from threebench.core import ComparisonLedger, difference_ticks
+from threebench.core import ComparisonLedger, difference_ticks, sort_segments
 from threebench.harness import GENERATORS, generate
 from threebench.trimatrix import (
     BIG_CUT,
@@ -237,7 +237,7 @@ def _sampled_scalar(A, B, T, group_size, rng, ledger, hint_stats):
         for mem in level:
             segments += [(row[mem], mem, "row") for row in ae]
             segments += [(col[mem], mem, "col") for col in be.T]
-    difference_ticks(segments, ledger)
+    difference_ticks(sort_segments(segments, ledger), ledger)
 
     c_out = np.full((n, n), INF)
     w_out = np.full((n, n), NO_WITNESS, dtype=np.int64)
