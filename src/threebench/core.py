@@ -245,20 +245,20 @@ def sort_differences(groups: Sequence[Sequence[TaggedReal]], ledger: ComparisonL
 # run layout, so that equal-length segments are counted in one call.
 
 
-def _outlasting_count(u, tags, thr, left_first, keep, top_t, bounds) -> int:
+def _outlasting_count(u, tags, thr, emptied, bounds, sizes) -> int:
     """How many values of one merge level count against their run's
-    threshold `thr`: those below it, and those equal to it that the tags
-    put below the emptying run's maximum when the left run empties first,
-    else at or below it.  The runs lie between `bounds` along each row of
-    the stack `u`.  A function of its own so that a level's temporaries,
-    some as large as `u`, are freed before the next level allocates its
-    own."""
-    thr = np.repeat(thr, np.diff(bounds), axis=1)
+    threshold `thr`, the maximum of its paired run that empties first (NaN
+    on a run that empties first): those below it, and those equal to it
+    whose tag is below `emptied`, that maximum's tag, plus one where the
+    right run empties.  The runs lie between `bounds`, `sizes` long, along
+    each row of the stack `u`.  A function of its own so that a level's
+    temporaries, some as large as `u`, are freed before the next level
+    allocates its own."""
+    thr = np.repeat(thr, sizes, axis=1)
     below = int(np.count_nonzero(u < thr))
     row, pos = np.divmod(np.flatnonzero(u == thr), u.shape[1])
     block = np.searchsorted(bounds[::2], pos, "right") - 1
-    emptied = top_t[row, keep[row, block] ^ 1] + ~left_first[row, block]
-    return below + int(np.count_nonzero(tags[row, pos] < emptied))
+    return below + int(np.count_nonzero(tags[row, pos] < emptied[row, block]))
 
 
 def _tick_count(u, tags, bounds) -> int:
@@ -266,24 +266,23 @@ def _tick_count(u, tags, bounds) -> int:
     stack of (u, tags) lex keys, from the runs between `bounds`, the same
     for every row."""
     k, n = u.shape
-    r = np.arange(k)[:, None]
     top_u, top_t = u[:, bounds[1:] - 1], tags[:, bounds[1:] - 1]  # each run's maximum
     total = 0
     while top_u.shape[1] > 1:
         runs = top_u.shape[1]
-        pairs = runs // 2
-        lu, ru = top_u[:, 0:2 * pairs:2], top_u[:, 1:2 * pairs:2]
-        lt, rt = top_t[:, 0:2 * pairs:2], top_t[:, 1:2 * pairs:2]
-        left_first = (lu < ru) | ((lu == ru) & (lt <= rt))
-        # per pair, the run that outlasts; `keep ^ 1` is the one that empties
-        keep = np.arange(0, 2 * pairs, 2) + left_first
+        two = runs - runs % 2  # an unpaired last run moves up unmerged
+        lu, ru, lt, rt = top_u[:, :two:2], top_u[:, 1:two:2], top_t[:, :two:2], top_t[:, 1:two:2]
+        left_first = (lu < ru) | ((lu == ru) & (lt <= rt))  # the left run empties first
+        sizes = bounds[1:] - bounds[:-1]
+        total += int(np.where(left_first, sizes[:two:2], sizes[1:two:2]).sum())
+        # the run that outlasts counts against the maximum of the one that empties
         thr = np.full((k, runs), np.nan)
-        thr[r, keep] = top_u[r, keep ^ 1]
-        total += int(np.diff(bounds)[keep ^ 1].sum())
-        total += _outlasting_count(u, tags, thr, left_first, keep, top_t, bounds)
-        # an unpaired last run keeps its maximum
-        keep = np.concatenate([keep, np.full((k, runs % 2), runs - 1)], axis=1)
-        top_u, top_t = top_u[r, keep], top_t[r, keep]
+        thr[:, :two:2] = np.where(left_first, np.nan, ru)
+        thr[:, 1:two:2] = np.where(left_first, lu, np.nan)
+        emptied = np.where(left_first, lt, rt + 1)
+        total += _outlasting_count(u, tags, thr, emptied, bounds, sizes)
+        top_u = np.concatenate([np.where(left_first, ru, lu), top_u[:, two:]], axis=1)
+        top_t = np.concatenate([np.where(left_first, rt, lt), top_t[:, two:]], axis=1)
         bounds = np.append(bounds[:-1:2], n)
     return total
 
