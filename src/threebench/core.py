@@ -302,7 +302,7 @@ def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None,
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError("u must be one-dimensional")
-    tags = np.arange(len(u)) if tags is None else np.asarray(tags, dtype=np.int64)
+    tags = np.arange(len(u)) if tags is None else np.asarray(tags)
     if tags.shape != u.shape:
         raise ValueError("tags must be as long as u")
     bounds = np.arange(len(u) + 1)
@@ -383,15 +383,17 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     sizes = [m * (m - 1) // 2 for m in lengths]
     ends = np.cumsum(sizes, dtype=np.int64)
     stacks = [stack for stack in _stacks(segments) if stack[0] > 1]
-    span = 0
+    span = reach = 0
     for m, ks, vals, idx, roles in stacks:
         rise, climb = np.diff(vals), np.diff(idx)
         assert ((rise > 0) | ((rise == 0) & (climb > 0))).all(), _NOT_ASCENDING
+        reach = max(reach, int(np.ptp(idx, axis=1).max()))
         cols = roles == "col"
         if cols.any():
-            span = max(span, int((idx[cols].max(axis=1) - idx[cols].min(axis=1)).max()))
+            span = max(span, int(np.ptp(idx[cols], axis=1).max()))
     values = np.empty(int(ends[-1]))
-    tags = np.empty(len(values), dtype=np.int64)
+    # no tag exceeds `reach` times the row base; 32 bits halve the list's tags where they fit
+    tags = np.empty(len(values), np.int32 if reach * (2 * span + 2) < 2**31 - 1 else np.int64)
     for m, ks, vals, idx, roles in stacks:
         idx[roles == "row"] *= 2 * span + 2
         x, y = _upper_half(m)
