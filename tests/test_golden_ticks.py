@@ -6,9 +6,12 @@ means to alter tick counts or decisions regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_ticks.py
 
-and says so; any other change must leave every row byte-identical.
+and says so; any other change must leave every row byte-identical.  Before
+it overwrites the file it prints, per (problem, algo), the old -> new sums
+of ticks3, ticks4 and ticksK, and every cell whose ``found`` flag flips.
 """
 
+import csv
 import os
 import sys
 
@@ -72,6 +75,56 @@ def rows():
     return out
 
 
+TICKS = ("ticks3", "ticks4", "ticksK")
+
+
+def summary(old, new):
+    """What moves from the `old` golden lines to the `new` (both with their
+    header): per (problem, algo), the sums of ticks3, ticks4 and ticksK that
+    differ, then each grid cell whose found flag flips."""
+    def sums(lines):
+        out = {}
+        for row in csv.DictReader(lines):
+            total = out.setdefault((row["problem"], row["algo"]), dict.fromkeys(TICKS, 0))
+            for col in TICKS:
+                total[col] += int(row[col])
+        return out
+
+    before, after = sums(old), sums(new)
+    lines = []
+    for key in dict.fromkeys([*before, *after]):
+        a, b = before.get(key, dict.fromkeys(TICKS, 0)), after.get(key, dict.fromkeys(TICKS, 0))
+        moved = [f"{col} {a[col]:,} -> {b[col]:,}" for col in TICKS if a[col] != b[col]]
+        if moved:
+            lines.append(f"{key[0]} {key[1]}: " + ", ".join(moved))
+    if len(old) != len(new):
+        return lines + [f"the grid went from {len(old) - 1} to {len(new) - 1} rows; "
+                        "found flags not compared"]
+    for (problem, algo, n, generator), was, now in zip(grid(), csv.DictReader(old),
+                                                      csv.DictReader(new)):
+        if was["found"] != now["found"]:
+            lines.append(f"{problem} {algo} n={n} {generator}: found "
+                         f"{was['found']} -> {now['found']}")
+    return lines or ["no row changed"]
+
+
+def test_summary_names_the_moved_sums_and_flipped_flags():
+    cells = list(grid())
+    assert cells[:2] == [("3sum", "quadratic", 17, "uniform"), ("3sum", "dt", 17, "uniform")]
+    old = [harness.CSV_HEADER.rsplit(",", 1)[0]] \
+        + [f"{problem},{algo},{n},3,,,,,,1,10,20,0" for problem, algo, n, _ in cells]
+    new = [old[0], old[1].replace(",20,0", ",25,0"), old[2].replace(",1,10,20,0", ",0,10,20,1"),
+           *old[3:]]
+    quadratic = sum(cell[:2] == ("3sum", "quadratic") for cell in cells)
+    assert summary(old, new) == [f"3sum quadratic: ticks4 {20 * quadratic:,} -> "
+                                 f"{20 * quadratic + 5:,}",
+                                 "3sum dt: ticksK 0 -> 1",
+                                 "3sum dt n=17 uniform: found 1 -> 0"]
+    assert summary(old, old) == ["no row changed"]
+    assert summary(old, old[:-1])[-1] == \
+        f"the grid went from {len(cells)} to {len(cells) - 1} rows; found flags not compared"
+
+
 def test_golden_ticks_are_unchanged():
     with open(GOLDEN) as fh:
         golden = fh.read().splitlines()
@@ -111,6 +164,9 @@ def test_reported_params_are_the_ones_that_ran(problem, algo):
 
 
 if __name__ == "__main__":
+    fresh = rows()
+    with open(GOLDEN) as fh:
+        print("\n".join(summary(fh.read().splitlines(), fresh)))
     with open(GOLDEN, "w", newline="\n") as fh:
-        fh.write("\n".join(rows()) + "\n")
+        fh.write("\n".join(fresh) + "\n")
     sys.exit(0)
