@@ -27,6 +27,8 @@ PARAMS = ("g", "s", "p", "q", "K")
 CSV_HEADER = f"problem,algo,n,seed,{','.join(PARAMS)},found,ticks3,ticks4,ticksK,wall_ns"
 
 DEFAULT_ORACLE_CAPS = {"3sum": 128, "conv": 128, "ldt": 64, "zerotri": 64, "tmp": 32}
+# the smallest n at which the planted generator plants a witness, per problem
+PLANTED_FROM = {"3sum": 1, "conv": 1, "zerotri": 3}
 
 
 class OracleMismatch(AssertionError):
@@ -415,10 +417,11 @@ def cross_check(problem, instance, found, payload, options) -> None:
 def run_experiment(config: ExperimentConfig) -> list:
     """All (size, trial, algo) runs in deterministic order.
 
-    Each 3SUM, conv and zero-triangle witness is checked, the algos run on
-    one instance must agree on `found` (on the values and witnesses, for
-    tmp), and each run under the oracle cap is cross-checked; a failure
-    raises OracleMismatch.  Writes the CSV when the config names a path.
+    Each 3SUM, conv and zero-triangle witness is checked, a planted one
+    must be found, the algos run on one instance must agree on `found` (on
+    the values and witnesses, for tmp), and each run under the oracle cap
+    is cross-checked; a failure raises OracleMismatch.  Writes the CSV when
+    the config names a path.
     """
     cap = config.oracle_cap if config.oracle_cap is not None \
         else DEFAULT_ORACLE_CAPS[config.problem]
@@ -440,6 +443,9 @@ def run_experiment(config: ExperimentConfig) -> list:
                 first = first or (algo, answer)
                 if answer != first[1]:
                     raise OracleMismatch(f"{config.problem}: {algo} disagrees with {first[0]}")
+                if config.generator == "planted" and not found \
+                        and n >= PLANTED_FROM.get(config.problem, math.inf):
+                    raise OracleMismatch(f"{config.problem}: {algo} missed the planted witness")
                 if _instance_size(config.problem, instance) <= cap:
                     cross_check(config.problem, instance, found, payload, config.options)
                 records.append(RunRecord(

@@ -407,6 +407,22 @@ def test_algos_that_disagree_above_the_oracle_cap_exit_two(capsys, monkeypatch, 
     assert f"{algos.split(',')[1]} disagrees with" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem,algo,module,solver", [
+    ("3sum", "dt", ts, "solve_decision_tree"),
+    ("conv", "blocked", conv3sum, "solve_conv_blocked"),
+    ("zerotri", "sparse", trimatrix, "zero_triangle_sparse"),
+])
+def test_a_planted_instance_reported_not_found_exits_two(capsys, monkeypatch, problem, algo,
+                                                        module, solver):
+    n = 2 * harness.DEFAULT_ORACLE_CAPS[problem]
+    bench = ["bench", "--problem", problem, "--algos", algo, "--sizes", str(n),
+             "--generator", "planted"]
+    assert cli.main(bench) == 0
+    monkeypatch.setattr(module, solver, lambda *args, **kwargs: None)
+    assert cli.main(bench) == 2
+    assert f"{algo} missed the planted witness" in capsys.readouterr().err
+
+
 def test_cli_bench_and_fit(tmp_path, capsys):
     csv = tmp_path / "bench.csv"
     conf = tmp_path / "bench.conf"
