@@ -2,11 +2,12 @@
 
 The blocked solver cuts the implicit (unsorted) sum matrix A+A into
 index-aligned boxes and runs the grouped-search kernel of :mod:`core` on
-them: :func:`sort_segments` sorts each block once, at arity 2, for both
-its row and its column role; :func:`difference_ticks` then merges the
-within-block difference lists from their rows; every box's order follows
-from them for free; and two bisections, priced in closed form, locate
-each A(k) in the boxes its antidiagonal crosses.
+them: :func:`sort_segments` sorts each block once, at arity 2;
+:func:`difference_ticks` then merges each block's difference list from its
+rows once, for its row and its column role alike, and places the column
+copy by equal-value runs; every box's order follows from them for free;
+and two bisections, priced in closed form, locate each A(k) in the boxes
+its antidiagonal crosses.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
     g = group_size if group_size is not None else default_block_size(n)
     blocks = cut_groups(a, g)
     m = len(blocks)
-    ordered = sort_segments([(blk, range(len(blk)), "row") for blk in blocks], ledger)
-    difference_ticks([(vals, idx, role) for role in ("row", "col") for vals, idx, _ in ordered],
+    difference_ticks(sort_segments([(blk, range(len(blk)), "both") for blk in blocks], ledger),
                      ledger)
     ledger.snapshot("differences_sorted")
 

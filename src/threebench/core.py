@@ -24,9 +24,13 @@ segments are unsorted pay for :func:`sort_segments` first, at arity 2.
 Then each row ``x`` of a segment's difference list, read for ``y = x-1``
 down to 0, is already a sorted run, so the counted mergesort merges the
 upper halves ``x > y`` from their rows, and the lower half (the upper half
-negated) and the diagonal follow without comparisons.  Merging still costs
-about log 2n comparisons per difference, one log factor above Fredman's
-bound that the paper's depth rests on.
+negated) and the diagonal follow without comparisons.  A segment whose
+reals serve as rows and as columns alike (role ``"both"``) is merged once:
+its column differences have its row differences' values, so one equality
+query per adjacent pair of the merged list finds the equal-value runs, and
+each column difference joins its run by tag.  Merging still costs about
+log 2n comparisons per difference, one log factor above Fredman's bound
+that the paper's depth rests on.
 """
 
 from __future__ import annotations
@@ -186,43 +190,63 @@ def merge_sort_counted(items: Sequence, compare: Callable,
     return out
 
 
-def sort_differences(groups: Sequence[Sequence[TaggedReal]], ledger: ComparisonLedger,
-                     arity: int = 4) -> list[TaggedReal]:
-    """Sort the union of all within-group difference lists.
+def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list[TaggedReal]:
+    """Sort the union of all within-segment difference lists.
 
-    The reference for :func:`difference_ticks`: group by group, each
-    contributes ``grp[x] - grp[y]`` for every ``(x, y)``.  Every comparison
-    made during the sort is a sign query on a difference of differences and
-    ticks the ledger once; for plain inputs that form touches four reals,
-    for composite inputs the caller passes the wider arity.
+    The reference for :func:`difference_ticks`, on the same ``(values,
+    index_tags, role)`` segments.  A ``"row"`` segment's reals are tagged
+    ``(v, i, 0)``, a ``"col"`` segment's ``(v, 0, i)``, and a ``"both"``
+    segment stands for the two: a row copy and a column copy of the same
+    reals.  Each copy contributes ``seg[x] - seg[y]`` for every ``(x, y)``.
+    Every comparison made is a sign query on a difference of differences
+    and ticks the ledger once; for plain inputs that form touches four
+    reals, for composite inputs the caller passes the wider arity.
 
-    Every group must ascend in (value, tag) order, else an assertion trips.
-    Then only the upper half ``x > y`` is sorted: row ``x``, read for ``y =
-    x-1`` down to 0, is already a sorted run, and the runs come group by
-    group, then ``x = 1 .. m-1``.  The lower half is the upper half negated
-    and reversed and the diagonal sits between the two, both placed without
-    comparisons.  Rounding can tie differences that exact arithmetic keeps
-    apart, and a row falls only there; it is cut into its ascending runs,
-    which asks nothing the group's order has not answered.
+    Every segment must ascend in (value, tag) order, else an assertion
+    trips.  Then only the upper half ``x > y`` of a segment's row copy (or
+    of its one copy) is sorted: row ``x``, read for ``y = x-1`` down to 0,
+    is already a sorted run, and the runs come segment by segment, then
+    ``x = 1 .. m-1``.  Rounding can tie differences that exact arithmetic
+    keeps apart, and a row falls only there; it is cut into its ascending
+    runs, which asks nothing the segment's order has not answered.  When a
+    segment serves both roles, one equality query per adjacent pair of the
+    merged list finds its equal-value runs, and each column difference
+    joins the run of its row twin, which has the same value, in tag order.
+    The lower half is the upper half negated and reversed and the diagonal
+    sits between the two, both placed without comparisons.
     """
-    if not groups:
-        raise ValueError("groups must be nonempty")
+    if not segments:
+        raise ValueError("segments must be nonempty")
 
     def compare(a, b):
         ledger.tick(arity)
         return cmp_tagged(a, b)
 
-    assert all(a < b for grp in groups for a, b in zip(grp, grp[1:])), _NOT_ASCENDING
-    upper, rows = [], set()
-    for grp in groups:
+    def equal(a, b):
+        ledger.tick(arity)
+        return a.u == b.u
+
+    upper, rows, diagonal = [], set(), 0
+    for vals, idx, role in segments:
+        grp = [TaggedReal(float(v), 0, int(i)) if role == "col" else TaggedReal(float(v), int(i))
+               for v, i in zip(vals, idx)]
+        assert all(a < b for a, b in zip(grp, grp[1:])), _NOT_ASCENDING
+        diagonal += len(grp) * (2 if role == "both" else 1)
         for x in range(1, len(grp)):
             rows.add(len(upper))
-            upper.extend(grp[x] - grp[y] for y in range(x - 1, -1, -1))
+            upper.extend((grp[x] - grp[y], role == "both") for y in range(x - 1, -1, -1))
     # rounding can tie distinct differences; a row falls only there, and is cut
-    starts = [t for t, d in enumerate(upper) if t in rows or d < upper[t - 1]]
-    upper = merge_sort_counted(upper, compare, starts)
-    diagonal = [d - d for grp in groups for d in grp]
-    return [-d for d in reversed(upper)] + diagonal + upper
+    starts = [t for t, (d, _) in enumerate(upper) if t in rows or d < upper[t - 1][0]]
+    upper = merge_sort_counted(upper, lambda a, b: compare(a[0], b[0]), starts)
+    if any(role == "both" for _, _, role in segments):
+        # a column twin (v, 0, i) has its row difference's value: it joins that value's run
+        cuts = [0, *(t for t in range(1, len(upper)) if not equal(upper[t - 1][0], upper[t][0])),
+                len(upper)]
+        upper = [item for a, b in zip(cuts, cuts[1:]) for item in sorted(
+            upper[a:b] + [(TaggedReal(d.u, 0, d.r), False) for d, twin in upper[a:b] if twin],
+            key=lambda item: (item[0].r, item[0].c))]
+    upper = [d for d, _ in upper]
+    return [-d for d in reversed(upper)] + [TaggedReal(0.0)] * diagonal + upper
 
 
 # -- vectorised tick counting -------------------------------------------------
@@ -366,16 +390,18 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     """Charge the canonical mergesort of within-group difference lists.
 
     ``segments`` is an ordered list of ``(values, index_tags, role)`` with
-    role ``"row"`` or ``"col"``, each ascending in (value, index tag) order:
-    cut from a sorted list, or sorted by :func:`sort_segments`.  A segment
-    that does not ascend trips an assertion.  Each contributes its upper
-    half ``values[x] - values[y]``, ``x > y``, tagged ``index_tags[x] -
-    index_tags[y]``, as one sorted run per row ``x = 1 .. m-1``, cut where
-    rounding makes it fall.  Row tags are scaled by a base above twice any
-    column tag, so the one integer tag orders like the ``(row, col)`` tag
-    pair of :class:`TaggedReal` and the count equals
-    :func:`sort_differences` on the same groups.  Ticks the count at
-    `arity` and returns it.
+    role ``"row"``, ``"col"`` or ``"both"``, each ascending in (value, index
+    tag) order: cut from a sorted list, or sorted by :func:`sort_segments`.
+    A segment that does not ascend trips an assertion.  Each contributes its
+    upper half ``values[x] - values[y]``, ``x > y``, tagged ``index_tags[x]
+    - index_tags[y]``, as one sorted run per row ``x = 1 .. m-1``, cut where
+    rounding makes it fall; a ``"both"`` segment contributes it once, as
+    rows.  Row tags are scaled by a base above twice any column tag, so the
+    one integer tag orders like the ``(row, col)`` tag pair of
+    :class:`TaggedReal`.  When any segment serves both roles, each adjacent
+    pair of the merged list adds one equality query, which places the
+    column copies by tag.  The count equals :func:`sort_differences` on the
+    same segments.  Ticks the count at `arity` and returns it.
     """
     if not segments:
         return 0
@@ -395,7 +421,7 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     # no tag exceeds `reach` times the row base; 32 bits halve the list's tags where they fit
     tags = np.empty(len(values), np.int32 if reach * (2 * span + 2) < 2**31 - 1 else np.int64)
     for m, ks, vals, idx, roles in stacks:
-        idx[roles == "row"] *= 2 * span + 2
+        idx[roles != "col"] *= 2 * span + 2
         x, y = _upper_half(m)
         # segments adjacent in `segments` fill one slice of the list
         cuts = [0, *(np.flatnonzero(np.diff(ks) != 1) + 1).tolist(), len(ks)]
@@ -407,6 +433,8 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     # rounding can tie distinct differences; a row falls only there, and is cut
     falls = np.flatnonzero((values[1:] == values[:-1]) & (tags[1:] < tags[:-1])) + 1
     count = mergesort_tick_count(values, tags, np.union1d(np.cumsum(rises) - rises, falls))
+    if any(role == "both" for _, _, role in segments):
+        count += max(len(values) - 1, 0)  # the equality queries that place the column copies
     ledger.tick(arity, count)
     return count
 

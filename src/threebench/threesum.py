@@ -46,8 +46,6 @@ from .core import (
     sort_differences,
     sorted_counted,
     staircase_visits,
-    tag_cols,
-    tag_rows,
     ternary_search,
 )
 from .dominance import BLUE, RED, LabeledPoint, report_dominating_pairs, sorting_permutations
@@ -351,7 +349,7 @@ def _decision_tree_reference(arr, g, ledger):
     ledger.snapshot("step1_sorted")
     groups = cut_groups(svals, g)
     m = len(groups)
-    sort_differences([tag_rows(v) for v in groups] + [tag_cols(v) for v in groups], ledger)
+    sort_differences([(v, range(len(v)), "both") for v in groups], ledger)
     ledger.snapshot("step2_differences")
     # every box's sorted order follows from the sorted differences for free
     boxes = {(i, j): _OrderSearch(*box_order(groups[i], groups[j]))
@@ -369,8 +367,7 @@ def _decision_tree_fast(arr, g: int, ledger: ComparisonLedger):
     groups = cut_groups(arr, g)
     if len(groups) >= (1 << 20):
         raise ValueError("too many groups for the fast path")
-    difference_ticks([(seg, np.arange(len(seg)), role)
-                      for role in ("row", "col") for seg in groups], ledger)
+    difference_ticks([(seg, np.arange(len(seg)), "both") for seg in groups], ledger)
     ledger.snapshot("step2_differences")
     ledger.snapshot("step3_boxes")
 

@@ -578,8 +578,7 @@ def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
         for c in sorted(by_color):
             members = by_color[c]
             pairs.append(([w for (_, w) in members], [v for (v, _) in members]))
-    classes = sort_segments([(ws, vs, "row") for ws, vs in pairs], ledger)
-    difference_ticks([(ws, vs, role) for role in ("row", "col") for ws, vs, _ in classes], ledger)
+    difference_ticks(sort_segments([(ws, vs, "both") for ws, vs in pairs], ledger), ledger)
     ledger.snapshot("differences_sorted")
 
     for (u, v, w_uv) in sorted(orientation.directed):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 
 from threebench.conv3sum import antidiagonal_cells, oracle_conv3sum, solve_conv_blocked
-from threebench.core import (ComparisonLedger, as_reals, box_order, difference_ticks,
-                             sort_segments)
+from threebench.core import ComparisonLedger, as_reals, box_order, sort_differences, sort_segments
 
 
 def _counted_bound(raws, key, ledger, upper):
@@ -22,8 +21,9 @@ def _counted_bound(raws, key, ledger, upper):
 
 
 def _conv_scalar(values, group_size, ledger, probe_log=None):
-    """The blocked search written out: key by key, box by box along the
-    antidiagonal, two counted bisections per crossed box."""
+    """The blocked search written out: the reference difference sort, then
+    key by key, box by box along the antidiagonal, two counted bisections
+    per crossed box."""
     arr = as_reals(values)
     n = len(arr)
     if n == 0:
@@ -32,8 +32,7 @@ def _conv_scalar(values, group_size, ledger, probe_log=None):
     if g < 1:
         raise ValueError("group size must be >= 1")
     blocks = [arr[b * g:(b + 1) * g] for b in range(-(-n // g))]
-    ordered = sort_segments([(blk, range(len(blk)), "row") for blk in blocks], ledger)
-    difference_ticks([(vals, idx, role) for role in ("row", "col") for vals, idx, _ in ordered],
+    sort_differences(sort_segments([(blk, range(len(blk)), "both") for blk in blocks], ledger),
                      ledger)
     ledger.snapshot("differences_sorted")
     for k in range(n):

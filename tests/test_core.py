@@ -70,30 +70,45 @@ def test_tagging_is_a_linear_extension():
                     assert s2 < s1
 
 
+def _copies(segments):
+    """Each ``(values, index_tags, role)`` segment's reals as TaggedReal
+    lists: rows ``(v, i, 0)``, columns ``(v, 0, i)``, both roles the two."""
+    out = []
+    for vals, idx, role in segments:
+        if role != "col":
+            out.append([TaggedReal(float(v), int(i), 0) for v, i in zip(vals, idx)])
+        if role != "row":
+            out.append([TaggedReal(float(v), 0, int(i)) for v, i in zip(vals, idx)])
+    return out
+
+
+def _difference_union(segments):
+    """Sorted keys of every copy's full difference list, what
+    :func:`sort_differences` must return."""
+    return sorted((a - b).key() for grp in _copies(segments) for a in grp for b in grp)
+
+
 def test_sort_differences_single_group():
     led = ComparisonLedger()
-    group = sorted(tag_rows([4.0, 1.0, 2.0]))
-    diffs = sort_differences([group], led)
+    diffs = sort_differences([([1.0, 2.0, 4.0], [1, 2, 0], "row")], led)
     assert [d.u for d in diffs] == [-3.0, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
     assert led.count_klinear == {4: 1}
 
 
 def test_sort_differences_singleton():
     led = ComparisonLedger()
-    diffs = sort_differences([tag_rows([0.0])], led)
+    diffs = sort_differences([([0.0], [0], "row")], led)
     assert [d.u for d in diffs] == [0.0]
 
 
 def test_sort_differences_matches_materialized_oracle():
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        groups = [sorted(tag_rows(rng.integers(-9, 10, size=4).astype(float)))
-                  for _ in range(3)]
-        led = ComparisonLedger()
-        diffs = sort_differences(groups, led)
-        explicit = sorted((g[x] - g[y]).key()
-                          for g in groups for x in range(4) for y in range(4))
-        assert [d.key() for d in diffs] == explicit
+    for trial in range(30):
+        segments = sort_segments([(rng.integers(-9, 10, size=4).astype(float), range(4),
+                                   ("row", "col", "both")[trial % 3]) for _ in range(3)],
+                                 ComparisonLedger())
+        diffs = sort_differences(segments, ComparisonLedger())
+        assert [d.key() for d in diffs] == _difference_union(segments)
 
 
 def test_ledger_counts_are_monotone_and_snapshots_frozen():
@@ -115,8 +130,8 @@ def test_ledger_counts_are_monotone_and_snapshots_frozen():
 def test_ledger_counting_is_deterministic():
     def run():
         led = ComparisonLedger()
-        groups = [sorted(tag_rows([3.0, 1.0, 2.0])), tag_rows([0.0, 0.0, 5.0])]
-        sort_differences(groups, led)
+        segments = [([1.0, 2.0, 3.0], [1, 2, 0], "row"), ([0.0, 0.0, 5.0], [0, 1, 2], "both")]
+        sort_differences(segments, led)
         return led.count_klinear
 
     assert run() == run()
@@ -247,7 +262,8 @@ def test_dt_difference_count_at_n_1024_is_pinned():
     values = harness.generate("3sum", 1024, "uniform", 10007)
     led = ComparisonLedger()
     solve_decision_tree(values, None, led)
-    assert led.delta("step1_sorted", "step2_differences")[4] == 1_079_145
+    # 487,940 to merge the rows, 51,515 to place the column copies
+    assert led.delta("step1_sorted", "step2_differences")[4] == 539_455
 
 
 def _sorted_counted_reference(values, ledger, arity=2):
@@ -450,17 +466,15 @@ def test_box_order_breaks_ties_by_row_then_column():
     assert raws == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0]
 
 
-@given(st.lists(st.lists(st.integers(-4, 4), max_size=5), min_size=1, max_size=5),
-       st.integers(0, 5), st.sampled_from([4, 7]))
+@given(st.lists(st.tuples(st.lists(st.integers(-4, 4), max_size=5),
+                          st.sampled_from(["row", "col", "both"])), min_size=1, max_size=5),
+       st.sampled_from([4, 7]))
 @settings(max_examples=150, deadline=None)
-def test_difference_ticks_count_the_reference_sort(groups, n_rows, arity):
-    n_rows = min(n_rows, len(groups))
-    tagged = [sorted(tag_rows(grp) if t < n_rows else tag_cols(grp))
-              for t, grp in enumerate(groups)]
+def test_difference_ticks_count_the_reference_sort(groups, arity):
+    segments = sort_segments([(np.array(grp, dtype=float), range(len(grp)), role)
+                              for grp, role in groups], ComparisonLedger())
     led = ComparisonLedger()
-    sort_differences(tagged, led, arity)
-    segments = sort_segments([(grp, range(len(grp)), "row" if t < n_rows else "col")
-                              for t, grp in enumerate(groups)], ComparisonLedger())
+    sort_differences(segments, led, arity)
     led2 = ComparisonLedger()
     assert difference_ticks(segments, led2, arity) == led.count(arity)
     assert led2.count_klinear == led.count_klinear
@@ -502,32 +516,38 @@ def _ascending_groups(rng, n, g):
 
 def test_sort_differences_of_ascending_groups_is_the_lexsort_at_the_counted_price():
     rng = np.random.default_rng(11)
-    for trial in range(600):
+    for trial in range(1000):
         n, m = (int(x) for x in rng.integers(1, 25, size=2))
         g = int(rng.choice([1, 2, 3, 5, n]))
         rows = [(grp, range(len(grp))) for grp in _ascending_groups(rng, n, g)]
-        # the dt shape: one list's groups as rows and as columns; the kldt
-        # shape: row groups and column groups cut from two lists; the
-        # sampled and sparse shape: values with permuted index tags, each
-        # segment sorted by (value, tag), whose rows rounding can make fall
-        if trial % 3 == 0:
+        # the dt shape: one list's groups as rows and as columns, given
+        # twice or once in both roles; the kldt shape: row groups and column
+        # groups cut from two lists; the blocked, sampled and sparse shape:
+        # values with permuted index tags, each segment sorted by (value,
+        # tag), whose rows rounding can make fall, given twice or once
+        shape = trial % 5
+        if shape in (0, 3):
             cols = rows
-        elif trial % 3 == 1:
+        elif shape == 1:
             cols = [(grp, range(len(grp))) for grp in _ascending_groups(rng, m, g)]
         else:
             rows, cols = ([(vals, idx) for vals, idx, _ in sort_segments(
                 [(rng.choice(_POOL, size=g), rng.permutation(2 * g)[:g], "row")
-                 for _ in range(-(-k // g))], ComparisonLedger())] for k in (n, m))
-        tagged = [[TaggedReal(float(v), int(i), 0) for v, i in zip(*grp)] for grp in rows] \
-            + [[TaggedReal(float(v), 0, int(i)) for v, i in zip(*grp)] for grp in cols]
-        led = ComparisonLedger()
-        got = sort_differences(tagged, led)
-        assert [d.key() for d in got] == sorted((gx - gy).key()
-                                                for grp in tagged for gx in grp for gy in grp)
+                 for _ in range(-(-k // g))], ComparisonLedger())] for k in (n, n if shape == 4 else m))
         segments = [(*grp, "row") for grp in rows] + [(*grp, "col") for grp in cols]
+        if shape >= 3:
+            segments = [(*grp, "both") for grp in rows]
+        led = ComparisonLedger()
+        got = sort_differences(segments, led)
+        assert [d.key() for d in got] == _difference_union(segments)
         led2 = ComparisonLedger()
         assert difference_ticks(segments, led2) == led.count(4)
         assert led2.count_klinear == led.count_klinear
+        if shape >= 3:
+            # the rows' merge, then one equality query per adjacent pair
+            merge = difference_ticks([(*grp, "row") for grp in rows], ComparisonLedger())
+            n_up = sum(len(vals) * (len(vals) - 1) // 2 for vals, _ in rows)
+            assert led.count(4) == merge + max(n_up - 1, 0)
 
 
 @pytest.mark.parametrize("values,index,ascends", [
@@ -539,18 +559,18 @@ def test_sort_differences_of_ascending_groups_is_the_lexsort_at_the_counted_pric
 def test_a_segment_declared_ascending_that_does_not_ascend_trips_an_assertion(values, index,
                                                                              ascends):
     segments = [([0.0, 1.0], [0, 1], "row"), (values, index, "col")]
-    groups = [tag_rows([0.0, 1.0]), [TaggedReal(v, 0, i) for v, i in zip(values, index)]]
     if ascends:
         led = ComparisonLedger()
-        got = sort_differences(groups, led)
-        assert [d.key() for d in got] == sorted((a - b).key()
-                                                for grp in groups for a in grp for b in grp)
+        got = sort_differences(segments, led)
+        assert [d.key() for d in got] == _difference_union(segments)
         assert difference_ticks(segments, ComparisonLedger()) == led.count(4) > 0
         return
-    with pytest.raises(AssertionError, match="does not ascend"):
-        difference_ticks(segments, ComparisonLedger())
-    with pytest.raises(AssertionError, match="does not ascend"):
-        sort_differences(groups, ComparisonLedger())
+    for role in ("col", "both"):
+        segments[1] = (values, index, role)
+        with pytest.raises(AssertionError, match="does not ascend"):
+            difference_ticks(segments, ComparisonLedger())
+        with pytest.raises(AssertionError, match="does not ascend"):
+            sort_differences(segments, ComparisonLedger())
 
 
 def test_as_reals_refuses_non_finite_values():
