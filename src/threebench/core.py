@@ -29,7 +29,7 @@ reals serve as rows and as columns alike (role ``"both"``) is merged once:
 its column differences have its row differences' values, so one equality
 query per adjacent pair of the merged list finds the equal-value runs, and
 each column difference joins its run by tag.  Merging still costs about
-log 2n comparisons per difference, one log factor above Fredman's bound
+log n comparisons per difference, one log factor above Fredman's bound
 that the paper's depth rests on.
 """
 
@@ -239,7 +239,7 @@ def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list
     starts = [t for t, (d, _) in enumerate(upper) if t in rows or d < upper[t - 1][0]]
     upper = merge_sort_counted(upper, lambda a, b: compare(a[0], b[0]), starts)
     if any(role == "both" for _, _, role in segments):
-        # a column twin (v, 0, i) has its row difference's value: it joins that value's run
+        # a column difference (d, 0, r) has its row twin (d, r, 0)'s value: it joins that run
         cuts = [0, *(t for t in range(1, len(upper)) if not equal(upper[t - 1][0], upper[t][0])),
                 len(upper)]
         upper = [item for a, b in zip(cuts, cuts[1:]) for item in sorted(

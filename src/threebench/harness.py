@@ -27,7 +27,8 @@ PARAMS = ("g", "s", "p", "q", "K")
 CSV_HEADER = f"problem,algo,n,seed,{','.join(PARAMS)},found,ticks3,ticks4,ticksK,wall_ns"
 
 DEFAULT_ORACLE_CAPS = {"3sum": 128, "conv": 128, "ldt": 64, "zerotri": 64, "tmp": 32}
-# the smallest n at which the planted generator plants a witness, per problem
+# per problem whose planted instances hold a witness whatever the options, the
+# smallest n at which the generator plants one
 PLANTED_FROM = {"3sum": 1, "conv": 1, "zerotri": 3}
 
 

@@ -533,7 +533,7 @@ def test_sort_differences_of_ascending_groups_is_the_lexsort_at_the_counted_pric
         else:
             rows, cols = ([(vals, idx) for vals, idx, _ in sort_segments(
                 [(rng.choice(_POOL, size=g), rng.permutation(2 * g)[:g], "row")
-                 for _ in range(-(-k // g))], ComparisonLedger())] for k in (n, n if shape == 4 else m))
+                 for _ in range(-(-k // g))], ComparisonLedger())] for k in (n, m))
         segments = [(*grp, "row") for grp in rows] + [(*grp, "col") for grp in cols]
         if shape >= 3:
             segments = [(*grp, "both") for grp in rows]
