@@ -14,8 +14,6 @@ from .core import (
     sort_differences,
     sort_segments,
     staircase_visits,
-    tag_cols,
-    tag_rows,
     ternary_probes,
     ternary_search,
 )
@@ -28,17 +26,14 @@ from .dominance import (
     sorting_permutations,
 )
 from .threesum import (
-    BoxView,
     Contour,
     LegalPairCatalog,
     PointSet,
     SubquadraticParams,
-    compute_contour,
     default_group_size,
     deterministic_point_set,
     enumerate_legal_pairs,
     grid_span,
-    is_bad,
     leq_positions,
     match_boxes,
     oracle_3sum,

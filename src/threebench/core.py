@@ -79,16 +79,6 @@ class TaggedReal:
         return (self.u, self.r, self.c)
 
 
-def tag_rows(values: Sequence[float]) -> list[TaggedReal]:
-    """Tag a list for use as Cartesian-sum rows: value i becomes (v, i, 0)."""
-    return [TaggedReal(float(v), i, 0) for i, v in enumerate(values)]
-
-
-def tag_cols(values: Sequence[float]) -> list[TaggedReal]:
-    """Tag a list for use as Cartesian-sum columns: value j becomes (v, 0, j)."""
-    return [TaggedReal(float(v), 0, j) for j, v in enumerate(values)]
-
-
 def cmp_tagged(a: TaggedReal, b: TaggedReal) -> int:
     if a < b:
         return -1

@@ -35,7 +35,6 @@ import numpy as np
 
 from .core import (
     ComparisonLedger,
-    TaggedReal,
     _binsearch_depths,  # unused here; perfbench's fill_caches reads it
     as_reals,
     box_order,
@@ -49,9 +48,6 @@ from .core import (
     ternary_search,
 )
 from .dominance import BLUE, RED, LabeledPoint, report_dominating_pairs, sorting_permutations
-
-SOUTHERN = "southern"
-WESTERN = "western"
 
 # largest n that solve_decision_tree sends to the pure-Python reference by
 # default: none, the fast path runs at every n; perfbench's fill_caches reads it
@@ -72,38 +68,6 @@ def default_group_size(n: int) -> int:
 
 def default_simple_group_size(n: int) -> int:
     return 1 if n < 4 else 2
-
-
-# ---------------------------------------------------------------------------
-# groups and boxes
-
-
-class BoxView:
-    """One group-pair box of a Cartesian sum, totally ordered via tags.
-
-    The tagged oracle for contours and badness; the solvers search raw
-    sums read off the group values instead.
-    """
-
-    def __init__(self, rows: Sequence[TaggedReal], cols: Sequence[TaggedReal]):
-        self.rows = list(rows)
-        self.cols = list(cols)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.cols)
-
-    def tagged(self, x: int, y: int) -> TaggedReal:
-        return self.rows[x] + self.cols[y]
-
-    def positions(self):
-        for x in range(self.nrows):
-            for y in range(self.ncols):
-                yield (x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -138,30 +102,6 @@ class Contour:
         end = (lo + 1, hi) if self.moves[-1] == "S" else (lo, hi - 1)
         if not (end[0] == self.nrows or end[1] == -1):
             raise ValueError("contour must terminate off-grid")
-
-    @property
-    def exit(self) -> str:
-        return SOUTHERN if self.moves[-1] == "S" else WESTERN
-
-
-def compute_contour(box: BoxView, key: TaggedReal) -> Contour:
-    """Trace the two-pointer search for `key` through a tagged box.
-
-    Every occurrence of the key lies on the returned path; positions the
-    path classifies as <= key / > key match the box contents exactly.
-    """
-    steps = []
-    moves = []
-    lo, hi = 0, box.ncols - 1
-    while lo < box.nrows and hi >= 0:
-        steps.append((lo, hi))
-        if key < box.tagged(lo, hi):
-            moves.append("W")
-            hi -= 1
-        else:
-            moves.append("S")
-            lo += 1
-    return Contour(tuple(steps), tuple(moves), box.nrows, box.ncols)
 
 
 def leq_positions(contour: Contour) -> frozenset:
@@ -454,20 +394,6 @@ def default_point_count(width: int, span: int) -> int:
         return 1
     raw = 2 + math.ceil(3.0 * g * g * math.log(max(g, 2)) / (span + 1))
     return max(min(4, g * g), min(raw, g * g))
-
-
-def is_bad(box: BoxView, point_set: PointSet, span: int) -> bool:
-    """True iff more than `span` consecutive elements of the box's sorted
-    order avoid the point set."""
-    run = 0
-    for pos in sorted(box.positions(), key=lambda p: box.tagged(*p).key()):
-        if pos in point_set.positions:
-            run = 0
-        else:
-            run += 1
-            if run > span:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

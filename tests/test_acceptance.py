@@ -10,18 +10,17 @@ import time
 
 import numpy as np
 
+from box_oracles import is_bad
 from threebench import harness
 from threebench.conv3sum import antidiagonal_cells, oracle_conv3sum, solve_conv_blocked
-from threebench.core import ComparisonLedger, TaggedReal
+from threebench.core import ComparisonLedger
 from threebench.dominance import BLUE, RED, LabeledPoint, c_epsilon, report_dominating_pairs
 from threebench.ldt import LinearForm, oracle_kldt, solve_kldt
 from threebench.threesum import (
-    BoxView,
     SubquadraticParams,
     default_point_count,
     deterministic_point_set,
     grid_span,
-    is_bad,
     oracle_3sum,
     random_point_set,
     solve_decision_tree,
@@ -135,10 +134,8 @@ def test_criterion_04_grid_point_sets_leave_no_bad_boxes():
             cols_groups = [np.sort(rng.integers(-10 ** 9, 10 ** 9, size=g)).astype(float)
                            for _ in range(4)]
             for cols in cols_groups:
-                box = BoxView([TaggedReal(v, i, 0) for i, v in enumerate(rows)],
-                              [TaggedReal(v, 0, j) for j, v in enumerate(cols)])
                 boxes += 1
-                bad += is_bad(box, ps, span)
+                bad += is_bad((rows, cols), ps, span)
             instances += 1
     _report(4, bad == 0, f"{instances} instances, {boxes} boxes, {bad} bad")
 
@@ -153,10 +150,8 @@ def test_criterion_05_random_point_sets_keep_bad_rate_low():
     for _ in range(total):
         rows = np.sort(rng.integers(-10 ** 9, 10 ** 9, size=g)).astype(float)
         cols = np.sort(rng.integers(-10 ** 9, 10 ** 9, size=g)).astype(float)
-        box = BoxView([TaggedReal(v, i, 0) for i, v in enumerate(rows)],
-                      [TaggedReal(v, 0, j) for j, v in enumerate(cols)])
         ps = random_point_set(g, count, rng)
-        bad += is_bad(box, ps, span)
+        bad += is_bad((rows, cols), ps, span)
     rate = bad / total
     _report(5, rate <= 2.0 / g,
             f"g={g} p={count} span={span}: bad fraction {rate:.4f} <= {2.0/g:.4f}")

@@ -1,13 +1,35 @@
-"""The parameter names of every public solver entry point, pinned.
+"""The package's public names and the parameter names of every public
+solver entry point, pinned.
 
-A new knob on a solver, or a new solver, has to be added here on purpose.
+A new knob on a solver, a new solver, or a test-only helper back in the
+package has to be added here on purpose.
 """
 
 import dataclasses
 import inspect
 import re
 
+import threebench
 from threebench import conv3sum, ldt, threesum, trimatrix
+
+PACKAGE_NAMES = [
+    "BLUE", "ComparisonLedger", "Contour", "ExperimentConfig", "LabeledPoint",
+    "LegalPairCatalog", "LinearForm", "OracleMismatch", "Orientation", "PointSet", "RED",
+    "RunRecord", "SampleHierarchy", "SubquadraticParams", "TaggedReal",
+    "TargetProductResult", "WeightedGraph", "acyclic_orient", "antidiagonal_cells",
+    "as_reals", "box_order", "c_epsilon", "cut_groups", "default_group_size",
+    "deterministic_point_set", "difference_ticks", "enumerate_legal_pairs", "fit_exponent",
+    "generate", "grid_span", "leq_positions", "match_boxes", "merge_sort_counted",
+    "mergesort_tick_count", "oracle_3sum", "oracle_conv3sum", "oracle_kldt",
+    "oracle_zero_triangle", "random_point_set", "read_records", "reduce_kldt",
+    "report_dominating_pairs", "resolve_subquadratic_params", "run_experiment",
+    "search_visits", "solve_conv_blocked", "solve_decision_tree", "solve_kldt",
+    "solve_quadratic", "solve_subquadratic", "solve_subquadratic_simple",
+    "sort_differences", "sort_segments", "sorting_permutations", "staircase_visits",
+    "target_min_plus_dominance", "target_min_plus_dt", "target_min_plus_sampled",
+    "target_min_plus_trivial", "ternary_probes", "ternary_search", "write_records",
+    "zero_triangle_core", "zero_triangle_dense", "zero_triangle_sparse",
+]
 
 ENTRY_POINTS = {
     (threesum, "solve_quadratic"): ["a_vals", "b_vals", "c_vals", "ledger"],
@@ -40,6 +62,12 @@ def test_every_public_entry_point_is_pinned():
              if PUBLIC.fullmatch(name) and inspect.isfunction(obj)
              and obj.__module__ == module.__name__}
     assert found == set(ENTRY_POINTS)
+
+
+def test_package_public_names():
+    got = sorted(name for name, obj in vars(threebench).items()
+                 if not name.startswith("_") and not inspect.ismodule(obj))
+    assert got == PACKAGE_NAMES
 
 
 def test_entry_point_parameter_names():

@@ -22,8 +22,6 @@ from threebench.core import (
     sort_segments,
     sorted_counted,
     staircase_visits,
-    tag_cols,
-    tag_rows,
     ternary_search,
 )
 from threebench.threesum import _triangle_visits, solve_decision_tree
@@ -45,8 +43,8 @@ def test_tagged_real_arithmetic_is_pointwise():
 
 
 def test_tagged_cartesian_sums_are_pairwise_distinct():
-    rows = tag_rows([1.0, 1.0, 2.0])
-    cols = tag_cols([0.0, 1.0, 1.0])
+    rows = [TaggedReal(v, i, 0) for i, v in enumerate([1.0, 1.0, 2.0])]
+    cols = [TaggedReal(v, 0, j) for j, v in enumerate([0.0, 1.0, 1.0])]
     sums = [r + c for r in rows for c in cols]
     assert len(set(sums)) == len(sums)
 
@@ -59,8 +57,8 @@ def test_tagging_is_a_linear_extension():
         n = int(rng.integers(1, 7))
         a = rng.integers(-4, 5, size=n).astype(float)
         b = rng.integers(-4, 5, size=n).astype(float)
-        rows = tag_rows(a)
-        cols = tag_cols(b)
+        rows = [TaggedReal(v, i, 0) for i, v in enumerate(a)]
+        cols = [TaggedReal(v, 0, j) for j, v in enumerate(b)]
         sums = [(r + c, r.u + c.u) for r in rows for c in cols]
         for t1, (s1, raw1) in enumerate(sums):
             for s2, raw2 in sums[t1 + 1:]:
@@ -428,7 +426,8 @@ def test_box_order_equals_the_fredman_comparator_order():
             vals = harness.generate("3sum", 24, gen, seed).tolist()
             for rv, cv in ((vals[:5], vals[5:9]), (vals[9:16], vals[16:24]),
                            (vals[:1], vals[1:6]), (vals[6:12], vals[6:12])):
-                r, c = tag_rows(rv), tag_cols(cv)
+                r = [TaggedReal(v, i, 0) for i, v in enumerate(rv)]
+                c = [TaggedReal(v, 0, j) for j, v in enumerate(cv)]
                 cells = [(x, y) for x in range(len(rv)) for y in range(len(cv))]
                 want = merge_sort_counted(
                     cells, lambda p, q: cmp_tagged(r[p[0]] - r[q[0]], c[q[1]] - c[p[1]]))
@@ -454,7 +453,8 @@ def test_box_order_matches_the_tagged_sum_oracle_on_random_boxes():
     for _ in range(40):
         a = rng.integers(-9, 10, size=int(rng.integers(1, 7))).astype(float)
         b = rng.integers(-9, 10, size=int(rng.integers(1, 7))).astype(float)
-        rows, cols = tag_rows(a), tag_cols(b)
+        rows = [TaggedReal(v, i, 0) for i, v in enumerate(a)]
+        cols = [TaggedReal(v, 0, j) for j, v in enumerate(b)]
         oracle = sorted(((x, y) for x in range(len(a)) for y in range(len(b))),
                         key=lambda p: (rows[p[0]] + cols[p[1]]).key())
         assert box_order(a, b)[0] == oracle

@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
+from box_oracles import compute_contour, is_bad, tagged_sum
 from threebench import threesum
-from threebench.core import ComparisonLedger, TaggedReal, cut_groups, tag_cols, tag_rows
+from threebench.core import ComparisonLedger, box_order, cut_groups
 from threebench.dominance import BLUE, RED, LabeledPoint
 from threebench.threesum import (
-    BoxView,
     SubquadraticParams,
     _all_contours,
     cached_catalog,
-    compute_contour,
     default_point_count,
     deterministic_point_set,
     enumerate_legal_pairs,
     grid_span,
     grid_spacing,
-    is_bad,
     leq_positions,
     match_boxes,
     oracle_3sum,
@@ -29,8 +27,7 @@ from threebench.threesum import (
 def _random_box(rng, g, lo=-9, hi=10):
     rows = np.sort(rng.integers(lo, hi, size=g)).astype(float)
     cols = np.sort(rng.integers(lo, hi, size=g)).astype(float)
-    return BoxView([TaggedReal(v, i, 0) for i, v in enumerate(rows)],
-                   [TaggedReal(v, 0, j) for j, v in enumerate(cols)])
+    return rows, cols
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +168,10 @@ def test_grid_catalog_covers_every_realizable_consecutive_pair():
         span = grid_span(g, q)
         for _ in range(20):
             box = _random_box(rng, g, -10 ** 6, 10 ** 6)
-            order = sorted(box.positions(), key=lambda p: box.tagged(*p).key())
-            anchors = [p for p in order if p in ps.positions]
+            anchors = [p for p in box_order(*box)[0] if p in ps.positions]
             for a, b in zip(anchors, anchors[1:]):
-                tau = compute_contour(box, box.tagged(*a))
-                tau_p = compute_contour(box, box.tagged(*b))
+                tau = compute_contour(box, tagged_sum(box, *a))
+                tau_p = compute_contour(box, tagged_sum(box, *b))
                 mid = leq_positions(tau_p) - leq_positions(tau) - {b}
                 assert len(mid) <= span
                 assert not (mid & ps.positions)
@@ -195,12 +191,12 @@ def test_matched_entries_are_the_true_contours():
     assignments = match_boxes(groups, cat)
     assert assignments
     for (i, j), slots in assignments.items():
-        box = BoxView(tag_rows(groups[i]), tag_cols(groups[j]))
+        box = (groups[i], groups[j])
         for (anchor, anchor_p), entry in slots.items():
-            assert compute_contour(box, box.tagged(*anchor)).moves == entry.tau.moves
-            assert compute_contour(box, box.tagged(*anchor_p)).moves == entry.tau_prime.moves
+            assert compute_contour(box, tagged_sum(box, *anchor)).moves == entry.tau.moves
+            assert compute_contour(box, tagged_sum(box, *anchor_p)).moves == entry.tau_prime.moves
             mid = leq_positions(entry.tau_prime) - leq_positions(entry.tau) - {anchor_p}
-            true_mid = sorted(mid, key=lambda p: box.tagged(*p).key())
+            true_mid = [p for p in box_order(*box)[0] if p in mid]
             assert list(entry.order) == true_mid
 
 
@@ -217,8 +213,7 @@ def test_non_bad_boxes_receive_full_chains():
     for i in range(m):
         for j in range(m):
             if len(groups[i]) == g and len(groups[j]) == g:
-                box = BoxView(tag_rows(groups[i]), tag_cols(groups[j]))
-                assert not is_bad(box, ps, span)
+                assert not is_bad((groups[i], groups[j]), ps, span)
                 assert len(assignments[(i, j)]) == ps.count - 1
 
 
@@ -231,9 +226,9 @@ def test_corner_anchored_pair_matches_direct_contours():
     groups = cut_groups(vals, g)
     assignments = match_boxes(groups, cat)
     for (i, j), slots in assignments.items():
-        box = BoxView(tag_rows(groups[i]), tag_cols(groups[j]))
+        box = (groups[i], groups[j])
         entry = slots[((0, 0), (g - 1, g - 1))]
-        assert compute_contour(box, box.tagged(0, 0)).moves == entry.tau.moves
+        assert compute_contour(box, tagged_sum(box, 0, 0)).moves == entry.tau.moves
 
 
 # the per-coordinate builders that match_boxes' index maps replaced: the oracle
@@ -321,7 +316,7 @@ def test_subquadratic_deterministic_matches_oracle_with_zero_bad_boxes():
         for i in range(len(groups)):
             for j in range(len(groups)):
                 if len(groups[i]) == g == len(groups[j]):
-                    assert not is_bad(BoxView(tag_rows(groups[i]), tag_cols(groups[j])), ps, span)
+                    assert not is_bad((groups[i], groups[j]), ps, span)
 
 
 def test_subquadratic_randomized_matches_oracle():

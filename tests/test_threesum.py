@@ -5,11 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from box_oracles import compute_contour, tagged_sum
 from threebench import threesum
-from threebench.core import ComparisonLedger, TaggedReal, as_reals
+from threebench.core import ComparisonLedger, as_reals, box_order
 from threebench.threesum import (
-    BoxView,
-    compute_contour,
     default_group_size,
     leq_positions,
     oracle_3sum,
@@ -24,11 +23,6 @@ from threebench.threesum import (
 # block's (3,5) entry is 446 and its (8,6) entry is 578.
 BLOCK_ROWS = [250.0, 289.0, 299.0, 311.0, 325.0, 331.0, 363.0, 384.0, 412.0, 415.0]
 BLOCK_COLS = [0.0, 22.0, 112.0, 118.0, 122.0, 135.0, 166.0, 296.0, 299.0, 356.0]
-
-
-def _box(rows, cols):
-    return BoxView([TaggedReal(v, i, 0) for i, v in enumerate(rows)],
-                   [TaggedReal(v, 0, j) for j, v in enumerate(cols)])
 
 
 def test_oracle_finds_zero_self_triple():
@@ -216,25 +210,23 @@ def test_quadratic_twin_trips_on_a_walk_length_off_by_one(monkeypatch, name, pat
 
 
 def test_contour_below_minimum_marches_west_along_row_zero():
-    box = _box([1.0, 2.0], [10.0, 20.0])
-    ct = compute_contour(box, TaggedReal(-100.0))
+    ct = compute_contour(([1.0, 2.0], [10.0, 20.0]), (-100.0, 0, 0))
     assert ct.steps == ((0, 1), (0, 0))
-    assert ct.exit == "western"
+    assert ct.moves[-1] == "W"
 
 
 def test_contour_above_maximum_marches_south_along_last_column():
-    box = _box([1.0, 2.0], [10.0, 20.0])
-    ct = compute_contour(box, TaggedReal(1000.0))
+    ct = compute_contour(([1.0, 2.0], [10.0, 20.0]), (1000.0, 0, 0))
     assert ct.steps == ((0, 1), (1, 1))
-    assert ct.exit == "southern"
+    assert ct.moves[-1] == "S"
 
 
 def test_contour_passes_through_its_key_position():
-    box = _box(BLOCK_ROWS, BLOCK_COLS)
-    assert box.tagged(3, 5).u == 446.0
-    assert (3, 5) in compute_contour(box, box.tagged(3, 5)).steps
-    assert box.tagged(8, 6).u == 578.0
-    assert (8, 6) in compute_contour(box, box.tagged(8, 6)).steps
+    box = (BLOCK_ROWS, BLOCK_COLS)
+    assert tagged_sum(box, 3, 5) == (446.0, 3, 5)
+    assert (3, 5) in compute_contour(box, tagged_sum(box, 3, 5)).steps
+    assert tagged_sum(box, 8, 6) == (578.0, 8, 6)
+    assert (8, 6) in compute_contour(box, tagged_sum(box, 8, 6)).steps
 
 
 def test_contour_classification_matches_values_exhaustively():
@@ -243,19 +235,12 @@ def test_contour_classification_matches_values_exhaustively():
         g = int(rng.integers(1, 11))
         rows = np.sort(rng.integers(-9, 10, size=g)).astype(float)
         cols = np.sort(rng.integers(-9, 10, size=g)).astype(float)
-        box = _box(rows, cols)
-        for l in range(g):
-            for m in range(g):
-                key = box.tagged(l, m)
-                ct = compute_contour(box, key)
-                assert (l, m) in ct.steps
-                leq = leq_positions(ct)
-                for x in range(g):
-                    for y in range(g):
-                        if box.tagged(x, y) <= key:
-                            assert (x, y) in leq
-                        else:
-                            assert (x, y) not in leq
+        box = (rows, cols)
+        order = box_order(rows, cols)[0]
+        for rank, (l, m) in enumerate(order):
+            ct = compute_contour(box, tagged_sum(box, l, m))
+            assert (l, m) in ct.steps
+            assert leq_positions(ct) == set(order[:rank + 1])
 
 
 def test_decision_tree_finds_planted_witness():
