@@ -139,22 +139,10 @@ def _parse_keyfile(path) -> dict:
 
 def _cmd_bench(args) -> int:
     raw = _parse_keyfile(args.config) if args.config else {}
-    if args.problem:
-        raw["problem"] = args.problem
-    if args.algos:
-        raw["algos"] = args.algos
-    if args.sizes:
-        raw["sizes"] = args.sizes
-    if args.trials is not None:
-        raw["trials"] = str(args.trials)
-    if args.seed is not None:
-        raw["seed"] = str(args.seed)
-    if args.generator:
-        raw["generator"] = args.generator
-    if args.csv:
-        raw["csv"] = args.csv
-    if args.oracle_cap is not None:
-        raw["oracle_cap"] = str(args.oracle_cap)
+    for key in ("problem", "algos", "sizes", "trials", "seed", "generator", "csv", "oracle_cap"):
+        value = getattr(args, key)
+        if value is not None and value != "":
+            raw[key] = str(value)
     for key in ("problem", "algos", "sizes"):
         if key not in raw:
             raise UsageError(f"bench needs {key!r} (flag or config)")
@@ -200,7 +188,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except harness.OracleMismatch as exc:

@@ -471,8 +471,11 @@ def read_records(path) -> list:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError("unrecognized CSV header")
-        for line in fh:
+        width = header.count(",") + 1
+        for lineno, line in enumerate(fh, start=2):
             cells = line.rstrip("\n").split(",")
+            if len(cells) != width:
+                raise ValueError(f"line {lineno}: {len(cells)} cells, the header has {width}")
             params = {}
             for key, cell in zip(PARAMS, cells[4:9]):
                 if cell:

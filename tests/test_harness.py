@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +202,29 @@ def test_cli_solve_all_problems(tmp_path, capsys):
 def test_cli_usage_error_returns_one(capsys):
     assert cli.main(["solve", "3sum"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "3sum", "--algo", "dt", "--input", "{tmp}/missing.txt"],
+    ["solve", "3sum", "--algo", "dt", "--input", "{tmp}"],
+    ["bench", "--config", "{tmp}/missing.conf"],
+    ["fit", "--csv", "{tmp}/missing.csv"],
+    ["bench", "--problem", "3sum", "--algos", "dt", "--sizes", "8",
+     "--csv", "{tmp}/missing/x.csv"],
+    ["fit", "--csv", "{tmp}/short.csv"],
+], ids=["solve-missing-input", "solve-directory-input", "bench-missing-config",
+        "fit-missing-csv", "bench-csv-in-missing-directory", "fit-short-csv-row"])
+def test_cli_unreadable_input_is_an_error_not_a_traceback(tmp_path, argv):
+    (tmp_path / "short.csv").write_text(harness.CSV_HEADER + "\n3sum,dt,8,0\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "threebench.cli"]
+                          + [arg.format(tmp=tmp_path) for arg in argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
 
 
 def test_cli_refuses_an_algo_of_another_problem_or_none(tmp_path, capsys, monkeypatch):
@@ -443,9 +470,11 @@ def test_cli_bench_and_fit(tmp_path, capsys):
 
 def test_cli_bench_flags_override(tmp_path):
     csv = tmp_path / "flags.csv"
-    rc = cli.main(["bench", "--problem", "conv", "--algos", "blocked",
-                   "--sizes", "8,12,16", "--trials", "1", "--seed", "2",
-                   "--csv", str(csv)])
+    conf = tmp_path / "bench.conf"
+    conf.write_text("problem = 3sum\nalgos = quadratic\nsizes = 8,12,16\nseed = 3\ntrials = 2\n")
+    rc = cli.main(["bench", "--config", str(conf), "--problem", "conv", "--algos", "blocked",
+                   "--seed", "0", "--trials", "1", "--csv", str(csv)])
     assert rc == 0
     records = harness.read_records(csv)
-    assert {r.algo for r in records} == {"blocked"}
+    assert {(r.problem, r.algo) for r in records} == {("conv", "blocked")}
+    assert [(r.n, r.seed) for r in records] == [(8, 0), (12, 0), (16, 0)]
