@@ -3,7 +3,6 @@ harness that verifies the counts' scaling empirically."""
 
 from .core import (
     ComparisonLedger,
-    TaggedReal,
     as_reals,
     box_order,
     cut_groups,

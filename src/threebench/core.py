@@ -1,11 +1,13 @@
-"""Substrate shared by every solver: tie-broken reals, the comparison
-ledger, the counted mergesort with its vectorised tick counter, and the
-grouped-search kernel every solver runs.
+"""Substrate shared by every solver: the comparison ledger, the counted
+mergesort with its vectorised tick counter, and the grouped-search kernel
+every solver runs.
 
 A solver's "cost" here is the number of sign queries it issues on linear
 forms of the input reals.  Every such query must go through a
 :class:`ComparisonLedger` tick; index arithmetic and tie-breaking tag
-comparisons are free.  The tag scheme makes every Cartesian sum totally
+comparisons are free.  Ties break by ``(value, row, col)`` keys, a row
+real's ``(v, i, 0)`` and a column real's ``(v, 0, j)``, added pointwise
+and ordered lexicographically.  This makes every Cartesian sum totally
 ordered, so downstream search logic never branches on equality.
 
 The grouped search (Fredman's trick) has four steps, one kernel each:
@@ -35,7 +37,6 @@ that the paper's depth rests on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -50,41 +51,6 @@ def as_reals(values) -> list[float]:
     if not np.isfinite(arr).all():
         raise ValueError("input reals must be finite (no NaN or inf)")
     return arr.tolist()
-
-
-@dataclass(frozen=True, order=True)
-class TaggedReal:
-    """A real number with two integer tie-break tags.
-
-    Ordering is lexicographic on ``(u, r, c)`` and addition/subtraction is
-    pointwise, so a list tagged as rows ``(u, i, 0)`` plus a list tagged as
-    columns ``(u, 0, j)`` yields pairwise-distinct sums whose order extends
-    the raw order of the untagged sums.
-    """
-
-    u: float
-    r: int = 0
-    c: int = 0
-
-    def __add__(self, other: "TaggedReal") -> "TaggedReal":
-        return TaggedReal(self.u + other.u, self.r + other.r, self.c + other.c)
-
-    def __sub__(self, other: "TaggedReal") -> "TaggedReal":
-        return TaggedReal(self.u - other.u, self.r - other.r, self.c - other.c)
-
-    def __neg__(self) -> "TaggedReal":
-        return TaggedReal(-self.u, -self.r, -self.c)
-
-    def key(self) -> tuple[float, int, int]:
-        return (self.u, self.r, self.c)
-
-
-def cmp_tagged(a: TaggedReal, b: TaggedReal) -> int:
-    if a < b:
-        return -1
-    if b < a:
-        return 1
-    return 0
 
 
 class ComparisonLedger:
@@ -180,17 +146,20 @@ def merge_sort_counted(items: Sequence, compare: Callable,
     return out
 
 
-def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list[TaggedReal]:
+def sort_differences(segments, ledger: ComparisonLedger,
+                     arity: int = 4) -> list[tuple[float, int, int]]:
     """Sort the union of all within-segment difference lists.
 
     The reference for :func:`difference_ticks`, on the same ``(values,
-    index_tags, role)`` segments.  A ``"row"`` segment's reals are tagged
-    ``(v, i, 0)``, a ``"col"`` segment's ``(v, 0, i)``, and a ``"both"``
-    segment stands for the two: a row copy and a column copy of the same
-    reals.  Each copy contributes ``seg[x] - seg[y]`` for every ``(x, y)``.
-    Every comparison made is a sign query on a difference of differences
-    and ticks the ledger once; for plain inputs that form touches four
-    reals, for composite inputs the caller passes the wider arity.
+    index_tags, role)`` segments.  Reals are keyed as ``(value, row, col)``
+    tuples, ordered lexicographically and subtracted pointwise: a ``"row"``
+    segment's reals are ``(v, i, 0)``, a ``"col"`` segment's ``(v, 0, i)``,
+    and a ``"both"`` segment stands for the two: a row copy and a column
+    copy of the same reals.  Each copy contributes ``seg[x] - seg[y]`` for
+    every ``(x, y)``.  Every comparison made is a sign query on a
+    difference of differences and ticks the ledger once; for plain inputs
+    that form touches four reals, for composite inputs the caller passes
+    the wider arity.
 
     Every segment must ascend in (value, tag) order, else an assertion
     trips.  Then only the upper half ``x > y`` of a segment's row copy (or
@@ -210,33 +179,34 @@ def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list
 
     def compare(a, b):
         ledger.tick(arity)
-        return cmp_tagged(a, b)
+        return (a[0] > b[0]) - (a[0] < b[0])
 
     def equal(a, b):
         ledger.tick(arity)
-        return a.u == b.u
+        return a[0] == b[0]
 
     upper, rows, diagonal = [], set(), 0
     for vals, idx, role in segments:
-        grp = [TaggedReal(float(v), 0, int(i)) if role == "col" else TaggedReal(float(v), int(i))
+        grp = [(float(v), 0, int(i)) if role == "col" else (float(v), int(i), 0)
                for v, i in zip(vals, idx)]
         assert all(a < b for a, b in zip(grp, grp[1:])), _NOT_ASCENDING
         diagonal += len(grp) * (2 if role == "both" else 1)
         for x in range(1, len(grp)):
             rows.add(len(upper))
-            upper.extend((grp[x] - grp[y], role == "both") for y in range(x - 1, -1, -1))
+            v, r, c = grp[x]
+            upper.extend(((v - w, r - s, c - t), role == "both") for w, s, t in reversed(grp[:x]))
     # rounding can tie distinct differences; a row falls only there, and is cut
     starts = [t for t, (d, _) in enumerate(upper) if t in rows or d < upper[t - 1][0]]
-    upper = merge_sort_counted(upper, lambda a, b: compare(a[0], b[0]), starts)
+    upper = merge_sort_counted(upper, compare, starts)
     if any(role == "both" for _, _, role in segments):
         # a column difference (d, 0, r) has its row twin (d, r, 0)'s value: it joins that run
         cuts = [0, *(t for t in range(1, len(upper)) if not equal(upper[t - 1][0], upper[t][0])),
                 len(upper)]
         upper = [item for a, b in zip(cuts, cuts[1:]) for item in sorted(
-            upper[a:b] + [(TaggedReal(d.u, 0, d.r), False) for d, twin in upper[a:b] if twin],
-            key=lambda item: (item[0].r, item[0].c))]
+            upper[a:b] + [((d, 0, r), False) for (d, r, _), twin in upper[a:b] if twin],
+            key=lambda item: item[0][1:])]
     upper = [d for d, _ in upper]
-    return [-d for d in reversed(upper)] + [TaggedReal(0.0)] * diagonal + upper
+    return [(-d, -r, -c) for d, r, c in reversed(upper)] + [(0.0, 0, 0)] * diagonal + upper
 
 
 # -- vectorised tick counting -------------------------------------------------
@@ -387,10 +357,10 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     - index_tags[y]``, as one sorted run per row ``x = 1 .. m-1``, cut where
     rounding makes it fall; a ``"both"`` segment contributes it once, as
     rows.  Row tags are scaled by a base above twice any column tag, so the
-    one integer tag orders like the ``(row, col)`` tag pair of
-    :class:`TaggedReal`.  When any segment serves both roles, each adjacent
-    pair of the merged list adds one equality query, which places the
-    column copies by tag.  The count equals :func:`sort_differences` on the
+    one integer tag orders like the ``(row, col)`` pair of a ``(value, row,
+    col)`` key.  When any segment serves both roles, each adjacent pair of
+    the merged list adds one equality query, which places the column copies
+    by tag.  The count equals :func:`sort_differences` on the
     same segments.  Ticks the count at `arity` and returns it.
     """
     if not segments:

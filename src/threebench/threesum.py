@@ -107,30 +107,13 @@ class Contour:
 def leq_positions(contour: Contour) -> frozenset:
     """Positions whose value is <= the contour's key.
 
-    On-path positions follow their move (S means <=); a column the path
-    never reached (possible only on a southern exit) lies entirely on the
-    <= side; otherwise everything above the path's rows in that column is
-    <= and everything below is >.
+    Each row the path leaves by its one 'S' step, at column c, holds
+    ``(r, 0..c)`` on the <= side, since a row ascends westward from there.
+    The row the path leaves the grid from westward holds none, and so does
+    a row it never reaches.
     """
-    move_at = dict(zip(contour.steps, contour.moves))
-    col_rows: dict[int, list[int]] = {}
-    for (r, c) in contour.steps:
-        span = col_rows.setdefault(c, [r, r])
-        span[0] = min(span[0], r)
-        span[1] = max(span[1], r)
-    min_col = min(col_rows)
-    out = set()
-    for i in range(contour.nrows):
-        for j in range(contour.ncols):
-            mv = move_at.get((i, j))
-            if mv is not None:
-                if mv == "S":
-                    out.add((i, j))
-            elif j < min_col:
-                out.add((i, j))
-            elif i < col_rows[j][0]:
-                out.add((i, j))
-    return frozenset(out)
+    return frozenset((r, j) for (r, c), mv in zip(contour.steps, contour.moves) if mv == "S"
+                     for j in range(c + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from threebench import conv3sum, ldt, threesum, trimatrix
 PACKAGE_NAMES = [
     "BLUE", "ComparisonLedger", "Contour", "ExperimentConfig", "LabeledPoint",
     "LegalPairCatalog", "LinearForm", "OracleMismatch", "Orientation", "PointSet", "RED",
-    "RunRecord", "SampleHierarchy", "SubquadraticParams", "TaggedReal",
+    "RunRecord", "SampleHierarchy", "SubquadraticParams",
     "TargetProductResult", "WeightedGraph", "acyclic_orient", "antidiagonal_cells",
     "as_reals", "box_order", "c_epsilon", "cut_groups", "default_group_size",
     "deterministic_point_set", "difference_ticks", "enumerate_legal_pairs", "fit_exponent",

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from threebench import harness
 from threebench.core import (
     ComparisonLedger,
-    TaggedReal,
     _bound_depths,
     as_reals,
     box_order,
-    cmp_tagged,
     cut_groups,
     difference_ticks,
     merge_sort_counted,
@@ -27,25 +25,20 @@ from threebench.core import (
 from threebench.threesum import _triangle_visits, solve_decision_tree
 
 
-def test_tagged_real_orders_lexicographically():
-    assert TaggedReal(1.0, 0, 5) < TaggedReal(1.0, 1, 0)
-    assert TaggedReal(1.0, 2, 0) < TaggedReal(2.0, 0, 0)
-    assert TaggedReal(1.0, 2, 3) < TaggedReal(1.0, 2, 4)
-    assert not TaggedReal(1.0, 2, 3) < TaggedReal(1.0, 2, 3)
+def _add(a, b):
+    """Pointwise sum of two ``(value, row, col)`` keys."""
+    return tuple(p + q for p, q in zip(a, b))
 
 
-def test_tagged_real_arithmetic_is_pointwise():
-    a = TaggedReal(2.0, 1, 0)
-    b = TaggedReal(3.0, 0, 4)
-    assert a + b == TaggedReal(5.0, 1, 4)
-    assert a - b == TaggedReal(-1.0, 1, -4)
-    assert -a == TaggedReal(-2.0, -1, 0)
+def _sub(a, b):
+    """Pointwise difference of two ``(value, row, col)`` keys."""
+    return tuple(p - q for p, q in zip(a, b))
 
 
 def test_tagged_cartesian_sums_are_pairwise_distinct():
-    rows = [TaggedReal(v, i, 0) for i, v in enumerate([1.0, 1.0, 2.0])]
-    cols = [TaggedReal(v, 0, j) for j, v in enumerate([0.0, 1.0, 1.0])]
-    sums = [r + c for r in rows for c in cols]
+    rows = [(v, i, 0) for i, v in enumerate([1.0, 1.0, 2.0])]
+    cols = [(v, 0, j) for j, v in enumerate([0.0, 1.0, 1.0])]
+    sums = [_add(r, c) for r in rows for c in cols]
     assert len(set(sums)) == len(sums)
 
 
@@ -57,9 +50,9 @@ def test_tagging_is_a_linear_extension():
         n = int(rng.integers(1, 7))
         a = rng.integers(-4, 5, size=n).astype(float)
         b = rng.integers(-4, 5, size=n).astype(float)
-        rows = [TaggedReal(v, i, 0) for i, v in enumerate(a)]
-        cols = [TaggedReal(v, 0, j) for j, v in enumerate(b)]
-        sums = [(r + c, r.u + c.u) for r in rows for c in cols]
+        rows = [(v, i, 0) for i, v in enumerate(a)]
+        cols = [(v, 0, j) for j, v in enumerate(b)]
+        sums = [(_add(r, c), r[0] + c[0]) for r in rows for c in cols]
         for t1, (s1, raw1) in enumerate(sums):
             for s2, raw2 in sums[t1 + 1:]:
                 if raw1 < raw2:
@@ -69,34 +62,34 @@ def test_tagging_is_a_linear_extension():
 
 
 def _copies(segments):
-    """Each ``(values, index_tags, role)`` segment's reals as TaggedReal
-    lists: rows ``(v, i, 0)``, columns ``(v, 0, i)``, both roles the two."""
+    """Each ``(values, index_tags, role)`` segment's reals as key lists:
+    rows ``(v, i, 0)``, columns ``(v, 0, i)``, both roles the two."""
     out = []
     for vals, idx, role in segments:
         if role != "col":
-            out.append([TaggedReal(float(v), int(i), 0) for v, i in zip(vals, idx)])
+            out.append([(float(v), int(i), 0) for v, i in zip(vals, idx)])
         if role != "row":
-            out.append([TaggedReal(float(v), 0, int(i)) for v, i in zip(vals, idx)])
+            out.append([(float(v), 0, int(i)) for v, i in zip(vals, idx)])
     return out
 
 
 def _difference_union(segments):
     """Sorted keys of every copy's full difference list, what
     :func:`sort_differences` must return."""
-    return sorted((a - b).key() for grp in _copies(segments) for a in grp for b in grp)
+    return sorted(_sub(a, b) for grp in _copies(segments) for a in grp for b in grp)
 
 
 def test_sort_differences_single_group():
     led = ComparisonLedger()
     diffs = sort_differences([([1.0, 2.0, 4.0], [1, 2, 0], "row")], led)
-    assert [d.u for d in diffs] == [-3.0, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
+    assert [d[0] for d in diffs] == [-3.0, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
     assert led.count_klinear == {4: 1}
 
 
 def test_sort_differences_singleton():
     led = ComparisonLedger()
     diffs = sort_differences([([0.0], [0], "row")], led)
-    assert [d.u for d in diffs] == [0.0]
+    assert diffs == [(0.0, 0, 0)]
 
 
 def test_sort_differences_matches_materialized_oracle():
@@ -106,7 +99,7 @@ def test_sort_differences_matches_materialized_oracle():
                                    ("row", "col", "both")[trial % 3]) for _ in range(3)],
                                  ComparisonLedger())
         diffs = sort_differences(segments, ComparisonLedger())
-        assert [d.key() for d in diffs] == _difference_union(segments)
+        assert diffs == _difference_union(segments)
 
 
 def test_ledger_counts_are_monotone_and_snapshots_frozen():
@@ -426,11 +419,15 @@ def test_box_order_equals_the_fredman_comparator_order():
             vals = harness.generate("3sum", 24, gen, seed).tolist()
             for rv, cv in ((vals[:5], vals[5:9]), (vals[9:16], vals[16:24]),
                            (vals[:1], vals[1:6]), (vals[6:12], vals[6:12])):
-                r = [TaggedReal(v, i, 0) for i, v in enumerate(rv)]
-                c = [TaggedReal(v, 0, j) for j, v in enumerate(cv)]
+                r = [(v, i, 0) for i, v in enumerate(rv)]
+                c = [(v, 0, j) for j, v in enumerate(cv)]
                 cells = [(x, y) for x in range(len(rv)) for y in range(len(cv))]
-                want = merge_sort_counted(
-                    cells, lambda p, q: cmp_tagged(r[p[0]] - r[q[0]], c[q[1]] - c[p[1]]))
+
+                def cmp(p, q):
+                    lhs, rhs = _sub(r[p[0]], r[q[0]]), _sub(c[q[1]], c[p[1]])
+                    return (lhs > rhs) - (lhs < rhs)
+
+                want = merge_sort_counted(cells, cmp)
                 order, raws = box_order(rv, cv)
                 assert order == want
                 assert raws == [rv[x] + cv[y] for (x, y) in want]
@@ -453,10 +450,10 @@ def test_box_order_matches_the_tagged_sum_oracle_on_random_boxes():
     for _ in range(40):
         a = rng.integers(-9, 10, size=int(rng.integers(1, 7))).astype(float)
         b = rng.integers(-9, 10, size=int(rng.integers(1, 7))).astype(float)
-        rows = [TaggedReal(v, i, 0) for i, v in enumerate(a)]
-        cols = [TaggedReal(v, 0, j) for j, v in enumerate(b)]
+        rows = [(v, i, 0) for i, v in enumerate(a)]
+        cols = [(v, 0, j) for j, v in enumerate(b)]
         oracle = sorted(((x, y) for x in range(len(a)) for y in range(len(b))),
-                        key=lambda p: (rows[p[0]] + cols[p[1]]).key())
+                        key=lambda p: _add(rows[p[0]], cols[p[1]]))
         assert box_order(a, b)[0] == oracle
 
 
@@ -539,7 +536,7 @@ def test_sort_differences_of_ascending_groups_is_the_lexsort_at_the_counted_pric
             segments = [(*grp, "both") for grp in rows]
         led = ComparisonLedger()
         got = sort_differences(segments, led)
-        assert [d.key() for d in got] == _difference_union(segments)
+        assert got == _difference_union(segments)
         led2 = ComparisonLedger()
         assert difference_ticks(segments, led2) == led.count(4)
         assert led2.count_klinear == led.count_klinear
@@ -562,7 +559,7 @@ def test_a_segment_declared_ascending_that_does_not_ascend_trips_an_assertion(va
     if ascends:
         led = ComparisonLedger()
         got = sort_differences(segments, led)
-        assert [d.key() for d in got] == _difference_union(segments)
+        assert got == _difference_union(segments)
         assert difference_ticks(segments, ComparisonLedger()) == led.count(4) > 0
         return
     for role in ("col", "both"):
