@@ -631,8 +631,10 @@ def zero_triangle_core(graph: WeightedGraph, delta: Optional[int] = None,
             for bi in range(ai + 1, len(nbrs)):
                 x, wx = nbrs[bi]
                 wvx = wm.get((v, x))
-                if wvx is not None and wv + wx + wvx == 0.0:
-                    return (u, v, x)
+                if wvx is not None:
+                    ledger.tick(3)  # the sign of wv + wx + wvx
+                    if wv + wx + wvx == 0.0:
+                        return (u, v, x)
 
     core_vertices = sorted(alive)
     if not core_vertices:

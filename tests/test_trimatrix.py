@@ -485,6 +485,18 @@ def test_sparse_triangle_free_graph():
     assert zero_triangle_core(g) is None
 
 
+def test_core_peel_books_one_sign_query_per_closed_out_pair():
+    # a threshold above every degree peels the whole graph; each triangle
+    # closes exactly one out-pair (v, x) of its peeled source u
+    edges = [(u, v, 1.0 + u + v) for u in range(7) for v in range(u + 1, 7) if (u * v) % 3 != 1]
+    g = _graph(7, edges)
+    adj = g.adjacency()
+    triangles = sum(1 for u in range(7) for v in adj[u] for x in adj[u] & adj[v] if u < v < x)
+    led = ComparisonLedger()
+    assert zero_triangle_core(g, g.n, led) is None
+    assert triangles > 0 and led.count_klinear == {3: triangles}
+
+
 def test_sparse_agrees_with_enumeration():
     for trial in range(40):
         graph = generate("zerotri", 4 + trial % 20, GENS[trial % len(GENS)], trial)
