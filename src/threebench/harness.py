@@ -422,8 +422,10 @@ def run_experiment(config: ExperimentConfig) -> list:
     must be found, the algos run on one instance must agree on `found` (on
     the values and witnesses, for tmp), and each run under the oracle cap
     is cross-checked; a failure raises OracleMismatch.  Writes the CSV when
-    the config names a path.
+    the config names a path, which must be writable before the first run.
     """
+    if config.csv_path:
+        open(config.csv_path, "a").close()  # refuse an unwritable path now; keeps the contents
     cap = config.oracle_cap if config.oracle_cap is not None \
         else DEFAULT_ORACLE_CAPS[config.problem]
     records = []

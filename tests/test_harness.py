@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -82,6 +83,22 @@ def test_records_are_reproducible_modulo_wall_time(tmp_path):
         return [",".join(line.split(",")[:-1]) for line in lines]
 
     assert run("a.csv") == run("b.csv")
+
+
+def test_run_experiment_refuses_an_unwritable_csv_before_the_first_run(tmp_path, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_solver", no_run)
+    cfg = harness.ExperimentConfig(problem="3sum", algos=("dt",), sizes=(8,),
+                                   csv_path=str(tmp_path / "missing" / "x.csv"))
+    with pytest.raises(OSError):
+        harness.run_experiment(cfg)
+    kept = tmp_path / "kept.csv"  # a writable path keeps its contents until the rows land
+    kept.write_text("old\n")
+    with pytest.raises(AssertionError, match="a run started"):
+        harness.run_experiment(dataclasses.replace(cfg, csv_path=str(kept)))
+    assert kept.read_text() == "old\n"
 
 
 def test_fit_exponent_recovers_known_slopes():
