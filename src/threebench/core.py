@@ -5,10 +5,8 @@ every solver runs.
 A solver's "cost" here is the number of sign queries it issues on linear
 forms of the input reals.  Every such query must go through a
 :class:`ComparisonLedger` tick; index arithmetic and tie-breaking tag
-comparisons are free.  Ties break by ``(value, row, col)`` keys, a row
-real's ``(v, i, 0)`` and a column real's ``(v, 0, j)``, added pointwise
-and ordered lexicographically.  This makes every Cartesian sum totally
-ordered, so downstream search logic never branches on equality.
+comparisons are free.  Pointwise ``(value, row, col)`` tags make every
+Cartesian sum totally ordered, so search logic never branches on equality.
 
 The grouped search (Fredman's trick) has four steps, one kernel each:
 :func:`difference_ticks` charges the one sort of the within-group
@@ -146,20 +144,17 @@ def merge_sort_counted(items: Sequence, compare: Callable,
     return out
 
 
-def sort_differences(segments, ledger: ComparisonLedger,
-                     arity: int = 4) -> list[tuple[float, int, int]]:
+def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list[tuple]:
     """Sort the union of all within-segment difference lists.
 
     The reference for :func:`difference_ticks`, on the same ``(values,
-    index_tags, role)`` segments.  Reals are keyed as ``(value, row, col)``
-    tuples, ordered lexicographically and subtracted pointwise: a ``"row"``
-    segment's reals are ``(v, i, 0)``, a ``"col"`` segment's ``(v, 0, i)``,
-    and a ``"both"`` segment stands for the two: a row copy and a column
-    copy of the same reals.  Each copy contributes ``seg[x] - seg[y]`` for
-    every ``(x, y)``.  Every comparison made is a sign query on a
-    difference of differences and ticks the ledger once; for plain inputs
-    that form touches four reals, for composite inputs the caller passes
-    the wider arity.
+    index_tags, role)`` segments.  A ``"row"`` segment's reals are keyed
+    ``(v, i, 0)``, a ``"col"`` segment's ``(v, 0, i)``, and a ``"both"``
+    segment stands for the two: a row copy and a column copy of the same
+    reals.  Each copy contributes ``seg[x] - seg[y]`` for every ``(x, y)``.
+    Every comparison made is a sign query on a difference of differences
+    and ticks the ledger once; for plain inputs that form touches four
+    reals, for composite inputs the caller passes the wider arity.
 
     Every segment must ascend in (value, tag) order, else an assertion
     trips.  Then only the upper half ``x > y`` of a segment's row copy (or
@@ -191,9 +186,8 @@ def sort_differences(segments, ledger: ComparisonLedger,
                for v, i in zip(vals, idx)]
         assert all(a < b for a, b in zip(grp, grp[1:])), _NOT_ASCENDING
         diagonal += len(grp) * (2 if role == "both" else 1)
-        for x in range(1, len(grp)):
+        for x, (v, r, c) in enumerate(grp[1:], 1):
             rows.add(len(upper))
-            v, r, c = grp[x]
             upper.extend(((v - w, r - s, c - t), role == "both") for w, s, t in reversed(grp[:x]))
     # rounding can tie distinct differences; a row falls only there, and is cut
     starts = [t for t, (d, _) in enumerate(upper) if t in rows or d < upper[t - 1][0]]
@@ -360,8 +354,8 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     one integer tag orders like the ``(row, col)`` pair of a ``(value, row,
     col)`` key.  When any segment serves both roles, each adjacent pair of
     the merged list adds one equality query, which places the column copies
-    by tag.  The count equals :func:`sort_differences` on the
-    same segments.  Ticks the count at `arity` and returns it.
+    by tag.  The count equals :func:`sort_differences` on the same
+    segments.  Ticks the count at `arity` and returns it.
     """
     if not segments:
         return 0

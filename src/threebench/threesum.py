@@ -107,10 +107,10 @@ class Contour:
 def leq_positions(contour: Contour) -> frozenset:
     """Positions whose value is <= the contour's key.
 
-    Each row the path leaves by its one 'S' step, at column c, holds
-    ``(r, 0..c)`` on the <= side, since a row ascends westward from there.
-    The row the path leaves the grid from westward holds none, and so does
-    a row it never reaches.
+    Each row the path leaves by its 'S' step at column c holds ``(r, 0..c)``
+    on the <= side: the row ascends, so nothing west of ``(r, c)`` is
+    larger.  The row the path leaves the grid from, westward, holds none,
+    and so does a row it never reaches.
     """
     return frozenset((r, j) for (r, c), mv in zip(contour.steps, contour.moves) if mv == "S"
                      for j in range(c + 1))
