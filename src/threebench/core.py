@@ -13,7 +13,11 @@ The grouped search (Fredman's trick) has four steps, one kernel each:
 difference lists; :func:`box_order` reads a box's sorted order off that
 sort for free; :func:`staircase_visits` lists the boxes every key's walk
 visits; and :func:`search_visits` prices, in closed form, the search of
-each visited box at one tick per probe of :func:`ternary_search`.
+each visited box at one tick per probe of :func:`ternary_search`, up to
+the first hit.  A key outside its box's range is priced without the box,
+no box is sorted whose keys in range all come after a hit, and
+:func:`ternary_probes` prices each search from the key's ranks among the
+box's sums.
 Solvers accept input reals through :func:`as_reals`, sort them with
 :func:`sorted_counted` and cut the sorted list into groups with
 :func:`cut_groups`.
@@ -427,13 +431,19 @@ def staircase_visits(row_max, col_min, keys, start):
     the column group's smallest exceeds the key, south otherwise, until it
     leaves the grid.  All walks take each step together.  Touches no ledger.
     """
+    return _staircase(row_max, col_min, keys, start, diagonal=False)
+
+
+def _staircase(row_max, col_min, keys, start, diagonal: bool):
+    """:func:`staircase_visits`, whose walks end where they leave the grid,
+    or with `diagonal` where they first cross below it, at ``lo > hi``."""
     row_max, col_min, keys = (np.asarray(v, dtype=np.float64) for v in (row_max, col_min, keys))
     idx = np.arange(len(keys))
     lo = np.zeros(len(keys), dtype=np.int64)
     hi = np.broadcast_to(start, keys.shape)
     steps = []  # ends with the empty step after the last walk leaves
     while True:
-        live = (lo < len(row_max)) & (hi >= 0)
+        live = lo <= hi if diagonal else (lo < len(row_max)) & (hi >= 0)
         idx, lo, hi = idx[live], lo[live], hi[live]
         steps.append((idx, lo, hi))
         if not len(idx):
@@ -484,18 +494,18 @@ def _binsearch_depths(length: int):
     return node, gap
 
 
-def ternary_probes(sums: np.ndarray, keys: np.ndarray):
-    """Probes :func:`ternary_search` makes per key on the sorted `sums`, and
-    whether it hits.  A miss follows the path of its insertion point; a hit
-    stops at the first probe inside its run of equal sums, the run's
-    shallowest node."""
-    node, gap = _binsearch_depths(len(sums))
-    left = np.searchsorted(sums, keys, "left")
-    right = np.searchsorted(sums, keys, "right")
+def ternary_probes(left: np.ndarray, right: np.ndarray, length: int):
+    """Probes :func:`ternary_search` makes per key on a sorted list of
+    `length` sums, and whether it hits, from each key's ranks in that list:
+    `left` sums lie below the key and `right` at or below it.  A miss follows
+    the path of its insertion point; a hit stops at the first probe inside
+    its run of equal sums, the run's shallowest node."""
+    node, gap = _binsearch_depths(length)
     hit = left < right
     probes = gap[left].astype(np.int64)
-    bounds = np.column_stack((left[hit], right[hit])).ravel()
-    probes[hit] = np.minimum.reduceat(np.append(node, 0), bounds)[::2]
+    if hit.any():
+        bounds = np.column_stack((left[hit], right[hit])).ravel()
+        probes[hit] = np.minimum.reduceat(np.append(node, 0), bounds)[::2]
     return probes, hit
 
 
@@ -505,22 +515,50 @@ def search_visits(row_groups, col_groups, lo, hi, keys):
 
     Returns the queries (every probe, plus one per miss to choose the move)
     and the index of the first hit, or None.  Touches no ledger.
+
+    A key below or above every sum of its box misses at an end, priced
+    without the box.  The boxes of the other visits are sorted in the order
+    of their earliest such visit, until one's comes after the earliest hit
+    found so far, and each ranks only its visits before that hit.
     """
     nv = len(lo)
+    row_min, row_max, row_len = _group_ends(row_groups)
+    col_min, col_max, col_len = _group_ends(col_groups)
+    length = row_len[lo] * col_len[hi]
+    # rounding is monotone, so these are the box's largest and smallest sums
+    above = keys > row_max[lo] + col_max[hi]
+    outside = above | (keys < row_min[lo] + col_min[hi])
     probes = np.zeros(nv, dtype=np.int64)
-    hit = np.zeros(nv, dtype=bool)
-    box = lo * len(col_groups) + hi
-    order = np.argsort(box, kind="stable")  # by box, visit order kept within each
-    starts = np.flatnonzero(np.diff(box[order], prepend=-1))
-    for a, b in zip(starts, np.append(starts[1:], nv)):
-        seg = order[a:b]
-        i, j = lo[seg[0]], hi[seg[0]]
-        sums = np.sort(np.add.outer(row_groups[i], col_groups[j]), axis=None)
-        probes[seg], hit[seg] = ternary_probes(sums, keys[seg])
-    if hit.any():
-        first = int(np.argmax(hit))
+    edge = np.where(above, length, 0)
+    for size in np.unique(length[outside]).tolist():
+        at = np.flatnonzero(outside & (length == size))
+        probes[at] = ternary_probes(edge[at], edge[at], size)[0]
+    inside = np.flatnonzero(~outside)
+    box = lo[inside] * len(col_groups) + hi[inside]
+    by_box = np.argsort(box, kind="stable")  # visit order kept within each box
+    order, starts = inside[by_box], np.flatnonzero(np.diff(box[by_box], prepend=-1))
+    ends = np.append(starts[1:], len(order))
+    first = nv  # the earliest hit so far
+    for b in np.argsort(order[starts]):  # boxes by their earliest visit
+        seg = order[starts[b]:ends[b]]
+        seg = seg[:np.searchsorted(seg, first)]
+        if not len(seg):
+            break  # so do all later boxes: none holds a visit before `first`
+        sums = np.sort(np.add.outer(row_groups[lo[seg[0]]], col_groups[hi[seg[0]]]), axis=None)
+        probes[seg], hit = ternary_probes(np.searchsorted(sums, keys[seg], "left"),
+                                          np.searchsorted(sums, keys[seg], "right"), len(sums))
+        if hit.any():
+            first = int(seg[np.argmax(hit)])  # below `first`, as all of `seg` is
+    if first < nv:
         return int(probes[:first + 1].sum()) + first, first
     return int(probes.sum()) + nv, None
+
+
+def _group_ends(groups):
+    """Each group's smallest value, largest value and length, as arrays."""
+    sizes = np.array([len(grp) for grp in groups])
+    flat, starts = np.concatenate(groups), np.cumsum(sizes) - sizes
+    return np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts), sizes
 
 
 @lru_cache(maxsize=64)

@@ -36,6 +36,7 @@ import numpy as np
 from .core import (
     ComparisonLedger,
     _binsearch_depths,  # unused here; perfbench's fill_caches reads it
+    _staircase,
     as_reals,
     box_order,
     cut_groups,
@@ -44,7 +45,6 @@ from .core import (
     search_visits,
     sort_differences,
     sorted_counted,
-    staircase_visits,
     ternary_search,
 )
 from .dominance import BLUE, RED, LabeledPoint, report_dominating_pairs, sorting_permutations
@@ -666,10 +666,8 @@ def _triangle_visits(svals, g):
     svals = np.asarray(svals, dtype=np.float64)
     n = len(svals)
     firsts = np.arange(0, n, g)
-    k, lo, hi = staircase_visits(svals[np.minimum(firsts + g, n) - 1], svals[firsts],
-                                 -svals, np.arange(n) // g)
-    keep = lo <= hi
-    return k[keep], lo[keep], hi[keep]
+    return _staircase(svals[np.minimum(firsts + g, n) - 1], svals[firsts], -svals,
+                      np.arange(n) // g, diagonal=True)
 
 
 def _staircase_walk(svals, g, searcher, ledger):

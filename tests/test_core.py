@@ -412,6 +412,69 @@ def test_search_visits_equal_a_ternary_search_per_visit():
         assert search_visits(rows, cols, lo, hi, keys) == (led.count_3linear, first)
 
 
+def test_search_visits_equal_the_per_visit_oracle_over_hundreds_of_visits():
+    # hits are rare, so boxes hold keys past the first hit and the search
+    # stops early; the cases that exercises are tallied and all required
+    rng = np.random.default_rng(16)
+    seen = set()
+    for _ in range(80):
+        uni = int(rng.choice([3, 6, 40]))
+        rows = [np.sort(rng.integers(-uni, uni + 1, size=int(rng.integers(1, 13)))).astype(float)
+                for _ in range(int(rng.integers(1, 4)))]
+        cols = [np.sort(rng.integers(-uni, uni + 1, size=int(rng.integers(1, 13)))).astype(float)
+                for _ in range(int(rng.integers(1, 4)))]
+        nv = int(rng.integers(200, 700))
+        lo = rng.integers(0, len(rows), size=nv)
+        hi = rng.integers(0, len(cols), size=nv)
+        raws = {(i, j): box_order(rows[i], cols[j])[1]
+                for i in range(len(rows)) for j in range(len(cols))}
+        keys = np.empty(nv)
+        for t in range(nv):
+            box = raws[lo[t], hi[t]]
+            pick = rng.random()
+            if pick < 0.01:
+                keys[t] = box[0] if pick < 0.005 else box[-1]
+            elif pick < 0.02:
+                keys[t] = box[int(rng.integers(len(box)))]
+            elif pick < 0.1:
+                keys[t] = box[0] - 1 if pick < 0.06 else box[-1] + 1
+            else:
+                keys[t] = rng.integers(box[0] - 1, box[-1] + 1) + 0.5
+        hits = [keys[t] in raws[lo[t], hi[t]] for t in range(nv)]
+        led, first = ComparisonLedger(), None
+        for t in range(nv):
+            if ternary_search(raws[lo[t], hi[t]], keys[t], led)[0] == "hit":
+                first = t
+                break
+            led.tick(3)
+        assert search_visits(rows, cols, lo, hi, keys) == (led.count_3linear, first)
+        if first is None:
+            continue
+        visits = {}
+        for t, b in enumerate(zip(lo.tolist(), hi.tolist())):
+            visits.setdefault(b, []).append(t)
+        box, key = raws[lo[first], hi[first]], keys[first]
+        hit_after = [min((t for t in ts if hits[t]), default=nv) for ts in visits.values()]
+        in_range = [raws[b][0] <= keys[t] <= raws[b][-1] for t, b in enumerate(zip(lo, hi))]
+        cases = {
+            "revisited": any(ts[0] < first < ts[-1] for ts in visits.values()),
+            "hit on a box's least sum": key == box[0],
+            "hit on a box's greatest sum": key == box[-1],
+            "tied hit": box.count(key) > 1,
+            "box entered out of range, searched later": any(
+                not in_range[ts[0]] and any(in_range[t] for t in ts if t <= first)
+                for ts in visits.values()),
+            "below a box": any(keys[t] < raws[lo[t], hi[t]][0] for t in range(first)),
+            "above a box": any(keys[t] > raws[lo[t], hi[t]][-1] for t in range(first)),
+            "box entered before the first hit, hit after it":
+                any(ts[0] < first < h < nv for ts, h in zip(visits.values(), hit_after)),
+            "hit in a box first visited after the first hit":
+                any(first < ts[0] and h < nv for ts, h in zip(visits.values(), hit_after)),
+        }
+        seen |= {name for name, held in cases.items() if held}
+    assert seen == set(cases)
+
+
 def test_box_order_equals_the_fredman_comparator_order():
     # a + b < a' + b'  iff  a - a' < b' - b, answered on tagged reals
     for gen in harness.GENERATORS:

@@ -37,12 +37,14 @@ def _kldt_scalar(phi, values, group_size, ledger):
                      + [(grp, range(len(grp)), "col") for grp in b_groups],
                      ledger, arity=2 * k - 2)
     ledger.snapshot("differences_sorted")
+    boxes = {}
     for c in c_list:
         key = -c
         lo, hi = 0, mb - 1
         while lo < ma and hi >= 0:
-            res, _ = ternary_search(box_order(a_groups[lo], b_groups[hi])[1], key, ledger,
-                                    arity=k)
+            if (lo, hi) not in boxes:
+                boxes[lo, hi] = box_order(a_groups[lo], b_groups[hi])[1]
+            res, _ = ternary_search(boxes[lo, hi], key, ledger, arity=k)
             if res == "hit":
                 return True
             ledger.tick(k)
@@ -73,6 +75,29 @@ def test_solver_equals_the_scalar_walk():
         assert l1.count_klinear == l2.count_klinear
         decisions.add(found)
     assert {0, 1} <= {n for n, _ in sizes} and any(short for _, short in sizes)
+    assert decisions == {False, True}
+
+
+def test_solver_equals_the_scalar_walk_over_hundreds_of_visits():
+    # a few large boxes, each visited by many keys; the universes make the
+    # first zero come early, late or never
+    rng = np.random.default_rng(17)
+    decisions = set()
+    for trial in range(24):
+        k = (3, 5)[trial % 4 == 3]
+        n = int(rng.integers(80, 200)) if k == 3 else int(rng.integers(9, 15))
+        size = n ** ((k - 1) // 2)
+        g = int(rng.integers(size // 5, size // 2 + 1))
+        uni = int(rng.choice([20, 10 ** 4, 10 ** 5, 10 ** 6]))
+        coeffs = [float(rng.integers(-2, 3))]
+        coeffs += [float(x) if x else 1.0 for x in rng.integers(-3, 4, size=k)]
+        phi = LinearForm(tuple(coeffs))
+        values = rng.integers(-uni, uni + 1, size=n).astype(float).tolist()
+        l1, l2 = ComparisonLedger(), ComparisonLedger()
+        found = solve_kldt(phi, values, g, l1)
+        assert found == _kldt_scalar(phi, values, g, l2)
+        assert l1.count_klinear == l2.count_klinear
+        decisions.add(found)
     assert decisions == {False, True}
 
 

@@ -497,6 +497,39 @@ def test_core_peel_books_one_sign_query_per_closed_out_pair():
     assert triangles > 0 and led.count_klinear == {3: triangles}
 
 
+def test_core_hands_its_core_to_the_dense_solver():
+    # a complete graph on `m` vertices keeps every vertex at delta = 2; at
+    # delta = 3 it sheds only its ears, degree-2 vertices on a core edge
+    # whose heavy weights close no zero triangle, one sign query each
+    rng = np.random.default_rng(19)
+    found = set()
+    for trial in range(40):
+        m, ears = int(rng.integers(4, 9)), int(rng.integers(0, 5)) * (trial % 2)
+        ids = rng.permutation(m + ears)
+        core_ids, ear_ids = sorted(ids[:m].tolist()), ids[m:].tolist()
+        edges = [(core_ids[a], core_ids[b], float(rng.integers(-4, 5)))
+                 for a in range(m) for b in range(a + 1, m)]
+        for e in ear_ids:
+            a, b = rng.choice(m, size=2, replace=False)
+            edges += [(e, core_ids[a], 100.0 + e), (core_ids[b], e, 200.0 + e)]
+        g = _graph(m + ears, edges)
+        remap = {v: i for i, v in enumerate(core_ids)}
+        core = _graph(m, [(remap[u], remap[v], w) for u, v, w in edges
+                          if u in remap and v in remap])
+        dense = ComparisonLedger()
+        hit = zero_triangle_dense(core, "dt", ledger=dense)
+        led = ComparisonLedger()
+        got = zero_triangle_core(g, 3 if ears else 2, led)
+        want = {3: ears} if ears else {}
+        for arity, count in dense.count_klinear.items():
+            want[arity] = want.get(arity, 0) + count
+        assert led.count_klinear == want
+        assert got == (None if hit is None else tuple(sorted(core_ids[x] for x in hit)))
+        assert (got is None) == (oracle_zero_triangle(g) is None)
+        found.add(got is not None)
+    assert found == {False, True}
+
+
 def test_sparse_agrees_with_enumeration():
     for trial in range(40):
         graph = generate("zerotri", 4 + trial % 20, GENS[trial % len(GENS)], trial)
