@@ -34,7 +34,11 @@ its column differences have its row differences' values, so one equality
 query per adjacent pair of the merged list finds the equal-value runs, and
 each column difference joins its run by tag.  Merging still costs about
 log n comparisons per difference, one log factor above Fredman's bound
-that the paper's depth rests on.
+that the paper's depth rests on.  The kernel never runs that merge: it
+writes each row of every equal-length segment straight into the list, and
+since every run ascends, it counts each merge level by bisecting the rows
+against the level's thresholds, or, where the rows are short, by one pass
+over the level's values.
 """
 
 from __future__ import annotations
@@ -214,58 +218,104 @@ def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list
 # of sorted runs L and R (ties go left), the run with the larger (value,
 # tag) maximum outlasts the other: if max L <= max R, L empties first after
 # |L| + #{r in R : r < max L} comparisons; otherwise R does, after
-# |R| + #{l in L : l <= max R}.  Counts and maxima are permutation-invariant,
-# so they need only the *unsorted* run contents at every level, and the runs
-# of a level are contiguous slices of the input.  The maximum of a merged
-# run is the larger of its halves' maxima, so each level carries one
-# (value, tag) maximum per run up from the level below at O(runs) cost, and
-# counts only the run that outlasts, against the other run's maximum: one
-# compare of the N values with a per-run threshold (NaN for runs that empty
-# first, so they never count), one count, and one equality test whose
-# sparse hits alone are resolved by tag; each threshold is repeated over
-# its run.  The rows of a (k, n) stack are sorted each on its own, from one
-# run layout, so that equal-length segments are counted in one call.
+# |R| + #{l in L : l <= max R}.  The maximum of a merged run is the larger
+# of its halves' maxima, so each level carries one (value, tag) maximum per
+# run up from the level below at O(runs) cost, and counts only the values of
+# the run that outlasts that lie below a threshold key, the maximum of the
+# run that empties.  A run of any level is a contiguous slice of the input
+# made of whole input runs, each ascending, so that count is the sum of
+# every input run's lower bound of its threshold.  Where the input runs are
+# long, one vectorised bisection over all (input run, threshold) queries
+# finds those bounds: a run whose last key lies below its threshold counts
+# in full, one whose first key does not counts nothing, and only the rest
+# are bisected.  Where they are short, a level pass over the values counts
+# instead: one compare of the N values with their run's threshold, one
+# count, and one equality test whose sparse hits alone are resolved by tag.
+# The rows of a (k, n) stack are sorted each on its own, from one run
+# layout, so that equal-length segments are counted in one call.
+
+# Input runs this long or longer, on average, are counted by bisection, and
+# shorter ones by level passes; CHANGES.md has the measurement behind it.
+_BISECT_RUN = 32
 
 
-def _outlasting_count(u, tags, thr, emptied, bounds, sizes) -> int:
-    """How many values of one merge level count against their run's
-    threshold `thr`, the maximum of its paired run that empties first (NaN
-    on a run that empties first): those below it, and those equal to it
-    whose tag is below `emptied`, that maximum's tag, plus one where the
-    right run empties.  The runs lie between `bounds`, `sizes` long, along
-    each row of the stack `u`.  A function of its own so that a level's
-    temporaries, some as large as `u`, are freed before the next level
-    allocates its own."""
-    thr = np.repeat(thr, sizes, axis=1)
-    below = int(np.count_nonzero(u < thr))
-    row, pos = np.divmod(np.flatnonzero(u == thr), u.shape[1])
-    block = np.searchsorted(bounds[::2], pos, "right") - 1
-    return below + int(np.count_nonzero(tags[row, pos] < emptied[row, block]))
+def _level_pass_count(u, tags, thr, key_tag, bounds) -> int:
+    """How many values of one merge level lie below their run's threshold
+    key ``(thr, key_tag)``: those below `thr`, and those equal to it whose
+    tag is below `key_tag`.  A run whose `thr` is NaN counts nothing.  The
+    runs lie between `bounds` along each row of the stack `u`.  A function
+    of its own so that a level's temporaries, some as large as `u`, are
+    freed before the next level allocates its own."""
+    rep = np.repeat(thr, np.diff(bounds), axis=1)
+    below = int(np.count_nonzero(u < rep))
+    row, pos = np.divmod(np.flatnonzero(u == rep), u.shape[1])
+    run = np.searchsorted(bounds, pos, "right") - 1
+    return below + int(np.count_nonzero(tags[row, pos] < key_tag[row, run]))
+
+
+def _bisected_count(u, tags, first, last, thr, key_tag) -> int:
+    """How many values of the flat (u, tags) lie below the threshold key
+    ``(thr[q], key_tag[q])`` of their input run ``q``, which ascends from
+    position ``first[q]`` to ``last[q]``; a NaN `thr` counts nothing."""
+    def below(at, thr, key_tag):
+        at_u = u[at]
+        fewer = at_u < thr
+        tied = np.flatnonzero(at_u == thr)  # sparse: only these read their tags
+        fewer[tied] = tags[at[tied]] < key_tag[tied]
+        return fewer
+
+    live = np.flatnonzero(~np.isnan(thr))
+    first, last, thr, key_tag = first[live], last[live], thr[live], key_tag[live]
+    whole = below(last, thr, key_tag)
+    total = int((last - first + 1)[whole].sum())
+    rest = np.flatnonzero(~whole)
+    cut = rest[below(first[rest], thr[rest], key_tag[rest])]
+    base, thr, key_tag = first[cut], thr[cut], key_tag[cut]
+    lo, hi = base + 1, last[cut]  # the bound lies in (first, last]
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) // 2  # lo == hi stays put: hi never lies below
+        go = below(mid, thr, key_tag)
+        lo, hi = np.where(go, mid + 1, lo), np.where(go, hi, mid)
+    return total + int((lo - base).sum())
 
 
 def _tick_count(u, tags, bounds) -> int:
     """Comparisons the canonical mergesort makes on each row of the (k, n)
-    stack of (u, tags) lex keys, from the runs between `bounds`, the same
-    for every row."""
+    stack of (u, tags) lex keys, from the ascending runs between `bounds`,
+    the same for every row."""
     k, n = u.shape
     top_u, top_t = u[:, bounds[1:] - 1], tags[:, bounds[1:] - 1]  # each run's maximum
+    inputs = bounds  # the input runs; `bounds` moves up one level per merge level
+    bisect = n >= _BISECT_RUN * (len(inputs) - 1)
+    owner = np.arange(len(inputs) - 1)  # the run of this level that holds each input run
+    queries = []  # with `bisect`, each level's threshold key per input run
     total = 0
     while top_u.shape[1] > 1:
         runs = top_u.shape[1]
         two = runs - runs % 2  # an unpaired last run moves up unmerged
         lu, ru, lt, rt = top_u[:, :two:2], top_u[:, 1:two:2], top_t[:, :two:2], top_t[:, 1:two:2]
         left_first = (lu < ru) | ((lu == ru) & (lt <= rt))  # the left run empties first
-        sizes = bounds[1:] - bounds[:-1]
+        sizes = np.diff(bounds)
         total += int(np.where(left_first, sizes[:two:2], sizes[1:two:2]).sum())
-        # the run that outlasts counts against the maximum of the one that empties
+        # the run that outlasts counts below the maximum of the one that empties
         thr = np.full((k, runs), np.nan)
         thr[:, :two:2] = np.where(left_first, np.nan, ru)
         thr[:, 1:two:2] = np.where(left_first, lu, np.nan)
-        emptied = np.where(left_first, lt, rt + 1)
-        total += _outlasting_count(u, tags, thr, emptied, bounds, sizes)
+        key_tag = np.zeros((k, runs), dtype=tags.dtype)
+        key_tag[:, :two:2], key_tag[:, 1:two:2] = rt + 1, lt
+        if bisect:
+            queries.append((thr[:, owner], key_tag[:, owner]))
+            owner = owner // 2
+        else:
+            total += _level_pass_count(u, tags, thr, key_tag, bounds)
         top_u = np.concatenate([np.where(left_first, ru, lu), top_u[:, two:]], axis=1)
         top_t = np.concatenate([np.where(left_first, rt, lt), top_t[:, two:]], axis=1)
         bounds = np.append(bounds[:-1:2], n)
+    if queries:  # into the flattened stack, row by row, for every level at once
+        thr, key_tag = (np.concatenate(side, axis=None) for side in zip(*queries))
+        first, last = (np.tile(np.add.outer(np.arange(k) * n, ends).ravel(), len(queries))
+                       for ends in (inputs[:-1], inputs[1:] - 1))
+        total += _bisected_count(u.reshape(-1), tags.reshape(-1), first, last, thr, key_tag)
     return total
 
 
@@ -275,11 +325,11 @@ def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None,
 
     Matches :func:`merge_sort_counted` with a comparator ordering by value
     then tag, from the runs that begin at `starts` (default: one run per
-    element).  Each run must ascend; only its contents are read.
-    ``tags=None`` means positional tags, which count exactly like a
-    raw-value comparator: in every merge the left run's elements come
+    element).  ``tags=None`` means positional tags, which count exactly
+    like a raw-value comparator: in every merge the left run's elements come
     first.  Refuses a `u` that is not one-dimensional, `tags` of another
-    length, and `starts` that do not rise strictly from 0 below ``len(u)``.
+    length, `starts` that do not rise strictly from 0 below ``len(u)``, and
+    runs that do not ascend in (value, tag) order.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
@@ -287,11 +337,16 @@ def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None,
     tags = np.arange(len(u)) if tags is None else np.asarray(tags)
     if tags.shape != u.shape:
         raise ValueError("tags must be as long as u")
-    bounds = np.arange(len(u) + 1)
-    if starts is not None:
+    if starts is None:
+        bounds = np.arange(len(u) + 1)
+    else:
         bounds = np.append(np.asarray(starts, dtype=np.int64), len(u))
         if bounds[0] != 0 or (np.diff(bounds) <= 0).any():
             raise ValueError("starts must rise strictly from 0 below len(u)")
+        fall = (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (tags[1:] < tags[:-1]))
+        fall[bounds[1:-1] - 1] = False  # a run may start below the end of the last
+        if fall.any():
+            raise ValueError("each run must ascend in (value, tag) order")
     return _tick_count(u[None], tags[None], bounds)
 
 
@@ -319,8 +374,10 @@ def _stacks(segments):
     """The ``(values, index_tags, role)`` segments grouped by length: per
     length, their positions in `segments`, then their values, index tags
     and roles side by side."""
-    for m in dict.fromkeys(len(vals) for vals, _, _ in segments):
-        ks = [k for k, (vals, _, _) in enumerate(segments) if len(vals) == m]
+    by_length: dict[int, list[int]] = {}
+    for k, (vals, _, _) in enumerate(segments):
+        by_length.setdefault(len(vals), []).append(k)
+    for m, ks in by_length.items():
         vals, idx, roles = zip(*(segments[k] for k in ks))
         yield (m, ks, np.array(vals, dtype=np.float64).reshape(len(ks), m),
                np.array(idx, dtype=np.int64).reshape(len(ks), m), np.array(roles))
@@ -363,9 +420,8 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     """
     if not segments:
         return 0
-    lengths = [len(vals) for vals, _, _ in segments]
-    sizes = [m * (m - 1) // 2 for m in lengths]
-    ends = np.cumsum(sizes, dtype=np.int64)
+    sizes = np.array([len(vals) * (len(vals) - 1) // 2 for vals, _, _ in segments])
+    offsets = np.cumsum(sizes) - sizes
     stacks = [stack for stack in _stacks(segments) if stack[0] > 1]
     span = reach = 0
     for m, ks, vals, idx, roles in stacks:
@@ -375,36 +431,48 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
         cols = roles == "col"
         if cols.any():
             span = max(span, int(np.ptp(idx[cols], axis=1).max()))
-    values = np.empty(int(ends[-1]))
+    values = np.empty(int(sizes.sum()))
     # no tag exceeds `reach` times the row base; 32 bits halve the list's tags where they fit
     tags = np.empty(len(values), np.int32 if reach * (2 * span + 2) < 2**31 - 1 else np.int64)
+    starts = np.zeros(len(values), dtype=bool)  # each row's first difference, and each fall
     for m, ks, vals, idx, roles in stacks:
         idx[roles != "col"] *= 2 * span + 2
-        x, y = _upper_half(m)
+        x = np.arange(1, m)
+        starts[(offsets[ks][:, None] + x * (x - 1) // 2).ravel()] = True
         # segments adjacent in `segments` fill one slice of the list
         cuts = [0, *(np.flatnonzero(np.diff(ks) != 1) + 1).tolist(), len(ks)]
-        for a, b in zip(cuts, cuts[1:]):
-            lo, hi = ends[ks[a]] - sizes[ks[a]], ends[ks[b - 1]]
-            np.subtract(vals[a:b, x], vals[a:b, y], out=values[lo:hi].reshape(b - a, -1))
-            np.subtract(idx[a:b, x], idx[a:b, y], out=tags[lo:hi].reshape(b - a, -1))
-    rises = np.concatenate([np.arange(1, m) for m in lengths])  # rows x = 1 .. m-1
+        half = m * (m - 1) // 2
+        idx = idx.astype(tags.dtype)
+        if (idx == idx[0]).all():  # segments tagged alike, say 0 .. m-1, share their tag rows
+            idx = idx[:1]
+        for flat, stack in ((values, vals), (tags, idx)):
+            if len(cuts) == 2 and len(stack) == len(ks):  # one slice: rows written in place
+                at = offsets[ks[0]]
+                _upper_rows(stack, flat[at:at + len(ks) * half].reshape(len(ks), half))
+                continue
+            rows = np.broadcast_to(_upper_rows(stack, np.empty((len(stack), half), flat.dtype)),
+                                   (len(ks), half))
+            for a, b in zip(cuts, cuts[1:]):
+                at = offsets[ks[a]]
+                flat[at:at + (b - a) * half].reshape(b - a, half)[:] = rows[a:b]
     # rounding can tie distinct differences; a row falls only there, and is cut
-    falls = np.flatnonzero((values[1:] == values[:-1]) & (tags[1:] < tags[:-1])) + 1
-    count = mergesort_tick_count(values, tags, np.union1d(np.cumsum(rises) - rises, falls))
+    ties = np.flatnonzero(values[1:] == values[:-1])
+    starts[ties[tags[ties + 1] < tags[ties]] + 1] = True
+    count = mergesort_tick_count(values, tags, np.flatnonzero(starts))
     if any(role == "both" for _, _, role in segments):
         count += max(len(values) - 1, 0)  # the equality queries that place the column copies
     ledger.tick(arity, count)
     return count
 
 
-@lru_cache(maxsize=64)
-def _upper_half(m: int):
-    """Positions ``(x, y)``, ``x > y``, of an m-segment's upper half, row by
-    row and ``y`` falling within a row (read-only)."""
-    x, y = np.tril_indices(m, -1)
-    y = x - 1 - y
-    x.flags.writeable = y.flags.writeable = False
-    return x, y
+def _upper_rows(stack, out):
+    """Write the upper halves of the (k, m) `stack`'s rows into the (k, m(m-1)/2)
+    `out`, row ``x = 1 .. m-1`` of each upper half read for ``y = x-1`` down to 0, and
+    return `out`."""
+    for x in range(1, stack.shape[1]):
+        np.subtract(stack[:, x:x + 1], stack[:, x - 1::-1],
+                    out=out[:, x * (x - 1) // 2:x * (x + 1) // 2])
+    return out
 
 
 def box_order(row_vals, col_vals) -> tuple[list, list]:
@@ -475,23 +543,34 @@ def ternary_search(raws: Sequence[float], key: float, ledger: ComparisonLedger,
     return ("miss", lo)
 
 
+def _tree_depths(length: int, lean: int):
+    """Depths in the bisection tree over `length` positions: per position,
+    the probes up to and including the one made there, and per gap, the
+    probes made before reaching it, both read-only.  The tree is built level
+    by level from one array of half-open ``(lo, hi)`` intervals: a nonempty
+    one is probed at ``(lo + hi - lean) // 2`` and split around that probe,
+    and an empty one is the gap at `lo`."""
+    node = np.zeros(length, dtype=np.int32)
+    gap = np.zeros(length + 1, dtype=np.int32)
+    lo, hi = np.zeros(1, dtype=np.int64), np.full(1, length, dtype=np.int64)
+    made = 0
+    while len(lo):
+        empty = lo == hi
+        gap[lo[empty]] = made
+        lo, hi = lo[~empty], hi[~empty]
+        mid = (lo + hi - lean) // 2
+        made += 1
+        node[mid] = made
+        lo, hi = np.concatenate([lo, mid + 1]), np.concatenate([mid, hi])
+    node.flags.writeable = gap.flags.writeable = False
+    return node, gap
+
+
 @lru_cache(maxsize=32)
 def _binsearch_depths(length: int):
     """Probe counts of `ternary_search` on a length-`length` array of
-    distinct values: per hit index and per miss insertion point."""
-    node = np.zeros(length, dtype=np.int32)
-    gap = np.zeros(length + 1, dtype=np.int32)
-    stack = [(0, length - 1, 0)]
-    while stack:
-        lo, hi, made = stack.pop()
-        if lo > hi:
-            gap[lo] = made
-            continue
-        mid = (lo + hi) // 2
-        node[mid] = made + 1
-        stack.append((lo, mid - 1, made + 1))
-        stack.append((mid + 1, hi, made + 1))
-    return node, gap
+    distinct values: per hit index and per miss insertion point (read-only)."""
+    return _tree_depths(length, 1)
 
 
 def ternary_probes(left: np.ndarray, right: np.ndarray, length: int):
@@ -566,15 +645,4 @@ def _bound_depths(length: int) -> np.ndarray:
     """Probe counts of the two-way ``lo < hi`` bisection on a length-`length`
     list, per result index (read-only).  The result fixes the probe path,
     whatever the list holds."""
-    depth = np.zeros(length + 1, dtype=np.int64)
-    stack = [(0, length, 0)]
-    while stack:
-        lo, hi, made = stack.pop()
-        if lo == hi:
-            depth[lo] = made
-            continue
-        mid = (lo + hi) // 2
-        stack.append((lo, mid, made + 1))
-        stack.append((mid + 1, hi, made + 1))
-    depth.flags.writeable = False
-    return depth
+    return _tree_depths(length, 0)[1]

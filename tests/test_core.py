@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threebench import harness
+from threebench import core, harness
 from threebench.core import (
     ComparisonLedger,
+    _binsearch_depths,
     _bound_depths,
+    _tick_count,
     as_reals,
     box_order,
     cut_groups,
@@ -237,6 +239,49 @@ def test_run_merge_count_matches_the_python_merge_from_the_same_runs(pairs, cuts
     assert mergesort_tick_count(u, None, starts) == counter["n"]
 
 
+def _with_cutoffs(count):
+    """`count()` with every input run counted by level passes, then by
+    bisection; both must agree, and the common count is returned."""
+    counts = []
+    for cutoff in (np.inf, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_BISECT_RUN", cutoff)
+            counts.append(count())
+    assert counts[0] == counts[1]
+    return counts[0]
+
+
+_LONG_RUN = st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), min_size=1, max_size=300)
+
+
+@given(st.sampled_from([1, 3, 5, 7, 9, 11]).flatmap(
+    lambda k: st.lists(_LONG_RUN, min_size=k, max_size=k)))
+@settings(max_examples=60, deadline=None)
+def test_long_run_merge_count_matches_the_python_merge_on_both_paths(runs):
+    # keys tie across runs, and an odd run count leaves a run unpaired at several levels
+    runs = [sorted(run) for run in runs]
+    items = [p for run in runs for p in run]
+    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
+    counter = {"n": 0}
+
+    def cmp(a, b):
+        counter["n"] += 1
+        return -1 if a < b else (1 if a > b else 0)
+
+    merge_sort_counted(items, cmp, starts.tolist())
+    u = np.array([p[0] for p in items], dtype=np.float64)
+    tags = np.array([p[1] for p in items], dtype=np.int64)
+    assert _with_cutoffs(lambda: mergesort_tick_count(u, tags, starts)) == counter["n"]
+    # a two-row stack, the second row each run negated and re-sorted, counts each row alone
+    twin = [p for run in runs for p in sorted((-v, t) for v, t in run)]
+    twin_u = np.array([p[0] for p in twin], dtype=np.float64)
+    twin_tags = np.array([p[1] for p in twin], dtype=np.int64)
+    bounds = np.append(starts, len(u))
+    assert _with_cutoffs(lambda: _tick_count(np.stack([u, twin_u]), np.stack([tags, twin_tags]),
+                                             bounds)) == \
+        counter["n"] + mergesort_tick_count(twin_u, twin_tags, starts)
+
+
 def test_tick_count_refuses_malformed_input():
     with pytest.raises(ValueError):
         mergesort_tick_count(np.arange(5.0), np.arange(7))
@@ -247,6 +292,21 @@ def test_tick_count_refuses_malformed_input():
     for starts in ([], [1, 3], [0, 2, 2], [0, 5], [0, 3, 1]):
         with pytest.raises(ValueError):
             mergesort_tick_count(np.arange(5.0), None, starts)
+    # a run that falls in value, or in tag between equal values, is refused
+    u = np.array([0.0, 2.0, 1.0, 3.0, 3.0])
+    for tags, starts in (([0, 0, 0, 1, 0], [0]), ([0, 0, 0, 1, 0], [0, 2]),
+                         ([0, 0, 0, 1, 0], [0, 3]), (None, [0])):
+        with pytest.raises(ValueError, match="ascend"):
+            mergesort_tick_count(u, tags, starts)
+    # a fall is fine where a run starts
+    counter = {"n": 0}
+
+    def cmp(a, b):
+        counter["n"] += 1
+        return -1 if a < b else (1 if a > b else 0)
+
+    merge_sort_counted(list(zip(u.tolist(), [0, 0, 0, 1, 0])), cmp, [0, 2, 4])
+    assert mergesort_tick_count(u, [0, 0, 0, 1, 0], [0, 2, 4]) == counter["n"]
 
 
 def test_dt_difference_count_at_n_1024_is_pinned():
@@ -327,6 +387,45 @@ def test_bounds_match_a_counted_loop_on_sorted_tied_and_unsorted_lists(values, k
         idx, probes = _counted_bound(raws, float(key), upper)
         assert bound(raws, float(key)) == idx
         assert depth[idx] == probes
+
+
+def _binsearch_depths_by_stack(length):
+    """The probe counts of `ternary_search`, one tree node at a time."""
+    node, gap = [0] * length, [0] * (length + 1)
+    stack = [(0, length - 1, 0)]
+    while stack:
+        lo, hi, made = stack.pop()
+        if lo > hi:
+            gap[lo] = made
+            continue
+        mid = (lo + hi) // 2
+        node[mid] = made + 1
+        stack += [(lo, mid - 1, made + 1), (mid + 1, hi, made + 1)]
+    return node, gap
+
+
+def _bound_depths_by_stack(length):
+    """The probe counts of the two-way bisection, one tree node at a time."""
+    depth = [0] * (length + 1)
+    stack = [(0, length, 0)]
+    while stack:
+        lo, hi, made = stack.pop()
+        if lo == hi:
+            depth[lo] = made
+            continue
+        mid = (lo + hi) // 2
+        stack += [(lo, mid, made + 1), (mid + 1, hi, made + 1)]
+    return depth
+
+
+def test_depth_tables_equal_the_stack_loops():
+    for length in [*range(2049), 189 ** 2, 279 ** 2]:
+        node, gap = _binsearch_depths(length)
+        want_node, want_gap = _binsearch_depths_by_stack(length)
+        assert node.tolist() == want_node and gap.tolist() == want_gap
+        depth = _bound_depths(length)
+        assert depth.tolist() == _bound_depths_by_stack(length)
+        assert not (node.flags.writeable or gap.flags.writeable or depth.flags.writeable)
 
 
 def _inline_staircase(svals, g):
@@ -526,23 +625,29 @@ def test_box_order_breaks_ties_by_row_then_column():
     assert raws == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0]
 
 
-@given(st.lists(st.tuples(st.lists(st.integers(-4, 4), max_size=5),
+# duplicates, signed zeros, and magnitudes whose differences round together
+# (1e16 - 1.0 == 1e16 - 0.0), so distinct differences can tie in value
+_POOL = [-1e16, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 1e16, 1e16 + 2]
+
+
+@given(st.lists(st.tuples(st.one_of(st.lists(st.integers(-4, 4), max_size=5),
+                                    st.lists(st.sampled_from(_POOL), max_size=40)),
                           st.sampled_from(["row", "col", "both"])), min_size=1, max_size=5),
        st.sampled_from([4, 7]))
 @settings(max_examples=150, deadline=None)
 def test_difference_ticks_count_the_reference_sort(groups, arity):
+    # groups of up to 40 values have rows long enough to bisect, and _POOL's
+    # rounding ties make rows fall and be cut; both counting paths must agree
     segments = sort_segments([(np.array(grp, dtype=float), range(len(grp)), role)
                               for grp, role in groups], ComparisonLedger())
     led = ComparisonLedger()
     sort_differences(segments, led, arity)
-    led2 = ComparisonLedger()
-    assert difference_ticks(segments, led2, arity) == led.count(arity)
-    assert led2.count_klinear == led.count_klinear
 
+    def charged():
+        led2 = ComparisonLedger()
+        return difference_ticks(segments, led2, arity), led2.count_klinear
 
-# duplicates, signed zeros, and magnitudes whose differences round together
-# (1e16 - 1.0 == 1e16 - 0.0), so distinct differences can tie in value
-_POOL = [-1e16, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 1e16, 1e16 + 2]
+    assert _with_cutoffs(charged) == (led.count(arity), led.count_klinear)
 
 
 def test_sort_segments_is_each_segments_lexsort_at_the_counted_price():
