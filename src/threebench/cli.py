@@ -119,6 +119,8 @@ def _cmd_solve(args) -> int:
     print(f"ticks3: {ledger.count_3linear}")
     print(f"ticks4: {ledger.count_4linear}")
     print(f"ticksK: {ledger.other_total()}")
+    print(" ".join(["phases:"] + [f"{phase}={sum(book.values())}"
+                                  for phase, book in ledger.phases().items()]))
     print(f"total: {ledger.total()}")
     return 0
 

@@ -76,7 +76,6 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
     m = len(blocks)
     difference_ticks(sort_segments([(blk, range(len(blk)), "both") for blk in blocks], ledger),
                      ledger)
-    ledger.snapshot("differences_sorted")
 
     probes = np.zeros(n, dtype=np.int64)
     matched = np.zeros(n, dtype=bool)  # some crossed box holds a sum equal to A(k)

@@ -59,61 +59,63 @@ def as_reals(values) -> list[float]:
     return arr.tolist()
 
 
+# The phases a ledger books ticks to, in the order the grouped search runs them
+PHASES = ("sort_input", "diff_sort", "deduce", "walk")
+
+
 class ComparisonLedger:
-    """Counts sign queries on linear forms of input reals, by arity.
+    """Counts sign queries on linear forms of input reals, by phase and arity.
 
     Arity is the number of distinct input reals appearing in the queried
-    form.  Counts are monotone; :meth:`snapshot` freezes a labelled copy so
-    phases of an algorithm can be audited after the fact.
+    form.  Each tick is booked to one of :data:`PHASES` where it is made:
+    the kernels that sort input reals book ``sort_input``, those that sort
+    difference lists ``diff_sort``, the charged sort of a box ``deduce``,
+    and every other tick is a walk tick.  Counts are monotone.
     """
 
     def __init__(self) -> None:
-        self._counts: dict[int, int] = {}
-        self.snapshots: list[tuple[str, dict[int, int]]] = []
+        self._books: dict[str, dict[int, int]] = {phase: {} for phase in PHASES}
 
-    def tick(self, arity: int, n: int = 1) -> None:
+    def tick(self, arity: int, n: int = 1, phase: str = "walk") -> None:
+        try:
+            book = self._books[phase]
+        except KeyError:
+            raise ValueError(f"unknown phase {phase!r}") from None
         if n < 0:
             raise ValueError("ledger counts are monotone")
         if n:
-            self._counts[arity] = self._counts.get(arity, 0) + n
+            book[arity] = book.get(arity, 0) + n
+
+    def phases(self) -> dict[str, dict[int, int]]:
+        """Ticks by arity per phase, in :data:`PHASES` order, for the phases
+        that booked any."""
+        return {phase: dict(book) for phase, book in self._books.items() if book}
 
     @property
     def count_3linear(self) -> int:
-        return self._counts.get(3, 0)
+        return self.count(3)
 
     @property
     def count_4linear(self) -> int:
-        return self._counts.get(4, 0)
+        return self.count(4)
 
     @property
     def count_klinear(self) -> dict[int, int]:
-        return dict(self._counts)
+        counts: dict[int, int] = {}
+        for book in self._books.values():
+            for arity, n in book.items():
+                counts[arity] = counts.get(arity, 0) + n
+        return counts
 
     def count(self, arity: int) -> int:
-        return self._counts.get(arity, 0)
+        return sum(book.get(arity, 0) for book in self._books.values())
 
     def total(self) -> int:
-        return sum(self._counts.values())
+        return sum(sum(book.values()) for book in self._books.values())
 
     def other_total(self) -> int:
         """Ticks at every arity other than 3 and 4."""
-        return sum(v for k, v in self._counts.items() if k not in (3, 4))
-
-    def snapshot(self, label: str) -> dict[int, int]:
-        counts = dict(self._counts)
-        self.snapshots.append((label, counts))
-        return counts
-
-    def snapshot_counts(self, label: str) -> dict[int, int]:
-        for name, counts in self.snapshots:
-            if name == label:
-                return counts
-        raise KeyError(label)
-
-    def delta(self, label_from: str, label_to: str) -> dict[int, int]:
-        a = self.snapshot_counts(label_from)
-        b = self.snapshot_counts(label_to)
-        return {k: b.get(k, 0) - a.get(k, 0) for k in set(a) | set(b)}
+        return self.total() - self.count(3) - self.count(4)
 
 
 _NOT_ASCENDING = "a segment does not ascend in (value, tag) order"
@@ -160,9 +162,10 @@ def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list
     ``(v, i, 0)``, a ``"col"`` segment's ``(v, 0, i)``, and a ``"both"``
     segment stands for the two: a row copy and a column copy of the same
     reals.  Each copy contributes ``seg[x] - seg[y]`` for every ``(x, y)``.
-    Every comparison made is a sign query on a difference of differences
-    and ticks the ledger once; for plain inputs that form touches four
-    reals, for composite inputs the caller passes the wider arity.
+    Every comparison made is a sign query on a difference of differences;
+    they are tallied and booked to ``diff_sort`` in one tick.  For plain
+    inputs that form touches four reals, for composite inputs the caller
+    passes the wider arity.
 
     Every segment must ascend in (value, tag) order, else an assertion
     trips.  Then only the upper half ``x > y`` of a segment's row copy (or
@@ -177,15 +180,16 @@ def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list
     The lower half is the upper half negated and reversed and the diagonal
     sits between the two, both placed without comparisons.
     """
-    if not segments:
-        raise ValueError("segments must be nonempty")
+    ticks = 0
 
     def compare(a, b):
-        ledger.tick(arity)
+        nonlocal ticks
+        ticks += 1
         return (a[0] > b[0]) - (a[0] < b[0])
 
     def equal(a, b):
-        ledger.tick(arity)
+        nonlocal ticks
+        ticks += 1
         return a[0] == b[0]
 
     upper, rows, diagonal = [], set(), 0
@@ -207,6 +211,7 @@ def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list
         upper = [item for a, b in zip(cuts, cuts[1:]) for item in sorted(
             upper[a:b] + [((d, 0, r), False) for (d, r, _), twin in upper[a:b] if twin],
             key=lambda item: item[0][1:])]
+    ledger.tick(arity, ticks, "diff_sort")
     upper = [d for d, _ in upper]
     return [(-d, -r, -c) for d, r, c in reversed(upper)] + [(0.0, 0, 0)] * diagonal + upper
 
@@ -352,10 +357,10 @@ def mergesort_tick_count(u: np.ndarray, tags: Optional[np.ndarray] = None,
 
 def sorted_counted(values: Sequence[float], ledger: ComparisonLedger,
                    arity: int = 2) -> list[float]:
-    """Sort raw input reals stably, charging one tick of `arity` per
-    comparison :func:`merge_sort_counted` would make on them."""
+    """Sort raw input reals stably, booking to ``sort_input`` one tick of
+    `arity` per comparison :func:`merge_sort_counted` would make on them."""
     arr = np.asarray(values, dtype=np.float64)
-    ledger.tick(arity, mergesort_tick_count(arr))
+    ledger.tick(arity, mergesort_tick_count(arr), "sort_input")
     return np.sort(arr, kind="stable").tolist()
 
 
@@ -388,12 +393,12 @@ def sort_segments(segments, ledger: ComparisonLedger) -> list:
     tag), the order :func:`difference_ticks` requires, keeping its role.
 
     Segments hold raw input reals, so each comparison the canonical
-    mergesort of a segment makes ticks arity 2.  Segments of one length are
-    counted together, as one stack.
+    mergesort of a segment makes ticks arity 2, booked to ``sort_input``.
+    Segments of one length are counted together, as one stack.
     """
     out = [None] * len(segments)
     for m, ks, vals, idx, roles in _stacks(segments):
-        ledger.tick(2, _tick_count(vals, idx, np.arange(m + 1)))
+        ledger.tick(2, _tick_count(vals, idx, np.arange(m + 1)), "sort_input")
         order = np.lexsort((idx, vals), axis=-1)
         r = np.arange(len(ks))[:, None]
         for k, *segment in zip(ks, vals[r, order], idx[r, order], roles):
@@ -416,7 +421,7 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     col)`` key.  When any segment serves both roles, each adjacent pair of
     the merged list adds one equality query, which places the column copies
     by tag.  The count equals :func:`sort_differences` on the same
-    segments.  Ticks the count at `arity` and returns it.
+    segments.  Books the count at `arity` to ``diff_sort`` and returns it.
     """
     if not segments:
         return 0
@@ -461,7 +466,7 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     count = mergesort_tick_count(values, tags, np.flatnonzero(starts))
     if any(role == "both" for _, _, role in segments):
         count += max(len(values) - 1, 0)  # the equality queries that place the column copies
-    ledger.tick(arity, count)
+    ledger.tick(arity, count, "diff_sort")
     return count
 
 

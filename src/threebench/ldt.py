@@ -113,7 +113,6 @@ def solve_kldt(phi: LinearForm, values: Sequence[float],
     segments = [(grp, range(len(grp)), "row") for grp in a_groups] \
         + [(grp, range(len(grp)), "col") for grp in b_groups]
     difference_ticks(segments, ledger, arity=2 * k - 2)
-    ledger.snapshot("differences_sorted")
 
     keys = -np.array(c_list)
     t, lo, hi = staircase_visits([grp[-1] for grp in a_groups], [grp[0] for grp in b_groups],

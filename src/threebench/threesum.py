@@ -136,9 +136,10 @@ def oracle_3sum(values: Sequence[float]) -> Optional[tuple[float, float, float]]
 
 def _sort_unique_counted(values, ledger) -> np.ndarray:
     """Sort, then drop each value equal to its predecessor: one 2-linear tick
-    per comparison of the sort and per adjacent pair."""
+    per comparison of the sort and per adjacent pair, all booked to
+    ``sort_input``."""
     svals = np.array(sorted_counted(values, ledger))
-    ledger.tick(2, max(len(svals) - 1, 0))
+    ledger.tick(2, max(len(svals) - 1, 0), "sort_input")
     return svals[np.append(True, svals[1:] != svals[:-1])] if len(svals) else svals
 
 
@@ -249,11 +250,12 @@ def solve_decision_tree(values, group_size: Optional[int], ledger: ComparisonLed
     all box orders for free, then walk the group grid binary-searching
     each visited box.
 
-    Snapshot labels step1_sorted / step2_differences / step3_boxes /
-    step4_done mark the phases; the step2 -> step3 ledger delta is always
-    zero.  Returns a witness triple or None.  ``mode="fast"`` prices every
-    probe from depth tables; ``mode="reference"`` runs the pure-Python walk
-    that the tests hold it to, with the same ledger counts.
+    The ledger books the input sort to ``sort_input``, the difference list
+    to ``diff_sort`` and the walk's probes to ``walk``; deducing the box
+    orders books nothing.  Returns a witness triple or None.
+    ``mode="fast"`` prices every probe from depth tables;
+    ``mode="reference"`` runs the pure-Python walk that the tests hold it
+    to, with the same ledger counts.
     """
     arr = as_reals(values)
     n = len(arr)
@@ -269,31 +271,21 @@ def solve_decision_tree(values, group_size: Optional[int], ledger: ComparisonLed
 
 def _decision_tree_reference(arr, g, ledger):
     svals = sorted_counted(arr, ledger)
-    ledger.snapshot("step1_sorted")
     groups = cut_groups(svals, g)
     m = len(groups)
     sort_differences([(v, range(len(v)), "both") for v in groups], ledger)
-    ledger.snapshot("step2_differences")
     # every box's sorted order follows from the sorted differences for free
     boxes = {(i, j): _OrderSearch(*box_order(groups[i], groups[j]))
              for i in range(m) for j in range(m)}
-    ledger.snapshot("step3_boxes")
-    witness = _staircase_walk(svals, g, boxes.__getitem__, ledger)
-    ledger.snapshot("step4_done")
-    return witness
+    return _staircase_walk(svals, g, boxes.__getitem__, ledger)
 
 
 def _decision_tree_fast(arr, g: int, ledger: ComparisonLedger):
     arr = np.array(sorted_counted(arr, ledger))
-    ledger.snapshot("step1_sorted")
-
     groups = cut_groups(arr, g)
     if len(groups) >= (1 << 20):
         raise ValueError("too many groups for the fast path")
     difference_ticks([(seg, np.arange(len(seg)), "both") for seg in groups], ledger)
-    ledger.snapshot("step2_differences")
-    ledger.snapshot("step3_boxes")
-
     k, lo, hi = _triangle_visits(arr, g)
     ticks3, first = search_visits(groups, groups, lo, hi, -arr[k])
     witness = None
@@ -302,7 +294,6 @@ def _decision_tree_fast(arr, g: int, ledger: ComparisonLedger):
         x, y = np.argwhere(np.add.outer(seg_r, seg_c) == -c)[0]
         witness = (float(seg_r[x]), float(seg_c[y]), float(c))
     ledger.tick(3, ticks3)
-    ledger.snapshot("step4_done")
     return witness
 
 
@@ -579,12 +570,12 @@ class _OrderSearch:
 
 
 def _sorted_search(rows, cols, ledger: ComparisonLedger) -> _OrderSearch:
-    """Fallback for short or uncertified boxes: sort outright, charging one
-    4-linear tick per comparison the mergesort of the tagged sums makes.
-    Row-major indices order like the (row, col) tags."""
+    """Fallback for short or uncertified boxes: sort outright, booking to
+    ``deduce`` one 4-linear tick per comparison the mergesort of the tagged
+    sums makes.  Row-major indices order like the (row, col) tags."""
     order, raws = box_order(rows, cols)
     sums = np.add.outer(rows, cols).ravel()
-    ledger.tick(4, mergesort_tick_count(sums, np.arange(len(sums))))
+    ledger.tick(4, mergesort_tick_count(sums, np.arange(len(sums))), "deduce")
     return _OrderSearch(order, raws)
 
 
@@ -713,17 +704,12 @@ def solve_subquadratic(values, params: Optional[SubquadraticParams],
     catalog = cached_catalog(g, point_set, span)
 
     svals = sorted_counted(arr, ledger)
-    ledger.snapshot("step1_sorted")
     groups = cut_groups(svals, g)
     assignments = match_boxes(groups, catalog)
-    ledger.snapshot("matched_boxes")
-
-    witness = _staircase_walk(
+    return _staircase_walk(
         svals, g,
         lambda box: _build_box_searcher(groups, *box, point_set, assignments, ledger),
         ledger)
-    ledger.snapshot("step4_done")
-    return witness
 
 
 def solve_subquadratic_simple(values, group_size: Optional[int],
@@ -743,7 +729,6 @@ def solve_subquadratic_simple(values, group_size: Optional[int],
                          f"at most {PERM_BUDGET} are enumerated")
 
     svals = sorted_counted(arr, ledger)
-    ledger.snapshot("step1_sorted")
     groups = cut_groups(svals, g)
     full = len(svals) // g
     # spread each full group over the g*g row-major positions t = x*g + y:
@@ -752,7 +737,6 @@ def solve_subquadratic_simple(values, group_size: Optional[int],
     square = np.reshape(groups[:full], (full, g))
     cells = np.arange(g * g)
     perms, index = sorting_permutations(square[:, cells % g], square[:, cells // g], g * g)
-    ledger.snapshot("matched_boxes")
 
     def searcher(ij):
         i, j = ij
@@ -763,6 +747,4 @@ def solve_subquadratic_simple(values, group_size: Optional[int],
         order = [divmod(t, g) for t in perms[index[j, i]].tolist()]
         return _OrderSearch(order, _raws(rows, cols, order))
 
-    witness = _staircase_walk(svals, g, searcher, ledger)
-    ledger.snapshot("step4_done")
-    return witness
+    return _staircase_walk(svals, g, searcher, ledger)

@@ -579,7 +579,6 @@ def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
             members = by_color[c]
             pairs.append(([w for (_, w) in members], [v for (v, _) in members]))
     difference_ticks(sort_segments([(ws, vs, "both") for ws, vs in pairs], ledger), ledger)
-    ledger.snapshot("differences_sorted")
 
     for (u, v, w_uv) in sorted(orientation.directed):
         out_u = {x for (x, _) in out.get(u, [])}

@@ -82,25 +82,22 @@ def test_criterion_01_oracle_equivalence_3sum():
 
 
 def test_criterion_02_step3_of_the_grouped_search_is_free():
+    # dt-reference deduces every box's order from the sorted differences; dt
+    # deduces none.  Equal books, with nothing under deduce, price step 3 at 0.
     rng = np.random.default_rng(7)
-    checked = 0
+    instances = [harness.generate("3sum", int(rng.integers(2, 65)), GENERATORS[trial % 4],
+                                  trial).tolist() for trial in range(60)]
+    instances += [harness.generate("3sum", 400 + 50 * trial, "uniform", trial).tolist()
+                  for trial in range(10)]
     bad = 0
-    for trial in range(60):
-        n = int(rng.integers(2, 65))
-        vals = harness.generate("3sum", n, GENERATORS[trial % 4], trial).tolist()
-        led = ComparisonLedger()
-        solve_decision_tree(vals, None, led, mode="reference")
-        delta = led.delta("step2_differences", "step3_boxes")
-        bad += any(v != 0 for v in delta.values())
-        checked += 1
-    for trial in range(10):  # vectorised path at larger sizes
-        vals = harness.generate("3sum", 400 + 50 * trial, "uniform", trial).tolist()
-        led = ComparisonLedger()
-        solve_decision_tree(vals, None, led, mode="fast")
-        delta = led.delta("step2_differences", "step3_boxes")
-        bad += any(v != 0 for v in delta.values())
-        checked += 1
-    _report(2, bad == 0, f"{checked} runs, zero-tick step 3 on all")
+    for vals in instances:
+        books = []
+        for algo in ("dt-reference", "dt"):
+            led = ComparisonLedger()
+            harness.run_solver("3sum", algo, vals, {}, led, 0)
+            books.append(led.phases())
+        bad += books[0] != books[1] or "deduce" in books[0]
+    _report(2, bad == 0, f"{len(instances)} instances x 2 modes, zero-tick step 3 on all")
 
 
 def test_criterion_03_tick_scaling_windows():
@@ -277,9 +274,10 @@ def test_criterion_09_ldt_agrees_and_stays_within_arity():
             got = solve_kldt(phi, vals, None, led)
             if got != oracle_kldt(phi, vals):
                 mismatches += 1
-            diff_phase = led.snapshot_counts("differences_sorted")
-            if diff_phase and max(diff_phase) > 2 * k - 2:
-                arity_violations += 1
+            # the input sort, the difference sort, then the probes
+            allowed = {"sort_input": {k - 1}, "diff_sort": {2 * k - 2}, "walk": {k}}
+            arity_violations += any(not set(book) <= allowed.get(phase, set())
+                                    for phase, book in led.phases().items())
     ok = mismatches == 0 and arity_violations == 0
     _report(9, ok, f"400 instances, {mismatches} mismatches, "
                    f"{arity_violations} arity violations")

@@ -1,8 +1,8 @@
 """The package's public names and the parameter names of every public
 solver entry point, pinned.
 
-A new knob on a solver, a new solver, or a test-only helper back in the
-package has to be added here on purpose.
+A new knob on a solver, a new solver, a test-only helper back in the
+package, or a new ledger method has to be added here on purpose.
 """
 
 import dataclasses
@@ -51,6 +51,11 @@ ENTRY_POINTS = {
     (ldt, "solve_kldt"): ["phi", "values", "group_size", "ledger"],
 }
 
+# ticks are booked to a phase where they are made; the ledger has no other
+# way to mark one
+LEDGER_NAMES = ["count", "count_3linear", "count_4linear", "count_klinear", "other_total",
+                "phases", "tick", "total"]
+
 PUBLIC = re.compile(r"(solve_|target_min_plus_|zero_triangle_)\w+"
                     r"|enumerate_legal_pairs|cached_catalog")
 
@@ -68,6 +73,11 @@ def test_package_public_names():
     got = sorted(name for name, obj in vars(threebench).items()
                  if not name.startswith("_") and not inspect.ismodule(obj))
     assert got == PACKAGE_NAMES
+
+
+def test_ledger_public_names():
+    got = sorted(name for name in dir(threebench.ComparisonLedger) if not name.startswith("_"))
+    assert got == LEDGER_NAMES
 
 
 def test_entry_point_parameter_names():

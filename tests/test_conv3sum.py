@@ -34,7 +34,6 @@ def _conv_scalar(values, group_size, ledger, probe_log=None):
     blocks = [arr[b * g:(b + 1) * g] for b in range(-(-n // g))]
     sort_differences(sort_segments([(blk, range(len(blk)), "both") for blk in blocks], ledger),
                      ledger)
-    ledger.snapshot("differences_sorted")
     for k in range(n):
         key = arr[k]
         cells = antidiagonal_cells(n, k)
@@ -122,7 +121,7 @@ def test_blocked_equals_the_scalar_search():
         l1, l2, log1, log2 = ComparisonLedger(), ComparisonLedger(), {}, {}
         got = solve_conv_blocked(values, g, l1, probe_log=log1)
         assert got == _conv_scalar(values, g, l2, probe_log=log2)
-        assert l1.count_klinear == l2.count_klinear
+        assert l1.phases() == l2.phases()
         assert log1 == log2
         witnesses += got is not None
     assert 0 < witnesses < 500
@@ -151,10 +150,9 @@ def test_only_3linear_probes_after_difference_sort():
     vals = rng.integers(-50, 51, size=32).astype(float).tolist()
     led = ComparisonLedger()
     solve_conv_blocked(vals, 4, led)
-    diff_phase = led.snapshot_counts("differences_sorted")
-    assert set(diff_phase) <= {2, 4}  # the blocks' sort, then their differences'
-    tail = {a: led.count(a) - diff_phase.get(a, 0) for a in led.count_klinear}
-    assert all(v == 0 for a, v in tail.items() if a != 3)
+    # the blocks' sort, then their differences', then the probes
+    assert {phase: set(book) for phase, book in led.phases().items()} == \
+        {"sort_input": {2}, "diff_sort": {4}, "walk": {3}}
 
 
 def test_empty_input():

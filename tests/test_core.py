@@ -2,7 +2,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threebench import core, harness
@@ -104,20 +104,32 @@ def test_sort_differences_matches_materialized_oracle():
         assert diffs == _difference_union(segments)
 
 
-def test_ledger_counts_are_monotone_and_snapshots_frozen():
+def test_ledger_counts_are_monotone_and_booked_by_phase():
     led = ComparisonLedger()
     led.tick(3)
-    first = led.snapshot("a")
+    first = led.phases()
     led.tick(3, 5)
-    led.tick(4, 2)
-    second = led.snapshot("b")
-    assert first == {3: 1}
-    assert second == {3: 6, 4: 2}
-    assert led.delta("a", "b") == {3: 5, 4: 2}
-    assert led.count_3linear == 6 and led.count_4linear == 2
-    assert led.other_total() == 0
+    led.tick(4, 2, "deduce")
+    led.tick(2, 0, "sort_input")
+    led.tick(2, 7, "sort_input")
+    assert first == {"walk": {3: 1}}
+    first["walk"][3] = 99  # a copy: the ledger's books stay as they are
+    assert led.phases() == {"sort_input": {2: 7}, "deduce": {4: 2}, "walk": {3: 6}}
+    assert list(led.phases()) == ["sort_input", "deduce", "walk"]  # in PHASES order
+    assert led.count_klinear == {2: 7, 3: 6, 4: 2}
+    assert led.count_3linear == 6 and led.count_4linear == 2 and led.count(2) == 7
+    assert led.total() == 15 and led.other_total() == 7
     with pytest.raises(ValueError):
         led.tick(3, -1)
+
+
+@pytest.mark.parametrize("phase", ["match", "step1_sorted", "sort-input", "Walk"])
+def test_ledger_refuses_an_unknown_phase(phase):
+    led = ComparisonLedger()
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="unknown phase"):
+            led.tick(3, n, phase)
+    assert led.phases() == {} and led.total() == 0
 
 
 def test_ledger_counting_is_deterministic():
@@ -314,7 +326,7 @@ def test_dt_difference_count_at_n_1024_is_pinned():
     led = ComparisonLedger()
     solve_decision_tree(values, None, led)
     # 487,940 to merge the rows, 51,515 to place the column copies
-    assert led.delta("step1_sorted", "step2_differences")[4] == 539_455
+    assert led.phases()["diff_sort"] == {4: 539_455}
 
 
 def _sorted_counted_reference(values, ledger, arity=2):
@@ -632,8 +644,9 @@ _POOL = [-1e16, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 1e16, 1e16 + 2]
 
 @given(st.lists(st.tuples(st.one_of(st.lists(st.integers(-4, 4), max_size=5),
                                     st.lists(st.sampled_from(_POOL), max_size=40)),
-                          st.sampled_from(["row", "col", "both"])), min_size=1, max_size=5),
+                          st.sampled_from(["row", "col", "both"])), max_size=5),
        st.sampled_from([4, 7]))
+@example([], 4)  # no segments: neither sort asks anything
 @settings(max_examples=150, deadline=None)
 def test_difference_ticks_count_the_reference_sort(groups, arity):
     # groups of up to 40 values have rows long enough to bisect, and _POOL's
@@ -645,9 +658,9 @@ def test_difference_ticks_count_the_reference_sort(groups, arity):
 
     def charged():
         led2 = ComparisonLedger()
-        return difference_ticks(segments, led2, arity), led2.count_klinear
+        return difference_ticks(segments, led2, arity), led2.phases()
 
-    assert _with_cutoffs(charged) == (led.count(arity), led.count_klinear)
+    assert _with_cutoffs(charged) == (led.count(arity), led.phases())
 
 
 def test_sort_segments_is_each_segments_lexsort_at_the_counted_price():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from threebench import cli, conv3sum, harness, trimatrix
 from threebench import threesum as ts
 from threebench.conv3sum import oracle_conv3sum, solve_conv_blocked
-from threebench.core import ComparisonLedger
+from threebench.core import PHASES, ComparisonLedger
 from threebench.ldt import LinearForm, solve_kldt
 from threebench.threesum import oracle_3sum
 from threebench.trimatrix import WeightedGraph, write_graph, write_matrix
@@ -145,6 +145,42 @@ def test_a_parameter_the_solver_ignores_is_not_reported(problem, algo):
     assert params == {}
 
 
+# the size each problem's phase table is drawn at; 23 leaves a short last
+# group, whose boxes the contour solvers sort at a charge
+PHASE_SIZES = {"3sum": 23, "conv": 24, "ldt": 12, "zerotri": 12, "tmp": 8}
+
+
+def _phase_cases():
+    for problem, algo in harness.SOLVERS:
+        for k in ((3, 5) if problem == "ldt" else (3,)):
+            yield problem, algo, k
+
+
+def test_every_solver_books_each_phase_at_its_arities():
+    seen = set()
+    for problem, algo, k in _phase_cases():
+        # the input sort, the difference sort, a charged box sort, the walk:
+        # tmp's candidate comparisons, in zerotri's dense backends too, are 4-linear
+        allowed = {"sort_input": {2, k - 1}, "diff_sort": {4, 2 * k - 2}, "deduce": {4},
+                   "walk": {3, 4} if problem in ("tmp", "zerotri") else {k}}
+        n = PHASE_SIZES[problem] // (2 if k == 5 else 1)
+        options = {"k": k} if problem == "ldt" else {}
+        for seed, mode in enumerate(harness.GENERATORS):
+            instance = harness.generate(problem, n, mode, seed)
+            led = ComparisonLedger()
+            harness.run_solver(problem, algo, instance, options, led, seed)
+            phases = led.phases()
+            total: dict = {}
+            for book in phases.values():
+                for arity, ticks in book.items():
+                    total[arity] = total.get(arity, 0) + ticks
+            assert total == led.count_klinear, (problem, algo, mode)
+            for phase, book in phases.items():
+                assert set(book) <= allowed[phase], (problem, algo, mode, phase)
+            seen |= set(phases)
+    assert seen == set(PHASES)
+
+
 # ---------------------------------------------------------------------------
 # non-finite inputs are refused at the boundary
 
@@ -194,6 +230,17 @@ def test_cli_solve_3sum(tmp_path, capsys):
     assert "params: g=1 s=0 q=1\n" in capsys.readouterr().out
     assert cli.main(["solve", "3sum", "--algo", "quadratic", "--input", str(path)]) == 0
     assert "params:\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("algo", ["dt", "subq-det", "quadratic"])
+def test_cli_solve_phases_sum_to_the_total(tmp_path, capsys, algo):
+    path = tmp_path / "in.txt"
+    _write_vector(path, harness.generate("3sum", 23, "planted", 4))
+    assert cli.main(["solve", "3sum", "--algo", algo, "--input", str(path)]) == 0
+    lines = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines())
+    phases = dict(field.split("=") for field in lines["phases"].split())
+    assert list(phases) == [phase for phase in PHASES if phase in phases]
+    assert sum(int(ticks) for ticks in phases.values()) == int(lines["total"]) > 0
 
 
 def test_cli_solve_all_problems(tmp_path, capsys):

@@ -36,7 +36,6 @@ def _kldt_scalar(phi, values, group_size, ledger):
     difference_ticks([(grp, range(len(grp)), "row") for grp in a_groups]
                      + [(grp, range(len(grp)), "col") for grp in b_groups],
                      ledger, arity=2 * k - 2)
-    ledger.snapshot("differences_sorted")
     boxes = {}
     for c in c_list:
         key = -c
@@ -72,7 +71,7 @@ def test_solver_equals_the_scalar_walk():
         l1, l2 = ComparisonLedger(), ComparisonLedger()
         found = solve_kldt(phi, values, g, l1)
         assert found == _kldt_scalar(phi, values, g, l2)
-        assert l1.count_klinear == l2.count_klinear
+        assert l1.phases() == l2.phases()
         decisions.add(found)
     assert {0, 1} <= {n for n, _ in sizes} and any(short for _, short in sizes)
     assert decisions == {False, True}
@@ -96,7 +95,7 @@ def test_solver_equals_the_scalar_walk_over_hundreds_of_visits():
         l1, l2 = ComparisonLedger(), ComparisonLedger()
         found = solve_kldt(phi, values, g, l1)
         assert found == _kldt_scalar(phi, values, g, l2)
-        assert l1.count_klinear == l2.count_klinear
+        assert l1.phases() == l2.phases()
         decisions.add(found)
     assert decisions == {False, True}
 
@@ -210,14 +209,9 @@ def test_difference_comparisons_stay_within_arity_bound():
         s = rng.integers(-5, 6, size=6 if k == 5 else 16).astype(float).tolist()
         led = ComparisonLedger()
         solve_kldt(phi, s, None, led)
-        diff_phase = led.snapshot_counts("differences_sorted")
-        sort_arity = k - 1
-        assert set(diff_phase) <= {sort_arity, 2 * k - 2}
-        assert max(diff_phase) <= 2 * k - 2
-        # membership probes are tracked separately at arity k
-        final = led.count_klinear
-        probing = {a: final.get(a, 0) - diff_phase.get(a, 0) for a in final}
-        assert all(v == 0 for a, v in probing.items() if a != k)
+        # the lists' sort, the difference sort, then membership probes at arity k
+        assert {phase: set(book) for phase, book in led.phases().items()} == \
+            {"sort_input": {k - 1}, "diff_sort": {2 * k - 2}, "walk": {k}}
 
 
 def test_group_size_below_one_is_refused():
