@@ -530,21 +530,25 @@ def _staircase(row_max, col_min, keys, start, diagonal: bool):
 
 def ternary_search(raws: Sequence[float], key: float, ledger: ComparisonLedger,
                    arity: int = 3):
-    """Canonical three-way binary search; one tick per probe.
+    """Canonical three-way binary search; one tick per probe, counted as it
+    goes and booked in one call before it returns.
 
     Returns ('hit', index) or ('miss', insertion_point).
     """
     lo, hi = 0, len(raws) - 1
+    probes = 0
     while lo <= hi:
         mid = (lo + hi) // 2
-        ledger.tick(arity)
+        probes += 1
         v = raws[mid]
         if v == key:
+            ledger.tick(arity, probes)
             return ("hit", mid)
         if v < key:
             lo = mid + 1
         else:
             hi = mid - 1
+    ledger.tick(arity, probes)
     return ("miss", lo)
 
 

@@ -2,12 +2,14 @@
 
 Reports every (red p, blue q) with p >= q coordinatewise (non-strict).
 Coordinates only need to be totally ordered and mutually comparable, so
-callers may use floats or lexicographic tuples; the latter is how the
-solvers emulate tie-broken (perturbed) reals exactly.
+callers may use floats, lexicographic tuples, or integer ranks of either.
+Tie-broken (perturbed) reals are emulated exactly by lexicographic
+(value, row tag, col tag) triples, and the solvers pass their ranks.
 
 Solvers certify sorted orders by Fredman's trick in one of two ways.  The
-contour catalog's ``threesum.match_boxes`` builds points from each catalog
-entry's index map and calls :func:`report_dominating_pairs` once per entry.
+contour catalog's ``threesum.match_boxes`` ranks the triples of every
+difference column once, builds points from each catalog entry's columns,
+and calls :func:`report_dominating_pairs` once per entry.
 :func:`sorting_permutations` certifies the permutations of a short sum
 vector for the permutation matchers, as one array kernel that evaluates
 the same coordinate comparisons for all pairs at once and builds no points.

@@ -14,13 +14,17 @@ group-pair boxes:
 * ``solve_subquadratic`` - the contour-catalog algorithm: boxes are
   certified piecewise by pairs of search contours anchored at a fixed
   position set, legal pairs are enumerated once per parameter choice, and
-  dominance matching assigns a certified layer structure to every box.
+  dominance matching, on integer ranks of the tagged differences, assigns
+  a certified layer structure to every box.
 
 The decision-tree solver runs one vectorised path at every n and on every
 input: it prices each box probe from the depth tables of the canonical
 binary search, ties included, without materialising tagged objects.  The
 pure-Python walk stays as its reference; the test suite asserts that both
-book identical ledger counts.
+book identical ledger counts.  The contour-catalog walk likewise searches
+every visited box at once, one probe per array step, along the lists its
+certified order gives; the tests hold it to a per-box searcher walked visit
+by visit.
 """
 
 from __future__ import annotations
@@ -477,26 +481,40 @@ def cached_catalog(width: int, point_set: PointSet, span: int) -> LegalPairCatal
 
 
 def _entry_map(entry):
-    """Index maps ``(a, b, sign)``, red then blue, of the dominance
-    coordinates certifying `entry`'s contours as the search paths of the
-    values at its anchors, and its order as the between region's sorted
-    order.  Coordinate t of a group with values v is
-    ``sign[t] * (v[a[t]] - v[b[t]])``, tagged ``sign[t] * (a[t] - b[t])``:
-    red points come from column groups and carry the column tag, blue
-    points from row groups and carry the row tag, so lexicographic
-    (value, row tag, col tag) triples keep the certificate exact under ties.
+    """Columns, red then blue, of the dominance coordinates certifying
+    `entry`'s contours as the search paths of the values at its anchors, and
+    its order as the between region's sorted order.  In a width-g box,
+    column ``(s * g + a) * g + b`` of a group with values v is the difference
+    ``sign * (v[a] - v[b])`` with ``sign = 2 * s - 1``, tagged ``sign * (a -
+    b)``: red points come from column groups and carry the column tag, blue
+    points from row groups and carry the row tag, so lexicographic (value,
+    row tag, col tag) triples keep the certificate exact under ties.
     """
+    g = entry.tau.nrows
     red, blue = [], []
     for contour, (l, m) in ((entry.tau, entry.anchor), (entry.tau_prime, entry.anchor_prime)):
         for (tr, tc), mv in zip(contour.steps, contour.moves):
             if (tr, tc) != (l, m):
-                sigma = 1 if mv == "W" else -1
-                red.append((tc, m, sigma))
-                blue.append((l, tr, sigma))
+                s = g if mv == "W" else 0
+                red.append((s + tc) * g + m)
+                blue.append((s + l) * g + tr)
     for (x0, y0), (x1, y1) in zip(entry.order, entry.order[1:]):
-        red.append((y1, y0, 1))
-        blue.append((x0, x1, 1))
-    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T for rows in (red, blue))
+        red.append((g + y1) * g + y0)
+        blue.append((g + x0) * g + x1)
+    return red, blue
+
+
+def _dense_ranks(*keys) -> np.ndarray:
+    """Each position's rank among the tuples ``(keys[0][t], keys[1][t],
+    ...)`` in lexicographic order, equal tuples sharing a rank: one lexsort,
+    then a running count of the tuples that differ from their predecessor."""
+    order = np.lexsort(keys[::-1])
+    fresh = np.zeros(len(order), dtype=bool)
+    for key in keys:
+        fresh[1:] |= key[order[1:]] != key[order[:-1]]
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.cumsum(fresh)
+    return ranks
 
 
 def match_boxes(groups, catalog: LegalPairCatalog,
@@ -507,7 +525,11 @@ def match_boxes(groups, catalog: LegalPairCatalog,
     entry, every full column group becomes a red point and every full row
     group a blue point, one `report` call per entry; a dominating pair
     certifies that the entry's contours and ordering are correct for that
-    box.  Returns {(i, j): {(anchor, anchor'): entry}}.
+    box.  A point's coordinates are ranks: every column :func:`_entry_map`
+    can name is ranked once, red and blue together, by its (value, row tag,
+    col tag) triple, equal triples alike, so each comparison the matcher
+    makes has the triples' outcome.  Returns {(i, j): {(anchor, anchor'):
+    entry}}.
     """
     g = catalog.width
     full = [i for i, grp in enumerate(groups) if len(grp) == g]
@@ -515,28 +537,31 @@ def match_boxes(groups, catalog: LegalPairCatalog,
         return {}
     values = np.array([groups[i] for i in full], dtype=np.float64)
     max_dim = 4 * g - 4 + max(0, catalog.span - 1)
+    s, a, b = (ix.ravel() for ix in np.indices((2, g, g)))
+    diffs = (2 * s - 1) * (values[:, a] - values[:, b])
+    tags = np.broadcast_to((2 * s - 1) * (a - b), diffs.shape)
+    zeros = np.zeros(diffs.shape, dtype=np.int64)
+    red_ranks, blue_ranks = _dense_ranks(np.concatenate([diffs, diffs]).ravel(),
+                                         np.concatenate([zeros, tags]).ravel(),
+                                         np.concatenate([tags, zeros]).ravel()
+                                         ).reshape(2, len(full), -1)
+    colors, ids = [RED] * len(full) + [BLUE] * len(full), full + full
     matched: dict = {}
     for entry in catalog.entries:
-        points = []
-        for color, (a, b, sign) in zip((RED, BLUE), _entry_map(entry)):
-            assert len(a) <= max_dim
-            tags = (sign * (a - b)).tolist()
-            zeros = [0] * len(tags)
-            row_tags, col_tags = (zeros, tags) if color == RED else (tags, zeros)
-            coords = (sign * (values[:, a] - values[:, b])).tolist()
-            points += [LabeledPoint(tuple(zip(row, row_tags, col_tags)), color, i)
-                       for i, row in zip(full, coords)]
-        report(points, lambda red, blue, entry=entry:
-               matched.setdefault((red.id, blue.id), []).append(entry))
+        red_cols, blue_cols = _entry_map(entry)
+        assert len(red_cols) <= max_dim
+        coords = np.concatenate([red_ranks[:, red_cols], blue_ranks[:, blue_cols]]).tolist()
+        points = list(map(LabeledPoint, map(tuple, coords), colors, ids))
+        pairs: list = []
+        report(points, lambda red, blue: pairs.append((red.id, blue.id)))
+        for pair in pairs:
+            matched.setdefault(pair, []).append(entry)
     # filled after the reports, not from the sink: filling it there left the
     # heap fragmented enough to raise perfbench's `reductions` peak RSS by 8 %
     assignments: dict = {}
     for (j, i), entries in matched.items():
-        slot = assignments[(i, j)] = {}
-        for entry in entries:
-            pair = (entry.anchor, entry.anchor_prime)
-            assert pair not in slot, "two catalog entries matched one box layer"
-            slot[pair] = entry
+        slot = assignments[(i, j)] = {(e.anchor, e.anchor_prime): e for e in entries}
+        assert len(slot) == len(entries), "two catalog entries matched one box layer"
     return assignments
 
 
@@ -549,24 +574,15 @@ def _raws(rows, cols, positions) -> list[float]:
 
 
 class _OrderSearch:
-    """A box's positions in ascending order: binary search their raw sums.
+    """A box's positions in ascending order: binary search their raw sums."""
 
-    A certified box passes its anchor chain as the order, and ``gaps[t]``
-    searches the between-region of anchors t and t + 1.
-    """
-
-    def __init__(self, order, raws, gaps=()):
+    def __init__(self, order, raws):
         self.order = order
         self.raws = raws
-        self.gaps = gaps
 
     def search(self, key, ledger):
         res, pos = ternary_search(self.raws, key, ledger)
-        if res == "hit":
-            return self.order[pos]
-        if 0 < pos <= len(self.gaps):
-            return self.gaps[pos - 1].search(key, ledger)
-        return None
+        return self.order[pos] if res == "hit" else None
 
 
 def _sorted_search(rows, cols, ledger: ComparisonLedger) -> _OrderSearch:
@@ -574,17 +590,23 @@ def _sorted_search(rows, cols, ledger: ComparisonLedger) -> _OrderSearch:
     ``deduce`` one 4-linear tick per comparison the mergesort of the tagged
     sums makes.  Row-major indices order like the (row, col) tags."""
     order, raws = box_order(rows, cols)
-    sums = np.add.outer(rows, cols).ravel()
-    ledger.tick(4, mergesort_tick_count(sums, np.arange(len(sums))), "deduce")
+    ledger.tick(4, _sort_ticks(rows, cols), "deduce")
     return _OrderSearch(order, raws)
 
 
-def _build_box_searcher(groups, i, j, point_set, assignments, ledger):
+def _sort_ticks(rows, cols) -> int:
+    """Comparisons of the mergesort of a box's row-major tagged sums."""
+    sums = np.add.outer(rows, cols).ravel()
+    return mergesort_tick_count(sums, np.arange(len(sums)))
+
+
+def _certified_layout(links, point_set):
+    """A full box's certified order, from its matched layers ``links``
+    (:func:`match_boxes`), as the cells ``x * g + y`` of its anchor chain
+    from (0, 0) to the far corner followed by each gap's positions in
+    order, and the bounds of the chain and of each gap among them.  None
+    unless the chain runs through every anchor with one layer per link."""
     g = point_set.width
-    rows, cols = groups[i].tolist(), groups[j].tolist()
-    if len(rows) != g or len(cols) != g:
-        return _sorted_search(rows, cols, ledger)
-    links = assignments.get((i, j), {})
     nxt = {a: (b, e) for (a, b), e in links.items()}
     chain = [(0, 0)]
     entries = []
@@ -598,10 +620,94 @@ def _build_box_searcher(groups, i, j, point_set, assignments, ledger):
                 and len(chain) == point_set.count
                 and len(links) == point_set.count - 1)
     if not complete:
-        # bad box: its layer structure was not certified, sort it directly
-        return _sorted_search(rows, cols, ledger)
-    gaps = [_OrderSearch(e.order, _raws(rows, cols, e.order)) for e in entries]
-    return _OrderSearch(chain, _raws(rows, cols, chain), gaps)
+        return None
+    order = chain + [pos for e in entries for pos in e.order]
+    bounds = np.cumsum([0, len(chain)] + [len(e.order) for e in entries]).tolist()
+    return np.array([x * g + y for x, y in order], dtype=np.int64), bounds
+
+
+def _ternary_steps(flat, starts, lengths, keys):
+    """:func:`ternary_search` for every ``keys[t]`` on its list
+    ``flat[starts[t]:starts[t] + lengths[t]]``, all at once, one probe per
+    step: each search's probes, whether it hits, and its hit index or
+    insertion point.  It reads each list as the scalar search does, so the
+    two agree probe for probe whether or not the list ascends."""
+    pos = np.zeros(len(keys), dtype=np.int64)
+    hi = np.asarray(lengths, dtype=np.int64) - 1
+    probes = np.zeros(len(keys), dtype=np.int64)
+    hit = np.zeros(len(keys), dtype=bool)
+    live = np.flatnonzero(hi >= 0)
+    while len(live):
+        lo, top, key = pos[live], hi[live], keys[live]
+        mid = (lo + top) // 2
+        value = flat[starts[live] + mid]
+        probes[live] += 1
+        eq, up = value == key, value < key
+        pos[live] = lo = np.where(eq, mid, np.where(up, mid + 1, lo))
+        hi[live] = top = np.where(eq | up, top, mid - 1)
+        hit[live[eq]] = True
+        live = live[~eq & (lo <= top)]
+    return probes, hit, pos
+
+
+def _catalog_walk(svals, groups, point_set, assignments, ledger):
+    """:func:`_staircase_walk` over the contour catalog's boxes: every visit
+    is searched at once, and the searches up to the first hit are booked.
+
+    A certified box is searched along its anchor chain and, on a miss
+    strictly inside the chain, along the gap at its insertion point.  A
+    short or uncertified box is searched along its stably sorted sums, and
+    the mergesort of those is booked to ``deduce`` if the walk reaches the
+    box by its first hit.  Every box's lists lie in one flat array of sums.
+    Returns a witness triple or None.
+    """
+    g = point_set.width
+    svals = np.asarray(svals, dtype=np.float64)
+    k, lo, hi = _triangle_visits(svals, g)
+    boxes, first_visit, box_of = np.unique(lo * len(groups) + hi, return_index=True,
+                                           return_inverse=True)
+    box_lo, box_hi = np.divmod(boxes, len(groups))
+    certified: dict = {}
+    cells, bounds, ngaps, fallback = [], [], [], []
+    for b, (i, j) in enumerate(zip(box_lo.tolist(), box_hi.tolist())):
+        layout = None
+        if len(groups[i]) == g == len(groups[j]):
+            links = assignments.get((i, j), {})
+            key = tuple(map(id, links.values()))  # the same layers give the same layout
+            if key not in certified:
+                certified[key] = _certified_layout(links, point_set)
+            layout = certified[key]
+        if layout is None:
+            fallback.append(b)
+            order = box_order(groups[i], groups[j])[0]
+            layout = np.array([x * g + y for x, y in order], dtype=np.int64), [0, len(order)]
+        cells.append(layout[0])
+        ngaps.append(len(layout[1]) - 2)
+        bounds.append(layout[1] + [0] * (point_set.count + 1 - len(layout[1])))
+    lengths = np.array([len(c) for c in cells])
+    bounds = np.array(bounds) + (np.cumsum(lengths) - lengths)[:, None]
+    x, y = np.divmod(np.concatenate(cells), g)
+    flat = svals[np.repeat(box_lo * g, lengths) + x] + svals[np.repeat(box_hi * g, lengths) + y]
+
+    keys = -svals[k]
+    start = bounds[box_of, 0]
+    probes, hit, at = _ternary_steps(flat, start, bounds[box_of, 1] - start, keys)
+    gap = np.flatnonzero(~hit & (at > 0) & (at <= np.array(ngaps)[box_of]))
+    start[gap] = bounds[box_of[gap], at[gap]]
+    more, hit[gap], at[gap] = _ternary_steps(
+        flat, start[gap], bounds[box_of[gap], at[gap] + 1] - start[gap], keys[gap])
+    probes[gap] += more
+
+    found = bool(hit.any())
+    last = int(np.argmax(hit)) if found else len(k) - 1  # the last visit searched
+    ledger.tick(4, sum(_sort_ticks(groups[box_lo[b]], groups[box_hi[b]])
+                       for b in fallback if first_visit[b] <= last), "deduce")
+    ledger.tick(3, int(probes[:last + 1].sum()) + last + (not found))
+    if not found:
+        return None
+    t = start[last] + at[last]
+    return (float(svals[lo[last] * g + x[t]]), float(svals[hi[last] * g + y[t]]),
+            float(svals[k[last]]))
 
 
 # ---------------------------------------------------------------------------
@@ -663,19 +769,31 @@ def _triangle_visits(svals, g):
 
 def _staircase_walk(svals, g, searcher, ledger):
     """Search every box the walk visits for its key, building each box's
-    searcher on first visit; one 3-linear tick per visit that misses.
-    Returns a witness triple or None."""
+    searcher on first visit; one 3-linear tick per visit that misses, booked
+    in one call.  Returns a witness triple or None."""
     searchers: dict = {}
+    misses = 0
     for k, lo, hi in zip(*(col.tolist() for col in _triangle_visits(svals, g))):
         s = searchers.get((lo, hi))
         if s is None:
             s = searchers[(lo, hi)] = searcher((lo, hi))
         hit = s.search(-svals[k], ledger)
         if hit is not None:
+            ledger.tick(3, misses)
             x, y = hit
             return (svals[lo * g + x], svals[hi * g + y], svals[k])
-        ledger.tick(3)
+        misses += 1
+    ledger.tick(3, misses)
     return None
+
+
+def _anchor_set(params: SubquadraticParams) -> PointSet:
+    """The anchor set of resolved `params`: the evenly spaced grid in
+    deterministic mode, one draw from the seed in randomized mode."""
+    if params.mode == "deterministic":
+        return deterministic_point_set(params.group_size, params.grid_side)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(params.seed)))
+    return random_point_set(params.group_size, params.point_count, rng)
 
 
 def solve_subquadratic(values, params: Optional[SubquadraticParams],
@@ -686,30 +804,21 @@ def solve_subquadratic(values, params: Optional[SubquadraticParams],
     contour-pair catalog (cached across calls), assign certified layers to
     boxes via dominance, then run the grouped staircase walk answering
     membership queries through each box's chain of anchors and ordered
-    gaps.  Uncertified (bad) and short boxes are sorted directly at
-    4-linear cost.
+    gaps (:func:`_catalog_walk`).  Uncertified (bad) and short boxes are
+    sorted directly at 4-linear cost.
     """
     arr = as_reals(values)
     n = len(arr)
     if n == 0:
         return None
     params = resolve_subquadratic_params(n, params)
-    g, span = params.group_size, params.span
-    if params.mode == "deterministic":
-        point_set = deterministic_point_set(g, params.grid_side)
-    else:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(params.seed)))
-        point_set = random_point_set(g, params.point_count, rng)
-
-    catalog = cached_catalog(g, point_set, span)
+    point_set = _anchor_set(params)
+    catalog = cached_catalog(params.group_size, point_set, params.span)
 
     svals = sorted_counted(arr, ledger)
-    groups = cut_groups(svals, g)
+    groups = cut_groups(svals, params.group_size)
     assignments = match_boxes(groups, catalog)
-    return _staircase_walk(
-        svals, g,
-        lambda box: _build_box_searcher(groups, *box, point_set, assignments, ledger),
-        ledger)
+    return _catalog_walk(svals, groups, point_set, assignments, ledger)
 
 
 def solve_subquadratic_simple(values, group_size: Optional[int],

@@ -3,11 +3,11 @@
 The box's total order is that of the tagged sums ``(rows[x] + cols[y], x,
 y)``: ``core.box_order``, which Fredman's trick reads off the sorted
 difference lists.  No solver calls these; the tests check the contour
-catalog, the anchor sets and the matcher against them.
+catalog, the anchor sets, the matcher and the catalog walk against them.
 """
 
-from threebench.core import box_order
-from threebench.threesum import Contour
+from threebench.core import box_order, ternary_search
+from threebench.threesum import Contour, _raws, _sorted_search
 
 
 def tagged_sum(box, x, y):
@@ -50,3 +50,53 @@ def is_bad(box, point_set, span):
             if run > span:
                 return True
     return False
+
+
+class OrderSearch:
+    """A box's positions in ascending order: binary search their raw sums.
+
+    A certified box passes its anchor chain as the order, and ``gaps[t]``
+    searches the between-region of anchors t and t + 1.
+    """
+
+    def __init__(self, order, raws, gaps=()):
+        self.order = order
+        self.raws = raws
+        self.gaps = gaps
+
+    def search(self, key, ledger):
+        res, pos = ternary_search(self.raws, key, ledger)
+        if res == "hit":
+            return self.order[pos]
+        if 0 < pos <= len(self.gaps):
+            return self.gaps[pos - 1].search(key, ledger)
+        return None
+
+
+def build_box_searcher(groups, i, j, point_set, assignments, ledger):
+    """The searcher of box ``(i, j)`` for ``threesum._staircase_walk``: a
+    full box whose matched layers chain every anchor is searched along that
+    chain and then its gaps; any other box is sorted outright and booked to
+    ``deduce``."""
+    g = point_set.width
+    rows, cols = groups[i].tolist(), groups[j].tolist()
+    if len(rows) != g or len(cols) != g:
+        return _sorted_search(rows, cols, ledger)
+    links = assignments.get((i, j), {})
+    nxt = {a: (b, e) for (a, b), e in links.items()}
+    chain = [(0, 0)]
+    entries = []
+    while chain[-1] != (g - 1, g - 1) and len(chain) <= point_set.count:
+        step = nxt.get(chain[-1])
+        if step is None:
+            break
+        chain.append(step[0])
+        entries.append(step[1])
+    complete = (chain[-1] == (g - 1, g - 1)
+                and len(chain) == point_set.count
+                and len(links) == point_set.count - 1)
+    if not complete:
+        # bad box: its layer structure was not certified, sort it directly
+        return _sorted_search(rows, cols, ledger)
+    gaps = [OrderSearch(e.order, _raws(rows, cols, e.order)) for e in entries]
+    return OrderSearch(chain, _raws(rows, cols, chain), gaps)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from box_oracles import compute_contour, is_bad, tagged_sum
+from box_oracles import build_box_searcher, compute_contour, is_bad, tagged_sum
 from threebench import threesum
-from threebench.core import ComparisonLedger, box_order, cut_groups
-from threebench.dominance import BLUE, RED, LabeledPoint
+from threebench.core import (ComparisonLedger, as_reals, box_order, cut_groups, sorted_counted,
+                             ternary_search)
+from threebench.dominance import BLUE, RED
 from threebench.threesum import (
     SubquadraticParams,
     _all_contours,
@@ -269,6 +270,10 @@ def _entry_coords(entry, vals, color):
     return tuple(coords)
 
 
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
 @pytest.mark.parametrize("g, point_set, span", [
     (2, deterministic_point_set(2, 2), grid_span(2, 2)),
     (3, deterministic_point_set(3, 1), grid_span(3, 1)),
@@ -276,7 +281,10 @@ def _entry_coords(entry, vals, color):
 ])
 @pytest.mark.parametrize("duplicates", [False, True])
 def test_match_boxes_points_equal_the_per_coordinate_builders(g, point_set, span, duplicates):
-    # with duplicates, tied values leave the tags to decide dominance
+    # every coordinate of a point is a rank that compares with the same
+    # coordinate of any other point of the entry as the builders' (value,
+    # row tag, col tag) triples do; with duplicates, tied values leave the
+    # tags to decide
     rng = np.random.default_rng(g)
     draw = rng.integers(-2, 3, size=8 * g + 1).astype(float) if duplicates \
         else rng.normal(size=8 * g + 1)
@@ -287,9 +295,14 @@ def test_match_boxes_points_equal_the_per_coordinate_builders(g, point_set, span
     match_boxes(groups, cat, report=lambda points, sink: seen.append(points))
     assert len(seen) == len(cat.entries) > 0
     for entry, points in zip(cat.entries, seen):
-        want = [LabeledPoint(_entry_coords(entry, vals, color), color, i)
+        want = [(_entry_coords(entry, vals, color), color, i)
                 for color in (RED, BLUE) for i, vals in full]
-        assert points == want
+        assert [(p.color, p.id) for p in points] == [(color, i) for _, color, i in want]
+        assert all(type(c) is int for p in points for c in p.coords)
+        for t in range(len(want[0][0])):
+            for p, (triples_p, _, _) in zip(points, want):
+                for q, (triples_q, _, _) in zip(points, want):
+                    assert _sign(p.coords[t], q.coords[t]) == _sign(triples_p[t], triples_q[t])
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +342,77 @@ def test_subquadratic_randomized_matches_oracle():
                                     point_count=8, span=4, seed=trial)
         w = solve_subquadratic(vals, params, led)
         assert (w is not None) == (oracle_3sum(vals) is not None)
+
+
+def _scalar_subquadratic(values, params, ledger):
+    """`solve_subquadratic` with every visited box searched by the per-box
+    searcher oracle, one visit at a time."""
+    params = resolve_subquadratic_params(len(values), params)
+    point_set = threesum._anchor_set(params)
+    catalog = cached_catalog(params.group_size, point_set, params.span)
+    svals = sorted_counted(as_reals(values), ledger)
+    groups = cut_groups(svals, params.group_size)
+    assignments = match_boxes(groups, catalog)
+    return threesum._staircase_walk(
+        svals, params.group_size,
+        lambda box: build_box_searcher(groups, *box, point_set, assignments, ledger), ledger)
+
+
+WALK_PARAMS = [
+    SubquadraticParams(group_size=3),  # anchor chain and gaps
+    SubquadraticParams(group_size=3, grid_side=1, span=2),  # bad boxes
+    SubquadraticParams(group_size=2, mode="randomized", seed=1),
+    SubquadraticParams(group_size=3, mode="randomized", point_count=5, span=3, seed=2),
+    SubquadraticParams(group_size=4, mode="randomized", point_count=8, span=2, seed=0),
+]
+
+
+@pytest.mark.parametrize("params", WALK_PARAMS, ids=range(len(WALK_PARAMS)))
+def test_catalog_walk_books_what_the_scalar_walk_books(params):
+    rng = np.random.default_rng(30 + WALK_PARAMS.index(params))
+    g = params.group_size
+    bad = found = 0
+    for trial in range(12):
+        n = g * int(rng.integers(3, 16)) + trial % 2  # odd trials end in a short group
+        kind = trial % 3
+        if kind == 0:
+            vals = rng.integers(-10 ** 6, 10 ** 6, size=n)
+        elif kind == 1:  # duplicate-heavy
+            vals = rng.integers(-(n // 4) - 1, n // 4 + 2, size=n)
+        else:  # planted
+            vals = rng.integers(-10 ** 4, 10 ** 4, size=n)
+            vals[:3] = (int(vals[3]), int(vals[4]), -int(vals[3]) - int(vals[4]))
+        vals = vals.astype(float).tolist()
+        fast, ref = ComparisonLedger(), ComparisonLedger()
+        w = solve_subquadratic(vals, params, fast)
+        w_ref = _scalar_subquadratic(vals, params, ref)
+        assert fast.phases() == ref.phases()
+        assert w == w_ref  # the same visit, and the same position in its box
+        if w is not None:
+            found += 1
+            assert sum(w) == 0.0 and set(w) <= set(vals)
+        bad += "deduce" in ref.phases() and n % g == 0
+    assert found
+    if params.span is not None:
+        assert bad  # reduced spans leave boxes uncertified
+
+
+def test_ternary_steps_follow_the_scalar_search_on_any_list():
+    # lists that ascend, with ties, and lists that do not
+    rng = np.random.default_rng(31)
+    lists = [rng.integers(-4, 5, size=int(rng.integers(0, 12))).astype(float).tolist()
+             for _ in range(300)]
+    lists = [sorted(v) if t % 2 else v for t, v in enumerate(lists)]
+    flat = np.array([x for v in lists for x in v])
+    lengths = np.array([len(v) for v in lists])
+    starts = np.cumsum(lengths) - lengths
+    for key in np.arange(-5.0, 5.5, 0.5):
+        probes, hit, pos = threesum._ternary_steps(flat, starts, lengths,
+                                                   np.full(len(lists), key))
+        for t, raws in enumerate(lists):
+            led = ComparisonLedger()
+            assert ternary_search(raws, key, led) == ("hit" if hit[t] else "miss", pos[t])
+            assert led.count_3linear == probes[t]
 
 
 def test_subquadratic_trivial_sizes():
