@@ -6,10 +6,17 @@ callers may use floats, lexicographic tuples, or integer ranks of either.
 Tie-broken (perturbed) reals are emulated exactly by lexicographic
 (value, row tag, col tag) triples, and the solvers pass their ranks.
 
+:func:`report_dominating_pairs` runs the recursion on point indices and
+only records its leaves; their candidate pairs are then tested together in
+a few array passes.  Numbers of one kind are compared as a numeric array,
+anything else as Python objects, so every test is Python's ``<``, NaN
+included.
+
 Solvers certify sorted orders by Fredman's trick in one of two ways.  The
 contour catalog's ``threesum.match_boxes`` ranks the triples of every
 difference column once, builds points from each catalog entry's columns,
-and calls :func:`report_dominating_pairs` once per entry.
+calls :func:`report_dominating_pairs` once per entry, and groups the
+reported pairs by box in one sort.
 :func:`sorting_permutations` certifies the permutations of a short sum
 vector for the permutation matchers, as one array kernel that evaluates
 the same coordinate comparisons for all pairs at once and builds no points.
@@ -18,7 +25,7 @@ the same coordinate comparisons for all pairs at once and builds no points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +34,9 @@ RED = "red"
 BLUE = "blue"
 
 BRUTE_FORCE_CUTOFF = 16
+
+# candidate pairs the pending leaves may hold before they are tested
+_FLUSH_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,10 +59,14 @@ def report_dominating_pairs(points: Sequence[LabeledPoint],
                             ) -> int:
     """Invoke sink once per dominating (red, blue) pair; return the count.
 
-    Recursion: dimension 0 reports every red/blue pair; otherwise split at
-    the median of the last coordinate (blue points precede red points on
-    ties) and recurse on the two halves plus a cross call in one dimension
-    fewer on the left blues against the right reds.
+    Recursion: split at the median of the last coordinate (blue points
+    precede red points on ties) and recurse on the two halves plus a cross
+    call in one dimension fewer on the left blues against the right reds.
+    A call on at most ``BRUTE_FORCE_CUTOFF`` points or in at most one
+    dimension is a leaf: each of its reds against each of its blues, the
+    pair dominating unless some coordinate of the red is ``<`` the blue's
+    (in dimension 0, every pair).  Leaves are tested in batches, and
+    `sink` sees the pairs leaf by leaf in recursion order, red-major.
     """
     if not points:
         return 0
@@ -66,57 +80,119 @@ def report_dominating_pairs(points: Sequence[LabeledPoint],
         raise ValueError("ids must be unique per color")
     if not reds or not blues:
         return 0
-    return _report(reds, blues, dim, sink)
+    points = reds + blues
+    call = _Report(points, len(reds), dim, sink)
+    call.split(list(range(len(reds))), list(range(len(reds), len(points))), dim)
+    return call.flush()
 
 
-def _brute(reds, blues, dim, sink) -> int:
-    count = 0
-    for red in reds:
-        rc = red.coords
-        for blue in blues:
-            bc = blue.coords
-            ok = True
-            for t in range(dim):
-                if rc[t] < bc[t]:
-                    ok = False
-                    break
-            if ok:
-                sink(red, blue)
-                count += 1
-    return count
+def _table(rows, nred):
+    """The ``(point, dimension)`` array of coordinates the leaves compare,
+    the sort key of each point index per dimension, and whether the split
+    lists blues before reds; reds are the indices below `nred`.
+
+    Integers, or floats, make a numeric array; anything else, mixed ints
+    and floats included, an object array.  Integers and NaN-free floats are
+    totally ordered, so a stable sort of blues before reds on the
+    coordinate alone orders by (coordinate, colour).  Any other split sorts
+    reds before blues on the pair ``(coordinate, 0 for blue, 1 for red)``,
+    which makes the comparisons, NaN included, of the scalar recursion.
+    """
+    n, dim = len(rows), len(rows[0])
+    try:
+        table = np.array(rows)
+    except (ValueError, OverflowError):
+        table = np.empty(0, dtype=object)
+    kind = table.dtype.kind if table.shape == (n, dim) else "O"
+    if kind == "f" and not all(isinstance(v, float) for v in chain.from_iterable(rows)):
+        kind = "O"
+    if kind not in "biuf":
+        table = np.fromiter(chain.from_iterable(rows), dtype=object, count=n * dim).reshape(n, dim)
+    elif kind != "f" or not np.isnan(table).any():
+        return table, list(zip(*rows)), True
+    bits = [1] * nred + [0] * (n - nred)
+    return table, [list(zip(column, bits)) for column in zip(*rows)], False
 
 
-def _report(reds, blues, dim, sink) -> int:
-    if not reds or not blues:
-        return 0
-    if dim == 0:
-        # every red dominates every blue vacuously
-        for red in reds:
-            for blue in blues:
-                sink(red, blue)
-        return len(reds) * len(blues)
-    n = len(reds) + len(blues)
-    if n <= BRUTE_FORCE_CUTOFF or dim <= 1:
-        return _brute(reds, blues, dim, sink)
+class _Report:
+    """One call's recursion on point indices, reds being the indices below
+    `nred`, and its pending leaves: tested together, and their dominating
+    pairs sent to the sink, whenever their candidate pairs reach
+    ``_FLUSH_PAIRS``."""
 
-    # Median split on the last coordinate; among equal coordinates blue
-    # points precede red points, so no dominating pair has its red point
-    # left of its blue point.
-    last = dim - 1
-    merged = sorted(reds + blues,
-                    key=lambda p: (p.coords[last], 0 if p.color == BLUE else 1))
-    mid = (n + 1) // 2
-    left, right = merged[:mid], merged[mid:]
-    assert len(left) <= mid and len(right) <= mid
-    reds_l = [p for p in left if p.color == RED]
-    blues_l = [p for p in left if p.color == BLUE]
-    reds_r = [p for p in right if p.color == RED]
-    blues_r = [p for p in right if p.color == BLUE]
+    def __init__(self, points, nred, dim, sink):
+        self.points = points
+        self.nred = nred
+        self.sink = sink
+        self.table, self.keys, self.blue_first = _table([p.coords for p in points], nred)
+        self.reds: list = []
+        self.blues: list = []
+        self.shapes: list = []
+        self.size = 0
+        self.count = 0
 
-    count = _report(reds_l, blues_l, dim, sink)
-    count += _report(reds_r, blues_r, dim, sink)
-    count += _report(reds_r, blues_l, dim - 1, sink)
-    return count
+    def split(self, reds, blues, dim) -> None:
+        if dim <= 1 or len(reds) + len(blues) <= BRUTE_FORCE_CUTOFF:
+            self.add(reds, blues, dim)
+            return
+        # Median split on the last coordinate; among equal coordinates blue
+        # points precede red points, so no dominating pair has its red point
+        # left of its blue point.
+        merged = sorted(blues + reds if self.blue_first else reds + blues,
+                        key=self.keys[dim - 1].__getitem__)
+        mid = (len(merged) + 1) // 2
+        left, right = merged[:mid], merged[mid:]
+        nred = self.nred
+        reds_l = [i for i in left if i < nred]
+        blues_l = [i for i in left if i >= nred]
+        reds_r = [i for i in right if i < nred]
+        blues_r = [i for i in right if i >= nred]
+        if reds_l and blues_l:
+            self.split(reds_l, blues_l, dim)
+        if reds_r and blues_r:
+            self.split(reds_r, blues_r, dim)
+        if reds_r and blues_l:
+            self.split(reds_r, blues_l, dim - 1)
+
+    def add(self, reds, blues, dim) -> None:
+        self.reds += reds
+        self.blues += blues
+        self.shapes.append((len(reds), len(blues), dim))
+        self.size += len(reds) * len(blues)
+        if self.size >= _FLUSH_PAIRS:
+            self.flush()
+
+    def flush(self) -> int:
+        """Test the pending leaves; return the pairs reported so far."""
+        if self.shapes:
+            red, blue = _dominating(self.table, self.reds, self.blues, self.shapes)
+            self.reds, self.blues, self.shapes, self.size = [], [], [], 0
+            self.count += len(red)
+            points, sink = self.points, self.sink
+            for r, b in zip(red.tolist(), blue.tolist()):
+                sink(points[r], points[b])
+        return self.count
+
+
+def _dominating(table, reds, blues, shapes):
+    """The dominating pairs among the leaves' candidate pairs, as arrays of
+    red and blue rows of `table`.  The leaves' reds and blues are listed
+    leaf after leaf, and ``shapes`` holds each leaf's red count, blue count
+    and dimension.  Candidates run leaf after leaf, red-major, and a pair
+    fails where, in one of its leaf's dimensions, its red coordinate is
+    ``<`` its blue one."""
+    nr, nb, dims = np.array(shapes).T
+    run = nb.repeat(nr)  # each red's run of candidates: its leaf's blues
+    red = np.array(reds).repeat(run)
+    # a candidate's blue: its leaf's first blue plus its place in the run
+    first = (nb.cumsum() - nb).repeat(nr) - (run.cumsum() - run)
+    blue = np.array(blues)[first.repeat(run) + np.arange(len(red))]
+    width = dims.max()
+    fails = table[red, :width] < table[blue, :width]
+    if dims.min() < width:
+        fails &= np.arange(width) < dims.repeat(nr * nb)[:, None]
+    ok = ~fails.any(axis=1)
+    return red[ok], blue[ok]
 
 
 # -- certification by Fredman's trick ------------------------------------------

@@ -528,8 +528,10 @@ def match_boxes(groups, catalog: LegalPairCatalog,
     box.  A point's coordinates are ranks: every column :func:`_entry_map`
     can name is ranked once, red and blue together, by its (value, row tag,
     col tag) triple, equal triples alike, so each comparison the matcher
-    makes has the triples' outcome.  Returns {(i, j): {(anchor, anchor'):
-    entry}}.
+    makes has the triples' outcome.  Each entry's pairs become one array of
+    box codes, and one lexsort groups the matched entries by box.  Returns
+    {(i, j): {(anchor, anchor'): entry}}, one dict shared by all boxes that
+    the same entries matched.
     """
     g = catalog.width
     full = [i for i, grp in enumerate(groups) if len(grp) == g]
@@ -546,22 +548,33 @@ def match_boxes(groups, catalog: LegalPairCatalog,
                                          np.concatenate([tags, zeros]).ravel()
                                          ).reshape(2, len(full), -1)
     colors, ids = [RED] * len(full) + [BLUE] * len(full), full + full
-    matched: dict = {}
+    m = len(groups)
+    codes = []
     for entry in catalog.entries:
         red_cols, blue_cols = _entry_map(entry)
         assert len(red_cols) <= max_dim
         coords = np.concatenate([red_ranks[:, red_cols], blue_ranks[:, blue_cols]]).tolist()
         points = list(map(LabeledPoint, map(tuple, coords), colors, ids))
-        pairs: list = []
-        report(points, lambda red, blue: pairs.append((red.id, blue.id)))
-        for pair in pairs:
-            matched.setdefault(pair, []).append(entry)
-    # filled after the reports, not from the sink: filling it there left the
-    # heap fragmented enough to raise perfbench's `reductions` peak RSS by 8 %
+        found: list = []  # box (i, j), blue row group i and red column group j, as i * m + j
+        report(points, lambda red, blue: found.append(blue.id * m + red.id))
+        codes.append(np.array(found, dtype=np.int64))
+    if not codes:
+        return {}
+    entry_of = np.repeat(np.arange(len(codes)), [len(c) for c in codes])
+    codes = np.concatenate(codes)
+    order = np.lexsort((entry_of, codes))
+    codes, entry_of = codes[order], entry_of[order].tolist()
+    starts = np.flatnonzero(np.diff(codes, prepend=-1)).tolist()
+    shared: dict = {}
     assignments: dict = {}
-    for (j, i), entries in matched.items():
-        slot = assignments[(i, j)] = {(e.anchor, e.anchor_prime): e for e in entries}
-        assert len(slot) == len(entries), "two catalog entries matched one box layer"
+    for code, lo, hi in zip(codes[starts].tolist(), starts, starts[1:] + [len(codes)]):
+        row = tuple(entry_of[lo:hi])  # the box's matched entries, in catalog order
+        slot = shared.get(row)
+        if slot is None:
+            entries = [catalog.entries[e] for e in row]
+            slot = shared[row] = {(e.anchor, e.anchor_prime): e for e in entries}
+            assert len(slot) == len(entries), "two catalog entries matched one box layer"
+        assignments[divmod(code, m)] = slot
     return assignments
 
 
@@ -668,15 +681,16 @@ def _catalog_walk(svals, groups, point_set, assignments, ledger):
                                            return_inverse=True)
     box_lo, box_hi = np.divmod(boxes, len(groups))
     certified: dict = {}
+    unmatched: dict = {}
     cells, bounds, ngaps, fallback = [], [], [], []
     for b, (i, j) in enumerate(zip(box_lo.tolist(), box_hi.tolist())):
         layout = None
         if len(groups[i]) == g == len(groups[j]):
-            links = assignments.get((i, j), {})
-            key = tuple(map(id, links.values()))  # the same layers give the same layout
-            if key not in certified:
-                certified[key] = _certified_layout(links, point_set)
-            layout = certified[key]
+            # boxes the same entries matched share one dict (match_boxes)
+            links = assignments.get((i, j), unmatched)
+            if id(links) not in certified:
+                certified[id(links)] = _certified_layout(links, point_set)
+            layout = certified[id(links)]
         if layout is None:
             fallback.append(b)
             order = box_order(groups[i], groups[j])[0]

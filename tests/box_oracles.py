@@ -7,7 +7,8 @@ catalog, the anchor sets, the matcher and the catalog walk against them.
 """
 
 from threebench.core import box_order, ternary_search
-from threebench.threesum import Contour, _raws, _sorted_search
+from threebench.dominance import report_dominating_pairs
+from threebench.threesum import Contour, _raws, _sorted_search, match_boxes
 
 
 def tagged_sum(box, x, y):
@@ -100,3 +101,28 @@ def build_box_searcher(groups, i, j, point_set, assignments, ledger):
         return _sorted_search(rows, cols, ledger)
     gaps = [OrderSearch(e.order, _raws(rows, cols, e.order)) for e in entries]
     return OrderSearch(chain, _raws(rows, cols, chain), gaps)
+
+
+def per_pair_match_boxes(groups, catalog):
+    """``threesum.match_boxes`` with the pairs folded one at a time: each
+    reported pair appends its entry to its box's list, and every box then
+    builds its own ``{(anchor, anchor'): entry}`` dict.  The points are
+    ``match_boxes``' own, one `report` call per entry in catalog order."""
+    entries = iter(catalog.entries)
+    matched: dict = {}
+
+    def report(points, sink):
+        entry = next(entries)
+
+        def fold(red, blue):
+            sink(red, blue)
+            matched.setdefault((red.id, blue.id), []).append(entry)
+
+        return report_dominating_pairs(points, fold)
+
+    match_boxes(groups, catalog, report=report)
+    assignments: dict = {}
+    for (j, i), found in matched.items():
+        slot = assignments[(i, j)] = {(e.anchor, e.anchor_prime): e for e in found}
+        assert len(slot) == len(found), "two catalog entries matched one box layer"
+    return assignments

@@ -4,8 +4,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from threebench import dominance
 from threebench.dominance import (
     BLUE,
+    BRUTE_FORCE_CUTOFF,
     RED,
     LabeledPoint,
     c_epsilon,
@@ -98,6 +100,101 @@ def test_duplicate_ids_rejected():
            LabeledPoint((0.0,), BLUE, 0)]
     with pytest.raises(ValueError):
         report_dominating_pairs(pts, lambda r, b: None)
+
+
+# the scalar recursion whose leaves report_dominating_pairs batches: the oracle
+
+
+def _scalar_report(points, sink):
+    reds = [p for p in points if p.color == RED]
+    blues = [p for p in points if p.color == BLUE]
+    return _scalar_split(reds, blues, len(points[0].coords) if points else 0, sink)
+
+
+def _scalar_brute(reds, blues, dim, sink):
+    count = 0
+    for red in reds:
+        rc = red.coords
+        for blue in blues:
+            bc = blue.coords
+            ok = True
+            for t in range(dim):
+                if rc[t] < bc[t]:
+                    ok = False
+                    break
+            if ok:
+                sink(red, blue)
+                count += 1
+    return count
+
+
+def _scalar_split(reds, blues, dim, sink):
+    if not reds or not blues:
+        return 0
+    if dim == 0:
+        for red in reds:
+            for blue in blues:
+                sink(red, blue)
+        return len(reds) * len(blues)
+    n = len(reds) + len(blues)
+    if n <= BRUTE_FORCE_CUTOFF or dim <= 1:
+        return _scalar_brute(reds, blues, dim, sink)
+    last = dim - 1
+    merged = sorted(reds + blues,
+                    key=lambda p: (p.coords[last], 0 if p.color == BLUE else 1))
+    mid = (n + 1) // 2
+    left, right = merged[:mid], merged[mid:]
+    reds_l = [p for p in left if p.color == RED]
+    blues_l = [p for p in left if p.color == BLUE]
+    reds_r = [p for p in right if p.color == RED]
+    blues_r = [p for p in right if p.color == BLUE]
+    count = _scalar_split(reds_l, blues_l, dim, sink)
+    count += _scalar_split(reds_r, blues_r, dim, sink)
+    count += _scalar_split(reds_r, blues_l, dim - 1, sink)
+    return count
+
+
+def _draw_coordinate(rng, kind):
+    if kind == "int":
+        return int(rng.integers(0, 6))
+    if kind == "tied float":
+        return float(rng.choice([0.5, 1.25, 2.0]))
+    if kind == "nan float":
+        return math.nan if rng.random() < 0.2 else float(rng.integers(0, 4))
+    return (float(rng.integers(0, 3)), int(rng.integers(-1, 2)), int(rng.integers(-1, 2)))
+
+
+@pytest.mark.parametrize("flush_pairs", [None, 1])
+def test_batched_leaves_equal_the_scalar_recursion(monkeypatch, flush_pairs):
+    # same pairs in the same sink order and the same count, NaN included:
+    # the batched leaves run the scalar recursion's tree and `<` tests
+    if flush_pairs is not None:
+        monkeypatch.setattr(dominance, "_FLUSH_PAIRS", flush_pairs)
+    rng = np.random.default_rng(21)
+    cut = BRUTE_FORCE_CUTOFF
+    sizes = [1, 2, cut - 1, cut, cut + 1, cut + 2, 2 * cut + 1, 100, 400]
+    for trial in range(160):
+        kind = ("int", "tied float", "nan float", "tuple")[trial % 4]
+        n = sizes[trial % len(sizes)] if trial % 3 else int(rng.integers(1, 120))
+        d = int(rng.integers(0, 7))
+        red_share = (0.0, 1.0)[trial % 2] if trial % 11 == 0 else 0.5  # one colour
+        points = [LabeledPoint(tuple(_draw_coordinate(rng, kind) for _ in range(d)),
+                               RED if rng.random() < red_share else BLUE, i)
+                  for i in range(n)]
+        got, want = [], []
+        count = report_dominating_pairs(points, lambda r, b: got.append((r, b)))
+        assert count == _scalar_report(points, lambda r, b: want.append((r, b)))
+        assert count == len(got)
+        assert [(r.id, b.id) for r, b in got] == [(r.id, b.id) for r, b in want], (trial, kind)
+        assert all(r is points[r.id] and b is points[b.id] for r, b in got)
+
+
+def test_mixed_and_unbounded_numbers_compare_exactly():
+    # an int beyond float precision against a float, and ints beyond int64
+    assert _collect([LabeledPoint((float(2 ** 53), 0), RED, 0),
+                     LabeledPoint((2 ** 53 + 1, 0), BLUE, 0)]) == set()
+    assert _collect([LabeledPoint((2 ** 70, 1), RED, 0), LabeledPoint((2 ** 70 + 1, 0), BLUE, 0),
+                     LabeledPoint((2 ** 70 + 1, 0), RED, 1)]) == {(1, 0)}
 
 
 def test_c_epsilon_values():

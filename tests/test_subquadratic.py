@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from box_oracles import build_box_searcher, compute_contour, is_bad, tagged_sum
-from threebench import threesum
+from box_oracles import (build_box_searcher, compute_contour, is_bad, per_pair_match_boxes,
+                         tagged_sum)
+from threebench import harness, threesum
 from threebench.core import (ComparisonLedger, as_reals, box_order, cut_groups, sorted_counted,
                              ternary_search)
 from threebench.dominance import BLUE, RED
@@ -303,6 +306,41 @@ def test_match_boxes_points_equal_the_per_coordinate_builders(g, point_set, span
             for p, (triples_p, _, _) in zip(points, want):
                 for q, (triples_q, _, _) in zip(points, want):
                     assert _sign(p.coords[t], q.coords[t]) == _sign(triples_p[t], triples_q[t])
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "randomized"])
+@pytest.mark.parametrize("generator", ["uniform", "duplicate-heavy", "planted"])
+def test_match_boxes_equals_the_per_pair_fold(mode, generator):
+    n = 110
+    params = resolve_subquadratic_params(n, SubquadraticParams(group_size=3, mode=mode, seed=4))
+    assert n % params.group_size  # the last group is short
+    catalog = cached_catalog(params.group_size, threesum._anchor_set(params), params.span)
+    groups = cut_groups(np.sort(harness.generate("3sum", n, generator, 4)), params.group_size)
+    got = match_boxes(groups, catalog)
+    assert got and got == per_pair_match_boxes(groups, catalog)
+    # boxes share one dict exactly when the same entries matched them
+    assert (len({id(slot) for slot in got.values()})
+            == len({frozenset(map(id, slot.values())) for slot in got.values()}))
+
+
+def test_two_entries_matching_one_box_layer_trip_the_assertion():
+    catalog = cached_catalog(3, deterministic_point_set(3, 1), grid_span(3, 1))
+    by_anchors: dict = {}
+    for entry in catalog.entries:
+        by_anchors.setdefault((entry.anchor, entry.anchor_prime), []).append(entry)
+    twins = next(entries for entries in by_anchors.values() if len(entries) > 1)[:2]
+
+    def report_every_pair(points, sink):
+        reds = [p for p in points if p.color == RED]
+        blues = [p for p in points if p.color == BLUE]
+        for red in reds:
+            for blue in blues:
+                sink(red, blue)
+        return len(reds) * len(blues)
+
+    groups = cut_groups(np.arange(12.0), 3)
+    with pytest.raises(AssertionError, match="two catalog entries matched one box layer"):
+        match_boxes(groups, replace(catalog, entries=twins), report=report_every_pair)
 
 
 # ---------------------------------------------------------------------------
