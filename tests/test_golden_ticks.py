@@ -50,6 +50,11 @@ LARGE += [("zerotri", algo, 72, "uniform") for algo in ("dense-sampled", "dense-
 LARGE += [(problem, algo, n, generator)
           for problem, algo, n in (("conv", "blocked", 384), ("ldt", "kldt", 192))
           for generator in ("uniform", "duplicate-heavy")]
+# subq-simple above the grid's sizes, with a short last group at 521: the
+# uniform cell books the short group's sorts to deduce, the other two find
+# witnesses
+LARGE += [("3sum", "subq-simple", n, generator)
+          for n, generator in ((521, "uniform"), (520, "duplicate-heavy"), (521, "planted"))]
 
 
 def grid():
