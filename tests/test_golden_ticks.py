@@ -8,7 +8,9 @@ means to alter tick counts or decisions regenerates the file with
 
 and says so; any other change must leave every row byte-identical.  Before
 it overwrites the file it prints, per (problem, algo), the old -> new sums
-of ticks3, ticks4 and ticksK, and every cell whose ``found`` flag flips.
+of ticks3, ticks4 and ticksK, and every cell whose ``found`` flag flips; a
+grid that only grows is compared on the rows it keeps, and its appended
+cells are listed with their counts.
 """
 
 import csv
@@ -86,7 +88,9 @@ TICKS = ("ticks3", "ticks4", "ticksK")
 def summary(old, new):
     """What moves from the `old` golden lines to the `new` (both with their
     header): per (problem, algo), the sums of ticks3, ticks4 and ticksK that
-    differ, then each grid cell whose found flag flips."""
+    differ, then each grid cell whose found flag flips.  When `new` only
+    appends rows, the rows both share are compared and the appended cells
+    listed after them."""
     def sums(lines):
         out = {}
         for row in csv.DictReader(lines):
@@ -95,22 +99,29 @@ def summary(old, new):
                 total[col] += int(row[col])
         return out
 
-    before, after = sums(old), sums(new)
+    shared = new[:len(old)]
+    before, after = sums(old), sums(shared)
     lines = []
     for key in dict.fromkeys([*before, *after]):
         a, b = before.get(key, dict.fromkeys(TICKS, 0)), after.get(key, dict.fromkeys(TICKS, 0))
         moved = [f"{col} {a[col]:,} -> {b[col]:,}" for col in TICKS if a[col] != b[col]]
         if moved:
             lines.append(f"{key[0]} {key[1]}: " + ", ".join(moved))
-    if len(old) != len(new):
+    if len(old) > len(new):
         return lines + [f"the grid went from {len(old) - 1} to {len(new) - 1} rows; "
                         "found flags not compared"]
-    for (problem, algo, n, generator), was, now in zip(grid(), csv.DictReader(old),
-                                                      csv.DictReader(new)):
+    cells = list(grid())
+    for (problem, algo, n, generator), was, now in zip(cells, csv.DictReader(old),
+                                                      csv.DictReader(shared)):
         if was["found"] != now["found"]:
             lines.append(f"{problem} {algo} n={n} {generator}: found "
                          f"{was['found']} -> {now['found']}")
-    return lines or ["no row changed"]
+    lines = lines or ["no row changed"]
+    for (problem, algo, n, generator), row in zip(cells[len(old) - 1:],
+                                                  csv.DictReader(new[:1] + new[len(old):])):
+        lines.append(f"appended {problem} {algo} n={n} {generator}: found {row['found']}, "
+                     + ", ".join(f"{col} {int(row[col]):,}" for col in TICKS))
+    return lines
 
 
 def test_summary_names_the_moved_sums_and_flipped_flags():
@@ -128,6 +139,11 @@ def test_summary_names_the_moved_sums_and_flipped_flags():
     assert summary(old, old) == ["no row changed"]
     assert summary(old, old[:-1])[-1] == \
         f"the grid went from {len(cells)} to {len(cells) - 1} rows; found flags not compared"
+    problem, algo, n, generator = cells[-1]
+    appended = f"appended {problem} {algo} n={n} {generator}: found 1, ticks3 10, ticks4 20, " \
+        "ticksK 0"
+    assert summary(old[:-1], old) == ["no row changed", appended]
+    assert summary(old[:-1], new) == summary(old, new) + [appended]
 
 
 def test_golden_ticks_are_unchanged():
