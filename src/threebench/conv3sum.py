@@ -69,8 +69,6 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
     """
     a = np.array(as_reals(values))
     n = len(a)
-    if n == 0:
-        return None
     g = group_size if group_size is not None else default_block_size(n)
     blocks = cut_groups(a, g)
     m = len(blocks)

@@ -101,14 +101,13 @@ def solve_kldt(phi: LinearForm, values: Sequence[float],
     """
     k = phi.arity
     a_list, b_list, c_list = reduce_kldt(phi, as_reals(values))
-    if not a_list or not b_list or not c_list:
-        return False
-
     a_sorted = sorted_counted(a_list, ledger, arity=k - 1)
     b_sorted = sorted_counted(b_list, ledger, arity=k - 1)
     g = group_size if group_size is not None else default_kldt_group_size(len(c_list))
     a_groups = cut_groups(a_sorted, g)
     b_groups = cut_groups(b_sorted, g)
+    if not c_list:  # an empty input empties all three lists
+        return False
 
     segments = [(grp, range(len(grp)), "row") for grp in a_groups] \
         + [(grp, range(len(grp)), "col") for grp in b_groups]

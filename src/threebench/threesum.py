@@ -21,10 +21,10 @@ The decision-tree solver runs one vectorised path at every n and on every
 input: it prices each box probe from the depth tables of the canonical
 binary search, ties included, without materialising tagged objects.  The
 pure-Python walk stays as its reference; the test suite asserts that both
-book identical ledger counts.  The contour-catalog walk likewise searches
-every visited box at once, one probe per array step, along the lists its
-certified order gives; the tests hold it to a per-box searcher walked visit
-by visit.
+book identical ledger counts.  Both certificate routes, contour catalog and
+whole-box permutations, hand their certified box orders to one walk, which
+likewise searches every visited box at once, one probe per array step; the
+tests hold it to per-box searchers walked visit by visit.
 """
 
 from __future__ import annotations
@@ -261,21 +261,17 @@ def solve_decision_tree(values, group_size: Optional[int], ledger: ComparisonLed
     ``mode="reference"`` runs the pure-Python walk that the tests hold it
     to, with the same ledger counts.
     """
+    walk = {"fast": _decision_tree_fast, "reference": _decision_tree_reference}.get(mode)
+    if walk is None:
+        raise ValueError(f"unknown mode {mode!r}")
     arr = as_reals(values)
-    n = len(arr)
-    if n == 0:
-        return None
-    g = group_size if group_size is not None else default_group_size(n)
-    if mode == "reference":
-        return _decision_tree_reference(arr, g, ledger)
-    if mode == "fast":
-        return _decision_tree_fast(arr, g, ledger)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _decision_tree_reference(arr, g, ledger):
+    g = group_size if group_size is not None else default_group_size(len(arr))
     svals = sorted_counted(arr, ledger)
     groups = cut_groups(svals, g)
+    return walk(svals, groups, g, ledger) if groups else None
+
+
+def _decision_tree_reference(svals, groups, g, ledger):
     m = len(groups)
     sort_differences([(v, range(len(v)), "both") for v in groups], ledger)
     # every box's sorted order follows from the sorted differences for free
@@ -284,9 +280,8 @@ def _decision_tree_reference(arr, g, ledger):
     return _staircase_walk(svals, g, boxes.__getitem__, ledger)
 
 
-def _decision_tree_fast(arr, g: int, ledger: ComparisonLedger):
-    arr = np.array(sorted_counted(arr, ledger))
-    groups = cut_groups(arr, g)
+def _decision_tree_fast(svals, groups, g: int, ledger: ComparisonLedger):
+    arr = np.array(svals)
     if len(groups) >= (1 << 20):
         raise ValueError("too many groups for the fast path")
     difference_ticks([(seg, np.arange(len(seg)), "both") for seg in groups], ledger)
@@ -579,15 +574,12 @@ def match_boxes(groups, catalog: LegalPairCatalog,
 
 
 # ---------------------------------------------------------------------------
-# per-box searchers for the catalog solvers
-
-
-def _raws(rows, cols, positions) -> list[float]:
-    return [rows[x] + cols[y] for (x, y) in positions]
+# certified box orders and the walk over them
 
 
 class _OrderSearch:
-    """A box's positions in ascending order: binary search their raw sums."""
+    """A box's positions in ascending order: binary search their raw sums.
+    The reference walk of :func:`solve_decision_tree` searches its boxes so."""
 
     def __init__(self, order, raws):
         self.order = order
@@ -596,15 +588,6 @@ class _OrderSearch:
     def search(self, key, ledger):
         res, pos = ternary_search(self.raws, key, ledger)
         return self.order[pos] if res == "hit" else None
-
-
-def _sorted_search(rows, cols, ledger: ComparisonLedger) -> _OrderSearch:
-    """Fallback for short or uncertified boxes: sort outright, booking to
-    ``deduce`` one 4-linear tick per comparison the mergesort of the tagged
-    sums makes.  Row-major indices order like the (row, col) tags."""
-    order, raws = box_order(rows, cols)
-    ledger.tick(4, _sort_ticks(rows, cols), "deduce")
-    return _OrderSearch(order, raws)
 
 
 def _sort_ticks(rows, cols) -> int:
@@ -663,50 +646,47 @@ def _ternary_steps(flat, starts, lengths, keys):
     return probes, hit, pos
 
 
-def _catalog_walk(svals, groups, point_set, assignments, ledger):
-    """:func:`_staircase_walk` over the contour catalog's boxes: every visit
-    is searched at once, and the searches up to the first hit are booked.
+def _catalog_walk(svals, groups, g, layout, ledger):
+    """:func:`_staircase_walk` over boxes whose order a certificate fixes:
+    every visit is searched at once, and the searches up to the first hit
+    are booked.
 
-    A certified box is searched along its anchor chain and, on a miss
-    strictly inside the chain, along the gap at its insertion point.  A
-    short or uncertified box is searched along its stably sorted sums, and
-    the mergesort of those is booked to ``deduce`` if the walk reaches the
-    box by its first hit.  Every box's lists lie in one flat array of sums.
+    ``layout(i, j)`` gives full box ``(i, j)``'s certified order as the
+    cells ``x * g + y`` of its lists laid end to end, with the bounds of the
+    first list and of each gap after it among them, or None if the box is
+    uncertified.  A box is searched along its first list and, on a miss
+    strictly inside it, along the gap at its insertion point.  A short or
+    uncertified box is searched along its stably sorted sums, and the
+    mergesort of those is booked to ``deduce`` if the walk reaches the box
+    by its first hit.  Every box's lists lie in one flat array of sums.
     Returns a witness triple or None.
     """
-    g = point_set.width
     svals = np.asarray(svals, dtype=np.float64)
     k, lo, hi = _triangle_visits(svals, g)
     boxes, first_visit, box_of = np.unique(lo * len(groups) + hi, return_index=True,
                                            return_inverse=True)
     box_lo, box_hi = np.divmod(boxes, len(groups))
-    certified: dict = {}
-    unmatched: dict = {}
-    cells, bounds, ngaps, fallback = [], [], [], []
+    cells, bounds, fallback = [], [], []
     for b, (i, j) in enumerate(zip(box_lo.tolist(), box_hi.tolist())):
-        layout = None
-        if len(groups[i]) == g == len(groups[j]):
-            # boxes the same entries matched share one dict (match_boxes)
-            links = assignments.get((i, j), unmatched)
-            if id(links) not in certified:
-                certified[id(links)] = _certified_layout(links, point_set)
-            layout = certified[id(links)]
-        if layout is None:
+        certified = layout(i, j) if len(groups[i]) == g == len(groups[j]) else None
+        if certified is None:
             fallback.append(b)
             order = box_order(groups[i], groups[j])[0]
-            layout = np.array([x * g + y for x, y in order], dtype=np.int64), [0, len(order)]
-        cells.append(layout[0])
-        ngaps.append(len(layout[1]) - 2)
-        bounds.append(layout[1] + [0] * (point_set.count + 1 - len(layout[1])))
+            certified = np.array([x * g + y for x, y in order], dtype=np.int64), [0, len(order)]
+        cells.append(certified[0])
+        bounds.append(certified[1])
     lengths = np.array([len(c) for c in cells])
-    bounds = np.array(bounds) + (np.cumsum(lengths) - lengths)[:, None]
+    ngaps = np.array([len(b) - 2 for b in bounds])
+    width = max(map(len, bounds))
+    bounds = np.array([b + [0] * (width - len(b)) for b in bounds]) \
+        + (np.cumsum(lengths) - lengths)[:, None]
     x, y = np.divmod(np.concatenate(cells), g)
     flat = svals[np.repeat(box_lo * g, lengths) + x] + svals[np.repeat(box_hi * g, lengths) + y]
 
     keys = -svals[k]
     start = bounds[box_of, 0]
     probes, hit, at = _ternary_steps(flat, start, bounds[box_of, 1] - start, keys)
-    gap = np.flatnonzero(~hit & (at > 0) & (at <= np.array(ngaps)[box_of]))
+    gap = np.flatnonzero(~hit & (at > 0) & (at <= ngaps[box_of]))
     start[gap] = bounds[box_of[gap], at[gap]]
     more, hit[gap], at[gap] = _ternary_steps(
         flat, start[gap], bounds[box_of[gap], at[gap] + 1] - start[gap], keys[gap])
@@ -822,37 +802,47 @@ def solve_subquadratic(values, params: Optional[SubquadraticParams],
     sorted directly at 4-linear cost.
     """
     arr = as_reals(values)
-    n = len(arr)
-    if n == 0:
+    params = resolve_subquadratic_params(len(arr), params)
+    if not arr:
         return None
-    params = resolve_subquadratic_params(n, params)
     point_set = _anchor_set(params)
     catalog = cached_catalog(params.group_size, point_set, params.span)
 
     svals = sorted_counted(arr, ledger)
     groups = cut_groups(svals, params.group_size)
     assignments = match_boxes(groups, catalog)
-    return _catalog_walk(svals, groups, point_set, assignments, ledger)
+    unmatched: dict = {}
+    layouts: dict = {}
+
+    def layout(i, j):
+        # boxes the same entries matched share one dict (match_boxes)
+        links = assignments.get((i, j), unmatched)
+        if id(links) not in layouts:
+            layouts[id(links)] = _certified_layout(links, point_set)
+        return layouts[id(links)]
+
+    return _catalog_walk(svals, groups, params.group_size, layout, ledger)
 
 
 def solve_subquadratic_simple(values, group_size: Optional[int],
                               ledger: ComparisonLedger):
     """Whole-box permutation matching: certify, for every pair of full
     groups, the one permutation of the box's g*g positions whose
-    consecutive differences dominate (``sorting_permutations``), then walk.
+    consecutive differences dominate (``sorting_permutations``), then walk
+    the matched orders (:func:`_catalog_walk`).  Boxes with the short group
+    are sorted directly at 4-linear cost.
 
     Feasible only for tiny group sizes ((g*g)! permutations)."""
     arr = as_reals(values)
-    n = len(arr)
-    if n == 0:
-        return None
-    g = group_size if group_size is not None else default_simple_group_size(n)
+    g = group_size if group_size is not None else default_simple_group_size(len(arr))
     if math.factorial(g * g) > PERM_BUDGET:
         raise ValueError(f"group size {g} needs {math.factorial(g*g)} permutations; "
                          f"at most {PERM_BUDGET} are enumerated")
 
     svals = sorted_counted(arr, ledger)
     groups = cut_groups(svals, g)
+    if not groups:
+        return None
     full = len(svals) // g
     # spread each full group over the g*g row-major positions t = x*g + y:
     # column groups are red (value at y = t % g), row groups blue (x = t // g),
@@ -861,13 +851,7 @@ def solve_subquadratic_simple(values, group_size: Optional[int],
     cells = np.arange(g * g)
     perms, index = sorting_permutations(square[:, cells % g], square[:, cells // g], g * g)
 
-    def searcher(ij):
-        i, j = ij
-        rows, cols = groups[i].tolist(), groups[j].tolist()
-        if max(i, j) >= full:
-            return _sorted_search(rows, cols, ledger)
-        # box (i, j) pairs red column group j with blue row group i
-        order = [divmod(t, g) for t in perms[index[j, i]].tolist()]
-        return _OrderSearch(order, _raws(rows, cols, order))
-
-    return _staircase_walk(svals, g, searcher, ledger)
+    # a matched permutation lists the cells t = x*g + y of box (i, j), red
+    # column group j with blue row group i, in sorted order
+    return _catalog_walk(svals, groups, g, lambda i, j: (perms[index[j, i]], [0, g * g]),
+                         ledger)

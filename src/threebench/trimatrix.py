@@ -305,10 +305,10 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
         raise ValueError("sampled variant needs square matrices")
     c_out = np.full((n, n), INF)
     w_out = np.full((n, n), NO_WITNESS, dtype=np.int64)
-    if n == 0:
+    g = group_size if group_size is not None else default_sample_base(n)
+    if n == 0 < g:  # build_sample_hierarchy refuses g < 1 and needs n >= g
         return TargetProductResult(c_out, w_out)
     ae, be = _encode(a), _encode(b)
-    g = group_size if group_size is not None else default_sample_base(n)
     hierarchy = build_sample_hierarchy(n, g, rng)
     # per sampled interval: its A-row diffs, then its B-column diffs
     segments = []
@@ -442,8 +442,6 @@ def zero_triangle_dense(graph: WeightedGraph, variant: str = "trivial",
                         seed: int = 0):
     """Zero-triangle via the target product: a triangle closes at (i, j)
     exactly when the product value meets the target there."""
-    if graph.n == 0:
-        return None
     a, b, t = graph_matrices(graph)
     ledger = ledger if ledger is not None else ComparisonLedger()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -548,8 +546,6 @@ def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
     """Type-directed search: orient, color, sort one difference list over
     same-colored out-neighbor pairs, then binary-search each (edge, color)
     type for the closing weight."""
-    if graph.m == 0:
-        return None
     k_colors = color_count if color_count is not None else default_color_count(graph.m)
     if k_colors < 1:
         raise ValueError("need at least one color")
@@ -610,8 +606,6 @@ def zero_triangle_core(graph: WeightedGraph, delta: Optional[int] = None,
     """Split solve: orient greedily until every remaining vertex has degree
     >= delta, enumerate out-pairs of the oriented part, and hand the dense
     remainder (the high-degree core) to the dense difference-list backend."""
-    if graph.m == 0:
-        return None
     d = delta if delta is not None else default_degree_threshold(graph.m)
     if d < 1:
         raise ValueError("degree threshold must be >= 1")

@@ -4,11 +4,19 @@ The box's total order is that of the tagged sums ``(rows[x] + cols[y], x,
 y)``: ``core.box_order``, which Fredman's trick reads off the sorted
 difference lists.  No solver calls these; the tests check the contour
 catalog, the anchor sets, the matcher and the catalog walk against them.
+The per-box searchers (:func:`build_box_searcher`, :func:`sorted_search`)
+feed ``threesum._staircase_walk``, which searches one visit at a time, and
+:func:`scalar_subquadratic_simple` is the permutation solver walked so.
 """
 
-from threebench.core import box_order, ternary_search
-from threebench.dominance import report_dominating_pairs
-from threebench.threesum import Contour, _raws, _sorted_search, match_boxes
+import math
+
+import numpy as np
+
+from threebench.core import as_reals, box_order, cut_groups, sorted_counted, ternary_search
+from threebench.dominance import report_dominating_pairs, sorting_permutations
+from threebench.threesum import (PERM_BUDGET, Contour, _sort_ticks, _staircase_walk,
+                                 default_simple_group_size, match_boxes)
 
 
 def tagged_sum(box, x, y):
@@ -74,6 +82,20 @@ class OrderSearch:
         return None
 
 
+def raws(rows, cols, positions) -> list[float]:
+    """The raw sums ``rows[x] + cols[y]`` at `positions`, in their order."""
+    return [rows[x] + cols[y] for (x, y) in positions]
+
+
+def sorted_search(rows, cols, ledger) -> OrderSearch:
+    """The searcher of a short or uncertified box: sort it outright, booking
+    to ``deduce`` one 4-linear tick per comparison the mergesort of the
+    tagged sums makes.  Row-major indices order like the (row, col) tags."""
+    order, sums = box_order(rows, cols)
+    ledger.tick(4, _sort_ticks(rows, cols), "deduce")
+    return OrderSearch(order, sums)
+
+
 def build_box_searcher(groups, i, j, point_set, assignments, ledger):
     """The searcher of box ``(i, j)`` for ``threesum._staircase_walk``: a
     full box whose matched layers chain every anchor is searched along that
@@ -82,7 +104,7 @@ def build_box_searcher(groups, i, j, point_set, assignments, ledger):
     g = point_set.width
     rows, cols = groups[i].tolist(), groups[j].tolist()
     if len(rows) != g or len(cols) != g:
-        return _sorted_search(rows, cols, ledger)
+        return sorted_search(rows, cols, ledger)
     links = assignments.get((i, j), {})
     nxt = {a: (b, e) for (a, b), e in links.items()}
     chain = [(0, 0)]
@@ -98,9 +120,39 @@ def build_box_searcher(groups, i, j, point_set, assignments, ledger):
                 and len(links) == point_set.count - 1)
     if not complete:
         # bad box: its layer structure was not certified, sort it directly
-        return _sorted_search(rows, cols, ledger)
-    gaps = [OrderSearch(e.order, _raws(rows, cols, e.order)) for e in entries]
-    return OrderSearch(chain, _raws(rows, cols, chain), gaps)
+        return sorted_search(rows, cols, ledger)
+    gaps = [OrderSearch(e.order, raws(rows, cols, e.order)) for e in entries]
+    return OrderSearch(chain, raws(rows, cols, chain), gaps)
+
+
+def scalar_subquadratic_simple(values, group_size, ledger):
+    """``threesum.solve_subquadratic_simple`` walked one visit at a time:
+    each visited full box searches the raw sums of its matched permutation,
+    and a box with a short group is sorted outright (:func:`sorted_search`)."""
+    arr = as_reals(values)
+    n = len(arr)
+    if n == 0:
+        return None
+    g = group_size if group_size is not None else default_simple_group_size(n)
+    if math.factorial(g * g) > PERM_BUDGET:
+        raise ValueError(f"group size {g} needs {math.factorial(g*g)} permutations; "
+                         f"at most {PERM_BUDGET} are enumerated")
+    svals = sorted_counted(arr, ledger)
+    groups = cut_groups(svals, g)
+    full = len(svals) // g
+    square = np.reshape(groups[:full], (full, g))
+    cells = np.arange(g * g)
+    perms, index = sorting_permutations(square[:, cells % g], square[:, cells // g], g * g)
+
+    def searcher(ij):
+        i, j = ij
+        rows, cols = groups[i].tolist(), groups[j].tolist()
+        if max(i, j) >= full:
+            return sorted_search(rows, cols, ledger)
+        order = [divmod(t, g) for t in perms[index[j, i]].tolist()]
+        return OrderSearch(order, raws(rows, cols, order))
+
+    return _staircase_walk(svals, g, searcher, ledger)
 
 
 def per_pair_match_boxes(groups, catalog):

@@ -385,6 +385,51 @@ def test_cli_zero_group_size_or_color_count_is_an_error(tmp_path, capsys, proble
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_EMPTY_MATRIX = np.zeros((0, 0))
+
+
+# (solver call on an empty instance or a graph with no edges, a valid value
+# of one parameter, an invalid one)
+EMPTY_CALLS = {
+    "dt mode": (lambda m, led: ts.solve_decision_tree([], 3, led, mode=m), "reference", "bogus"),
+    "dt g": (lambda g, led: ts.solve_decision_tree([], g, led), 1, 0),
+    "subq-simple g": (lambda g, led: ts.solve_subquadratic_simple([], g, led), 2, 5),
+    "subq mode": (lambda m, led: ts.solve_subquadratic([], ts.SubquadraticParams(mode=m), led),
+                  "randomized", "bogus"),
+    "subq g": (lambda g, led: ts.solve_subquadratic([], ts.SubquadraticParams(g), led), 2, 0),
+    "conv g": (lambda g, led: solve_conv_blocked([], g, led), 1, 0),
+    "kldt g": (lambda g, led: solve_kldt(LinearForm((0.0, 1.0, 1.0, 1.0)), [], g, led), 1, 0),
+    "dense variant": (lambda v, led: trimatrix.zero_triangle_dense(WeightedGraph(0, ()), v,
+                                                                   ledger=led), "dt", "bogus"),
+    "sampled g": (lambda g, led: trimatrix.target_min_plus_sampled(
+        _EMPTY_MATRIX, _EMPTY_MATRIX, _EMPTY_MATRIX, g, np.random.default_rng(0), led), 1, 0),
+    "sparse K": (lambda k, led: trimatrix.zero_triangle_sparse(WeightedGraph(3, ()), k, led),
+                 1, 0),
+    "sparse-core K": (lambda k, led: trimatrix.zero_triangle_core(WeightedGraph(0, ()), k, led),
+                      1, 0),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_CALLS)
+def test_parameters_are_checked_on_empty_instances(name):
+    call, good, bad = EMPTY_CALLS[name]
+    ledger = ComparisonLedger()
+    call(good, ledger)
+    assert ledger.total() == 0
+    with pytest.raises(ValueError):
+        call(bad, ComparisonLedger())
+
+
+def test_cli_refuses_an_invalid_parameter_on_an_empty_input(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    solve = ["solve", "3sum", "--algo", "dt", "--input", str(path)]
+    assert cli.main(solve) == 0
+    assert "decision: no-witness\n" in capsys.readouterr().out
+    assert cli.main(solve + ["--g", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_oracle_mismatch_returns_two(tmp_path, capsys, monkeypatch):
     path = tmp_path / "in.txt"
     _write_vector(path, [-3.0, 1.0, 2.0])

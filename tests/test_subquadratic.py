@@ -1,10 +1,11 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from box_oracles import (build_box_searcher, compute_contour, is_bad, per_pair_match_boxes,
-                         tagged_sum)
+                         scalar_subquadratic_simple, tagged_sum)
 from threebench import harness, threesum
 from threebench.core import (ComparisonLedger, as_reals, box_order, cut_groups, sorted_counted,
                              ternary_search)
@@ -484,6 +485,31 @@ def test_simple_unplanted_matches_oracle():
     vals = rng.integers(10 ** 5, 10 ** 6, size=32).astype(float).tolist()
     led = ComparisonLedger()
     assert solve_subquadratic_simple(vals, 2, led) is None
+
+
+def test_simple_catalog_walk_books_what_the_scalar_walk_books():
+    rng = np.random.default_rng(32)
+    kinds = harness.GENERATORS + ("one-decimal",)
+    found = 0
+    for trial in range(320):
+        kind, g = kinds[trial % len(kinds)], 1 + trial // len(kinds) % 2
+        n = int(rng.integers(1, 200)) | (trial // 10 % 2)  # every other run of ten is odd
+        if kind == "one-decimal":
+            vals = np.round(rng.uniform(-5, 5, size=n), 1).tolist()
+        else:
+            vals = harness.generate("3sum", n, kind, trial)
+        fast, ref = ComparisonLedger(), ComparisonLedger()
+        try:
+            w = solve_subquadratic_simple(vals, g, fast)
+        except ValueError as error:  # rounded differences no single order fits
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                scalar_subquadratic_simple(vals, g, ref)
+            continue
+        w_ref = scalar_subquadratic_simple(vals, g, ref)
+        assert fast.phases() == ref.phases(), (kind, g, n)
+        assert w == w_ref  # the same visit, and the same position in its box
+        found += w is not None
+    assert found
 
 
 def test_simple_rejects_oversized_groups():
