@@ -19,12 +19,13 @@ group-pair boxes:
 
 The decision-tree solver runs one vectorised path at every n and on every
 input: it prices each box probe from the depth tables of the canonical
-binary search, ties included, without materialising tagged objects.  The
-pure-Python walk stays as its reference; the test suite asserts that both
-book identical ledger counts.  Both certificate routes, contour catalog and
-whole-box permutations, hand their certified box orders to one walk, which
-likewise searches every visited box at once, one probe per array step; the
-tests hold it to per-box searchers walked visit by visit.
+binary search, ties included, without materialising tagged objects.  Every
+box order that is known before the walk, whether deduced free from the
+difference list (the decision tree's reference mode) or certified by a
+contour catalog or a whole-box permutation, goes to one walk, which
+searches every visited box at once, one probe per array step.  The test
+suite holds it to per-box searchers walked visit by visit, and the fast
+path to it, with identical ledger counts.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .core import (
     search_visits,
     sort_differences,
     sorted_counted,
-    ternary_search,
+    ternary_search,  # unused here; perfbench's tracer wraps it by this name
 )
 from .dominance import BLUE, RED, LabeledPoint, report_dominating_pairs, sorting_permutations
 
@@ -258,8 +259,10 @@ def solve_decision_tree(values, group_size: Optional[int], ledger: ComparisonLed
     to ``diff_sort`` and the walk's probes to ``walk``; deducing the box
     orders books nothing.  Returns a witness triple or None.
     ``mode="fast"`` prices every probe from depth tables;
-    ``mode="reference"`` runs the pure-Python walk that the tests hold it
-    to, with the same ledger counts.
+    ``mode="reference"`` sorts the differences in pure Python and hands
+    every visited box's free :func:`box_order` to the shared walk
+    (:func:`_catalog_walk`); the tests hold the two modes to the same
+    ledger counts.
     """
     walk = {"fast": _decision_tree_fast, "reference": _decision_tree_reference}.get(mode)
     if walk is None:
@@ -272,12 +275,10 @@ def solve_decision_tree(values, group_size: Optional[int], ledger: ComparisonLed
 
 
 def _decision_tree_reference(svals, groups, g, ledger):
-    m = len(groups)
     sort_differences([(v, range(len(v)), "both") for v in groups], ledger)
     # every box's sorted order follows from the sorted differences for free
-    boxes = {(i, j): _OrderSearch(*box_order(groups[i], groups[j]))
-             for i in range(m) for j in range(m)}
-    return _staircase_walk(svals, g, boxes.__getitem__, ledger)
+    return _catalog_walk(svals, groups, g, lambda i, j: _box_layout(groups[i], groups[j], g),
+                         ledger)
 
 
 def _decision_tree_fast(svals, groups, g: int, ledger: ComparisonLedger):
@@ -577,17 +578,11 @@ def match_boxes(groups, catalog: LegalPairCatalog,
 # certified box orders and the walk over them
 
 
-class _OrderSearch:
-    """A box's positions in ascending order: binary search their raw sums.
-    The reference walk of :func:`solve_decision_tree` searches its boxes so."""
-
-    def __init__(self, order, raws):
-        self.order = order
-        self.raws = raws
-
-    def search(self, key, ledger):
-        res, pos = ternary_search(self.raws, key, ledger)
-        return self.order[pos] if res == "hit" else None
+def _box_layout(rows, cols, g):
+    """Box ``(rows, cols)``'s order read off its sums (:func:`box_order`), as
+    the cells ``x * g + y`` of one list and that list's bounds."""
+    order = box_order(rows, cols)[0]
+    return np.array([x * g + y for x, y in order], dtype=np.int64), [0, len(order)]
 
 
 def _sort_ticks(rows, cols) -> int:
@@ -647,19 +642,20 @@ def _ternary_steps(flat, starts, lengths, keys):
 
 
 def _catalog_walk(svals, groups, g, layout, ledger):
-    """:func:`_staircase_walk` over boxes whose order a certificate fixes:
-    every visit is searched at once, and the searches up to the first hit
-    are booked.
+    """The grouped staircase walk over boxes whose order is known before it
+    starts: every visit is searched at once, and the searches up to the
+    first hit are booked.
 
-    ``layout(i, j)`` gives full box ``(i, j)``'s certified order as the
-    cells ``x * g + y`` of its lists laid end to end, with the bounds of the
-    first list and of each gap after it among them, or None if the box is
-    uncertified.  A box is searched along its first list and, on a miss
-    strictly inside it, along the gap at its insertion point.  A short or
-    uncertified box is searched along its stably sorted sums, and the
-    mergesort of those is booked to ``deduce`` if the walk reaches the box
-    by its first hit.  Every box's lists lie in one flat array of sums.
-    Returns a witness triple or None.
+    ``layout(i, j)`` is asked once for every visited box ``(i, j)``, short
+    boxes included.  It gives the box's order as the cells ``x * g + y`` of
+    its lists laid end to end, with the bounds of the first list and of each
+    gap after it among them, or None if it knows no order for the box.  A
+    box is searched along its first list and, on a miss strictly inside it,
+    along the gap at its insertion point.  A box without a layout is
+    searched along its stably sorted sums, and the mergesort of those is
+    booked to ``deduce`` if the walk reaches the box by its first hit.
+    Every box's lists lie in one flat array of sums.  Returns a witness
+    triple or None.
     """
     svals = np.asarray(svals, dtype=np.float64)
     k, lo, hi = _triangle_visits(svals, g)
@@ -668,11 +664,10 @@ def _catalog_walk(svals, groups, g, layout, ledger):
     box_lo, box_hi = np.divmod(boxes, len(groups))
     cells, bounds, fallback = [], [], []
     for b, (i, j) in enumerate(zip(box_lo.tolist(), box_hi.tolist())):
-        certified = layout(i, j) if len(groups[i]) == g == len(groups[j]) else None
+        certified = layout(i, j)
         if certified is None:
             fallback.append(b)
-            order = box_order(groups[i], groups[j])[0]
-            certified = np.array([x * g + y for x, y in order], dtype=np.int64), [0, len(order)]
+            certified = _box_layout(groups[i], groups[j], g)
         cells.append(certified[0])
         bounds.append(certified[1])
     lengths = np.array([len(c) for c in cells])
@@ -761,26 +756,6 @@ def _triangle_visits(svals, g):
                       np.arange(n) // g, diagonal=True)
 
 
-def _staircase_walk(svals, g, searcher, ledger):
-    """Search every box the walk visits for its key, building each box's
-    searcher on first visit; one 3-linear tick per visit that misses, booked
-    in one call.  Returns a witness triple or None."""
-    searchers: dict = {}
-    misses = 0
-    for k, lo, hi in zip(*(col.tolist() for col in _triangle_visits(svals, g))):
-        s = searchers.get((lo, hi))
-        if s is None:
-            s = searchers[(lo, hi)] = searcher((lo, hi))
-        hit = s.search(-svals[k], ledger)
-        if hit is not None:
-            ledger.tick(3, misses)
-            x, y = hit
-            return (svals[lo * g + x], svals[hi * g + y], svals[k])
-        misses += 1
-    ledger.tick(3, misses)
-    return None
-
-
 def _anchor_set(params: SubquadraticParams) -> PointSet:
     """The anchor set of resolved `params`: the evenly spaced grid in
     deterministic mode, one draw from the seed in randomized mode."""
@@ -853,5 +828,5 @@ def solve_subquadratic_simple(values, group_size: Optional[int],
 
     # a matched permutation lists the cells t = x*g + y of box (i, j), red
     # column group j with blue row group i, in sorted order
-    return _catalog_walk(svals, groups, g, lambda i, j: (perms[index[j, i]], [0, g * g]),
-                         ledger)
+    return _catalog_walk(svals, groups, g, lambda i, j: (perms[index[j, i]], [0, g * g])
+                         if max(i, j) < full else None, ledger)

@@ -4,19 +4,23 @@ The box's total order is that of the tagged sums ``(rows[x] + cols[y], x,
 y)``: ``core.box_order``, which Fredman's trick reads off the sorted
 difference lists.  No solver calls these; the tests check the contour
 catalog, the anchor sets, the matcher and the catalog walk against them.
-The per-box searchers (:func:`build_box_searcher`, :func:`sorted_search`)
-feed ``threesum._staircase_walk``, which searches one visit at a time, and
-:func:`scalar_subquadratic_simple` is the permutation solver walked so.
+:func:`staircase_walk` is the scalar oracle of ``threesum._catalog_walk``:
+it searches one visit at a time with per-box searchers
+(:func:`build_box_searcher`, :func:`sorted_search`, :class:`OrderSearch`).
+:func:`scalar_subquadratic_simple` and
+:func:`scalar_decision_tree_reference` are the permutation solver and the
+decision tree's reference mode walked so.
 """
 
 import math
 
 import numpy as np
 
-from threebench.core import as_reals, box_order, cut_groups, sorted_counted, ternary_search
+from threebench.core import (as_reals, box_order, cut_groups, sort_differences, sorted_counted,
+                             ternary_search)
 from threebench.dominance import report_dominating_pairs, sorting_permutations
-from threebench.threesum import (PERM_BUDGET, Contour, _sort_ticks, _staircase_walk,
-                                 default_simple_group_size, match_boxes)
+from threebench.threesum import (PERM_BUDGET, Contour, _sort_ticks, _triangle_visits,
+                                 default_group_size, default_simple_group_size, match_boxes)
 
 
 def tagged_sum(box, x, y):
@@ -82,6 +86,26 @@ class OrderSearch:
         return None
 
 
+def staircase_walk(svals, g, searcher, ledger):
+    """Search every box the walk visits for its key, building each box's
+    searcher on first visit; one 3-linear tick per visit that misses, booked
+    in one call.  Returns a witness triple or None."""
+    searchers: dict = {}
+    misses = 0
+    for k, lo, hi in zip(*(col.tolist() for col in _triangle_visits(svals, g))):
+        s = searchers.get((lo, hi))
+        if s is None:
+            s = searchers[(lo, hi)] = searcher((lo, hi))
+        hit = s.search(-svals[k], ledger)
+        if hit is not None:
+            ledger.tick(3, misses)
+            x, y = hit
+            return (svals[lo * g + x], svals[hi * g + y], svals[k])
+        misses += 1
+    ledger.tick(3, misses)
+    return None
+
+
 def raws(rows, cols, positions) -> list[float]:
     """The raw sums ``rows[x] + cols[y]`` at `positions`, in their order."""
     return [rows[x] + cols[y] for (x, y) in positions]
@@ -97,7 +121,7 @@ def sorted_search(rows, cols, ledger) -> OrderSearch:
 
 
 def build_box_searcher(groups, i, j, point_set, assignments, ledger):
-    """The searcher of box ``(i, j)`` for ``threesum._staircase_walk``: a
+    """The searcher of box ``(i, j)`` for :func:`staircase_walk`: a
     full box whose matched layers chain every anchor is searched along that
     chain and then its gaps; any other box is sorted outright and booked to
     ``deduce``."""
@@ -152,7 +176,26 @@ def scalar_subquadratic_simple(values, group_size, ledger):
         order = [divmod(t, g) for t in perms[index[j, i]].tolist()]
         return OrderSearch(order, raws(rows, cols, order))
 
-    return _staircase_walk(svals, g, searcher, ledger)
+    return staircase_walk(svals, g, searcher, ledger)
+
+
+def scalar_decision_tree_reference(values, group_size, ledger):
+    """``threesum.solve_decision_tree(..., mode="reference")`` walked one
+    visit at a time: the pure-Python difference sort, then every visited
+    box, short ones included, searched along its free :func:`box_order`."""
+    arr = as_reals(values)
+    g = group_size if group_size is not None else default_group_size(len(arr))
+    svals = sorted_counted(arr, ledger)
+    groups = cut_groups(svals, g)
+    if not groups:
+        return None
+    sort_differences([(v, range(len(v)), "both") for v in groups], ledger)
+
+    def searcher(ij):
+        i, j = ij
+        return OrderSearch(*box_order(groups[i], groups[j]))
+
+    return staircase_walk(svals, g, searcher, ledger)
 
 
 def per_pair_match_boxes(groups, catalog):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from box_oracles import (build_box_searcher, compute_contour, is_bad, per_pair_match_boxes,
-                         scalar_subquadratic_simple, tagged_sum)
+                         scalar_decision_tree_reference, scalar_subquadratic_simple,
+                         staircase_walk, tagged_sum)
 from threebench import harness, threesum
 from threebench.core import (ComparisonLedger, as_reals, box_order, cut_groups, sorted_counted,
                              ternary_search)
@@ -24,6 +25,7 @@ from threebench.threesum import (
     oracle_3sum,
     random_point_set,
     resolve_subquadratic_params,
+    solve_decision_tree,
     solve_subquadratic,
     solve_subquadratic_simple,
 )
@@ -392,7 +394,7 @@ def _scalar_subquadratic(values, params, ledger):
     svals = sorted_counted(as_reals(values), ledger)
     groups = cut_groups(svals, params.group_size)
     assignments = match_boxes(groups, catalog)
-    return threesum._staircase_walk(
+    return staircase_walk(
         svals, params.group_size,
         lambda box: build_box_searcher(groups, *box, point_set, assignments, ledger), ledger)
 
@@ -487,29 +489,57 @@ def test_simple_unplanted_matches_oracle():
     assert solve_subquadratic_simple(vals, 2, led) is None
 
 
-def test_simple_catalog_walk_books_what_the_scalar_walk_books():
-    rng = np.random.default_rng(32)
+def _assert_walks_book_alike(solve, scalar, group_size, seed, trials):
+    """`solve`, which walks through ``threesum._catalog_walk``, against
+    `scalar`, its walk one visit at a time, on the four generators and
+    one-decimal reals: the same phases and the same witness.  The group
+    size is ``group_size(trial, n, rng)``."""
+    rng = np.random.default_rng(seed)
     kinds = harness.GENERATORS + ("one-decimal",)
     found = 0
-    for trial in range(320):
-        kind, g = kinds[trial % len(kinds)], 1 + trial // len(kinds) % 2
+    for trial in range(trials):
+        kind = kinds[trial % len(kinds)]
         n = int(rng.integers(1, 200)) | (trial // 10 % 2)  # every other run of ten is odd
+        g = group_size(trial, n, rng)
         if kind == "one-decimal":
             vals = np.round(rng.uniform(-5, 5, size=n), 1).tolist()
         else:
             vals = harness.generate("3sum", n, kind, trial)
         fast, ref = ComparisonLedger(), ComparisonLedger()
         try:
-            w = solve_subquadratic_simple(vals, g, fast)
+            w = solve(vals, g, fast)
         except ValueError as error:  # rounded differences no single order fits
             with pytest.raises(ValueError, match=re.escape(str(error))):
-                scalar_subquadratic_simple(vals, g, ref)
+                scalar(vals, g, ref)
             continue
-        w_ref = scalar_subquadratic_simple(vals, g, ref)
+        w_ref = scalar(vals, g, ref)
         assert fast.phases() == ref.phases(), (kind, g, n)
         assert w == w_ref  # the same visit, and the same position in its box
         found += w is not None
     assert found
+
+
+def test_simple_catalog_walk_books_what_the_scalar_walk_books():
+    _assert_walks_book_alike(solve_subquadratic_simple, scalar_subquadratic_simple,
+                             lambda trial, n, rng: 1 + trial // 5 % 2, 32, 320)
+
+
+def test_reference_catalog_walk_books_what_the_scalar_walk_books():
+    # random g leaves a short last group on most inputs, and every box's
+    # free order then reaches the walk through its layout
+    short = 0
+
+    def group_size(trial, n, rng):
+        nonlocal short
+        g = int(rng.integers(1, min(n, 40) + 1))
+        short += n % g != 0
+        return g
+
+    def solve(vals, g, ledger):
+        return solve_decision_tree(vals, g, ledger, mode="reference")
+
+    _assert_walks_book_alike(solve, scalar_decision_tree_reference, group_size, 33, 120)
+    assert short
 
 
 def test_simple_rejects_oversized_groups():
