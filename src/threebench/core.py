@@ -20,15 +20,19 @@ no box is sorted whose keys in range all come after a hit, and
 box's sums.
 Solvers accept input reals through :func:`as_reals`, sort them with
 :func:`sorted_counted` and cut the sorted list into groups with
-:func:`cut_groups`.
+:func:`cut_groups`.  :func:`as_reals` admits only integers of magnitude at
+most 2^51, so every sum and difference the kernels form is exact, and every
+sign query has the one answer it has over the reals, as in the paper's
+decision trees; no kernel guards against rounding.
 
 The difference sort has one path.  Every segment handed to it ascends in
 (value, tag) order: groups cut from a sorted list do, and solvers whose
 segments are unsorted pay for :func:`sort_segments` first, at arity 2.
 Then each row ``x`` of a segment's difference list, read for ``y = x-1``
-down to 0, is already a sorted run, so the counted mergesort merges the
-upper halves ``x > y`` from their rows, and the lower half (the upper half
-negated) and the diagonal follow without comparisons.  A segment whose
+down to 0, is already a sorted run, the differences being exact, so the
+counted mergesort merges the upper halves ``x > y`` from their rows, and
+the lower half (the upper half negated) and the diagonal follow without
+comparisons.  A segment whose
 reals serve as rows and as columns alike (role ``"both"``) is merged once:
 its column differences have its row differences' values, so one equality
 query per adjacent pair of the merged list finds the equal-value runs, and
@@ -49,13 +53,26 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 
+# Doubles hold every integer of magnitude up to EXACT, and every form of up to
+# four reals of magnitude up to EXACT_INPUT, a + b - c - d included, lies there.
+EXACT, EXACT_INPUT = 2.0 ** 53, 2.0 ** 51
+
+
 def as_reals(values) -> list[float]:
-    """Input reals as Python floats; NaN and +-inf are refused."""
+    """Input reals as Python floats.
+
+    Refuses, with one ValueError, a value that is NaN, infinite, not
+    integer-valued, or larger in magnitude than 2^51.  Every form of up to
+    four accepted reals that a ledger charges is then an integer of
+    magnitude at most 2^53, which a double holds exactly, so every sign
+    query has the answer it has over the reals."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("input reals must form a flat list")
-    if not np.isfinite(arr).all():
-        raise ValueError("input reals must be finite (no NaN or inf)")
+    exact = (np.abs(arr) <= EXACT_INPUT) & (arr == np.trunc(arr))
+    if not exact.all():
+        raise ValueError("input reals must be integers of magnitude at most 2^51, "
+                         f"got {float(arr[~exact][0])!r}")
     return arr.tolist()
 
 
@@ -169,16 +186,14 @@ def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list
 
     Every segment must ascend in (value, tag) order, else an assertion
     trips.  Then only the upper half ``x > y`` of a segment's row copy (or
-    of its one copy) is sorted: row ``x``, read for ``y = x-1`` down to 0,
-    is already a sorted run, and the runs come segment by segment, then
-    ``x = 1 .. m-1``.  Rounding can tie differences that exact arithmetic
-    keeps apart, and a row falls only there; it is cut into its ascending
-    runs, which asks nothing the segment's order has not answered.  When a
-    segment serves both roles, one equality query per adjacent pair of the
-    merged list finds its equal-value runs, and each column difference
-    joins the run of its row twin, which has the same value, in tag order.
-    The lower half is the upper half negated and reversed and the diagonal
-    sits between the two, both placed without comparisons.
+    of its one copy) is sorted: on exact differences row ``x``, read for
+    ``y = x-1`` down to 0, is already a sorted run, and the runs come
+    segment by segment, then ``x = 1 .. m-1``.  When a segment serves both
+    roles, one equality query per adjacent pair of the merged list finds
+    its equal-value runs, and each column difference joins the run of its
+    row twin, which has the same value, in tag order.  The lower half is the
+    upper half negated and reversed and the diagonal sits between the two,
+    both placed without comparisons.
     """
     ticks = 0
 
@@ -192,18 +207,16 @@ def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list
         ticks += 1
         return a[0] == b[0]
 
-    upper, rows, diagonal = [], set(), 0
+    upper, rows, diagonal = [], [], 0
     for vals, idx, role in segments:
         grp = [(float(v), 0, int(i)) if role == "col" else (float(v), int(i), 0)
                for v, i in zip(vals, idx)]
         assert all(a < b for a, b in zip(grp, grp[1:])), _NOT_ASCENDING
         diagonal += len(grp) * (2 if role == "both" else 1)
         for x, (v, r, c) in enumerate(grp[1:], 1):
-            rows.add(len(upper))
+            rows.append(len(upper))
             upper.extend(((v - w, r - s, c - t), role == "both") for w, s, t in reversed(grp[:x]))
-    # rounding can tie distinct differences; a row falls only there, and is cut
-    starts = [t for t, (d, _) in enumerate(upper) if t in rows or d < upper[t - 1][0]]
-    upper = merge_sort_counted(upper, compare, starts)
+    upper = merge_sort_counted(upper, compare, rows)
     if any(role == "both" for _, _, role in segments):
         # a column difference (d, 0, r) has its row twin (d, r, 0)'s value: it joins that run
         cuts = [0, *(t for t in range(1, len(upper)) if not equal(upper[t - 1][0], upper[t][0])),
@@ -414,14 +427,15 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     tag) order: cut from a sorted list, or sorted by :func:`sort_segments`.
     A segment that does not ascend trips an assertion.  Each contributes its
     upper half ``values[x] - values[y]``, ``x > y``, tagged ``index_tags[x]
-    - index_tags[y]``, as one sorted run per row ``x = 1 .. m-1``, cut where
-    rounding makes it fall; a ``"both"`` segment contributes it once, as
-    rows.  Row tags are scaled by a base above twice any column tag, so the
-    one integer tag orders like the ``(row, col)`` pair of a ``(value, row,
-    col)`` key.  When any segment serves both roles, each adjacent pair of
-    the merged list adds one equality query, which places the column copies
-    by tag.  The count equals :func:`sort_differences` on the same
-    segments.  Books the count at `arity` to ``diff_sort`` and returns it.
+    - index_tags[y]``, as one sorted run per row ``x = 1 .. m-1``, which
+    exact differences make ascend (a row that falls is refused with
+    ValueError); a ``"both"`` segment contributes it once, as rows.  Row
+    tags are scaled by a base above twice any column tag, so the one integer
+    tag orders like the ``(row, col)`` pair of a ``(value, row, col)`` key.
+    When any segment serves both roles, each adjacent pair of the merged
+    list adds one equality query, which places the column copies by tag.
+    The count equals :func:`sort_differences` on the same segments.  Books
+    the count at `arity` to ``diff_sort`` and returns it.
     """
     if not segments:
         return 0
@@ -439,7 +453,7 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
     values = np.empty(int(sizes.sum()))
     # no tag exceeds `reach` times the row base; 32 bits halve the list's tags where they fit
     tags = np.empty(len(values), np.int32 if reach * (2 * span + 2) < 2**31 - 1 else np.int64)
-    starts = np.zeros(len(values), dtype=bool)  # each row's first difference, and each fall
+    starts = np.zeros(len(values), dtype=bool)  # each row's first difference
     for m, ks, vals, idx, roles in stacks:
         idx[roles != "col"] *= 2 * span + 2
         x = np.arange(1, m)
@@ -460,9 +474,6 @@ def difference_ticks(segments, ledger: ComparisonLedger, arity: int = 4) -> int:
             for a, b in zip(cuts, cuts[1:]):
                 at = offsets[ks[a]]
                 flat[at:at + (b - a) * half].reshape(b - a, half)[:] = rows[a:b]
-    # rounding can tie distinct differences; a row falls only there, and is cut
-    ties = np.flatnonzero(values[1:] == values[:-1])
-    starts[ties[tags[ties + 1] < tags[ties]] + 1] = True
     count = mergesort_tick_count(values, tags, np.flatnonzero(starts))
     if any(role == "both" for _, _, role in segments):
         count += max(len(values) - 1, 0)  # the equality queries that place the column copies
@@ -613,7 +624,6 @@ def search_visits(row_groups, col_groups, lo, hi, keys):
     row_min, row_max, row_len = _group_ends(row_groups)
     col_min, col_max, col_len = _group_ends(col_groups)
     length = row_len[lo] * col_len[hi]
-    # rounding is monotone, so these are the box's largest and smallest sums
     above = keys > row_max[lo] + col_max[hi]
     outside = above | (keys < row_min[lo] + col_min[hi])
     probes = np.zeros(nv, dtype=np.int64)

@@ -1,16 +1,14 @@
 """Bichromatic dominating-pairs reporting by divide and conquer.
 
 Reports every (red p, blue q) with p >= q coordinatewise (non-strict).
-Coordinates only need to be totally ordered and mutually comparable, so
-callers may use floats, lexicographic tuples, or integer ranks of either.
-Tie-broken (perturbed) reals are emulated exactly by lexicographic
-(value, row tag, col tag) triples, and the solvers pass their ranks.
+Coordinates are all ints or all floats without NaN, which compare exactly;
+anything else is refused.  Tie-broken (perturbed) reals are emulated
+exactly by lexicographic (value, row tag, col tag) triples, and the solvers
+pass their integer ranks.
 
 :func:`report_dominating_pairs` runs the recursion on point indices and
 only records its leaves; their candidate pairs are then tested together in
-a few array passes.  Numbers of one kind are compared as a numeric array,
-anything else as Python objects, so every test is Python's ``<``, NaN
-included.
+a few array passes.
 
 Solvers certify sorted orders by Fredman's trick in one of two ways.  The
 contour catalog's ``threesum.match_boxes`` ranks the triples of every
@@ -67,6 +65,8 @@ def report_dominating_pairs(points: Sequence[LabeledPoint],
     pair dominating unless some coordinate of the red is ``<`` the blue's
     (in dimension 0, every pair).  Leaves are tested in batches, and
     `sink` sees the pairs leaf by leaf in recursion order, red-major.
+    Refuses, with ValueError, coordinates that are not all ints or all
+    floats without NaN.
     """
     if not points:
         return 0
@@ -81,37 +81,22 @@ def report_dominating_pairs(points: Sequence[LabeledPoint],
     if not reds or not blues:
         return 0
     points = reds + blues
-    call = _Report(points, len(reds), dim, sink)
+    call = _Report(points, len(reds), sink)
     call.split(list(range(len(reds))), list(range(len(reds), len(points))), dim)
     return call.flush()
 
 
-def _table(rows, nred):
-    """The ``(point, dimension)`` array of coordinates the leaves compare,
-    the sort key of each point index per dimension, and whether the split
-    lists blues before reds; reds are the indices below `nred`.
-
-    Integers, or floats, make a numeric array; anything else, mixed ints
-    and floats included, an object array.  Integers and NaN-free floats are
-    totally ordered, so a stable sort of blues before reds on the
-    coordinate alone orders by (coordinate, colour).  Any other split sorts
-    reds before blues on the pair ``(coordinate, 0 for blue, 1 for red)``,
-    which makes the comparisons, NaN included, of the scalar recursion.
-    """
-    n, dim = len(rows), len(rows[0])
-    try:
-        table = np.array(rows)
-    except (ValueError, OverflowError):
-        table = np.empty(0, dtype=object)
-    kind = table.dtype.kind if table.shape == (n, dim) else "O"
-    if kind == "f" and not all(isinstance(v, float) for v in chain.from_iterable(rows)):
-        kind = "O"
-    if kind not in "biuf":
-        table = np.fromiter(chain.from_iterable(rows), dtype=object, count=n * dim).reshape(n, dim)
-    elif kind != "f" or not np.isnan(table).any():
-        return table, list(zip(*rows)), True
-    bits = [1] * nred + [0] * (n - nred)
-    return table, [list(zip(column, bits)) for column in zip(*rows)], False
+def _table(rows) -> np.ndarray:
+    """The ``(point, dimension)`` array of the coordinates the leaves compare;
+    refuses, with ValueError, any but all ints or all floats without NaN.
+    Those are totally ordered, so a stable sort of blues before reds on one
+    coordinate orders by (coordinate, colour)."""
+    table = np.array(rows)  # nested coordinates of unequal lengths raise ValueError here
+    floats = table.dtype.kind == "f" and not np.isnan(table).any() \
+        and all(isinstance(v, float) for v in chain.from_iterable(rows))
+    if table.ndim != 2 or not (floats or table.dtype.kind in "iu"):
+        raise ValueError("coordinates must be all ints or all floats without NaN")
+    return table
 
 
 class _Report:
@@ -120,11 +105,12 @@ class _Report:
     pairs sent to the sink, whenever their candidate pairs reach
     ``_FLUSH_PAIRS``."""
 
-    def __init__(self, points, nred, dim, sink):
+    def __init__(self, points, nred, sink):
         self.points = points
         self.nred = nred
         self.sink = sink
-        self.table, self.keys, self.blue_first = _table([p.coords for p in points], nred)
+        self.table = _table([p.coords for p in points])
+        self.keys = list(zip(*(p.coords for p in points)))
         self.reds: list = []
         self.blues: list = []
         self.shapes: list = []
@@ -138,8 +124,7 @@ class _Report:
         # Median split on the last coordinate; among equal coordinates blue
         # points precede red points, so no dominating pair has its red point
         # left of its blue point.
-        merged = sorted(blues + reds if self.blue_first else reds + blues,
-                        key=self.keys[dim - 1].__getitem__)
+        merged = sorted(blues + reds, key=self.keys[dim - 1].__getitem__)
         mid = (len(merged) + 1) // 2
         left, right = merged[:mid], merged[mid:]
         nred = self.nred
@@ -212,8 +197,9 @@ def sorting_permutations(reds, blues, width: int):
     Returns ``(perms, index)``: the ``(width!, width)`` table of permutations
     in ``itertools.permutations`` order, and the ``(len(reds), len(blues))``
     array whose entry ``[r, b]`` is the row of `perms` matched by that pair.
-    Raises ValueError unless every row holds `width` values and every pair
-    matches exactly one permutation (rounded differences can match several).
+    Raises ValueError unless every row holds `width` values.  On exact
+    differences, which the solvers' boundaries ensure, the tie rule makes
+    (sum, index) a strict order: each pair matches one permutation.
     """
     reds, blues = _rows(reds, width), _rows(blues, width)
     perms = np.array(list(permutations(range(width))), dtype=np.intp)
@@ -234,11 +220,7 @@ def sorting_permutations(reds, blues, width: int):
             match &= before[p, q]
         count += match
         np.copyto(index, row, where=match)
-    if (count == 0).any():
-        raise ValueError("a pair matched no permutation")
-    if (count > 1).any():
-        raise ValueError("two permutations matched one pair: its rounded "
-                         "differences order no single permutation")
+    assert (count == 1).all(), "a pair did not match exactly one permutation"
     return perms, index
 
 

@@ -358,11 +358,7 @@ def _zero_triangle_holds(graph, triangle) -> bool:
     u, v, x = triangle
     wm = graph.weight_map()
     w = [wm.get(edge) for edge in ((u, v), (u, x), (v, x))]
-    if None in w:
-        return False
-    # the solvers add the three weights in different orders; any order counts
-    a, b, c = w
-    return a + b == -c or a + c == -b or b + c == -a
+    return None not in w and sum(w) == 0.0
 
 
 _WITNESS_CHECKS = {"3sum": _triple_holds, "conv": _conv_pair_holds,

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (ComparisonLedger, as_reals, cut_groups, difference_ticks, search_visits,
-                   sorted_counted, staircase_visits)
+from .core import (EXACT, ComparisonLedger, as_reals, cut_groups, difference_ticks,
+                   search_visits, sorted_counted, staircase_visits)
 from .threesum import default_group_size
 
 ELEMENT_CAP = 10_000_000
@@ -30,7 +30,7 @@ ORACLE_CAP = 50_000_000
 
 @dataclass(frozen=True)
 class LinearForm:
-    """alpha_0 + alpha_1 x_1 + ... + alpha_k x_k with odd k >= 3."""
+    """alpha_0 + alpha_1 x_1 + ... + alpha_k x_k, odd k >= 3, integer alphas."""
 
     coefficients: tuple[float, ...]
 
@@ -40,6 +40,8 @@ class LinearForm:
             raise ValueError(f"arity must be odd and >= 3, got {k}")
         if any(a == 0 for a in self.coefficients[1:]):
             raise ValueError("non-constant coefficients must be nonzero")
+        if not all(float(a).is_integer() for a in self.coefficients):
+            raise ValueError("coefficients must be integers")
 
     @property
     def arity(self) -> int:
@@ -97,10 +99,19 @@ def solve_kldt(phi: LinearForm, values: Sequence[float],
 
     Sorting A and B costs (k-1)-ary ticks, the difference list (2k-2)-ary
     ticks, and each membership probe compares one C element against an
-    (A+B) sum, a k-ary query.
+    (A+B) sum, a k-ary query.  Refuses, with ValueError, the values
+    :func:`as_reals` refuses and values on which one of these forms could
+    pass 2^53 in magnitude, so that every one is exact.
     """
     k = phi.arity
-    a_list, b_list, c_list = reduce_kldt(phi, as_reals(values))
+    values = as_reals(values)
+    alpha, half = [abs(a) for a in phi.coefficients], (k - 1) // 2
+    # the widest forms charged: two differences of A or B entries compared,
+    # and the walk's alpha_0 + k-real sums
+    widest = max(4 * sum(alpha[1:half + 1]), 4 * sum(alpha[half + 1:k]), sum(alpha[1:]))
+    if widest * max(map(abs, values), default=0.0) + alpha[0] > EXACT:
+        raise ValueError("a form the solver charges could pass 2^53 on these values")
+    a_list, b_list, c_list = reduce_kldt(phi, values)
     a_sorted = sorted_counted(a_list, ledger, arity=k - 1)
     b_sorted = sorted_counted(b_list, ledger, arity=k - 1)
     g = group_size if group_size is not None else default_kldt_group_size(len(c_list))

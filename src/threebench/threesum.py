@@ -189,13 +189,12 @@ def solve_quadratic(a_vals, b_vals, c_vals, ledger: ComparisonLedger):
     strips = min(_STRIPS, na)
     cuts = np.arange(strips + 1) * na // strips
     chunk = -(-len(keys) // _STRIPS)
-    with np.errstate(over="ignore"):  # a sum past the double range is +-inf, as in Python
-        lend = np.searchsorted(ua + ub[0], keys, side="right")
-        walk = _walk_length(0, nb - 1, *_walk_end(ua, ub, keys, lend, 0, na))
-        ledger.tick(3, int(walk.sum()))
-        chunks = (_walk_strips(ua, ub, keys[i:i + chunk], lend[i:i + chunk], cuts)
-                  for i in range(0, len(keys), chunk))
-        return next((witness for witness in chunks if witness is not None), None)
+    lend = np.searchsorted(ua + ub[0], keys, side="right")
+    walk = _walk_length(0, nb - 1, *_walk_end(ua, ub, keys, lend, 0, na))
+    ledger.tick(3, int(walk.sum()))
+    chunks = (_walk_strips(ua, ub, keys[i:i + chunk], lend[i:i + chunk], cuts)
+              for i in range(0, len(keys), chunk))
+    return next((witness for witness in chunks if witness is not None), None)
 
 
 def quadratic_tick_count(a_vals, b_vals, c_vals, ledger: ComparisonLedger) -> bool:

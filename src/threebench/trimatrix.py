@@ -29,9 +29,10 @@ from .dominance import sorting_permutations
 from .threesum import default_group_size as default_strip_width
 
 INF = math.inf
-# The Fredman machinery rides +inf through as a huge finite sentinel.  With
-# integer-valued entries below 2^40 every sum and difference involving the
-# sentinel stays exact in float64, so deduced orders never contradict the
+# The Fredman machinery rides +inf through as a huge finite sentinel.  The
+# operands' and targets' finite entries are integers of magnitude at most
+# 2^40 (as_operand, as_target), so every sum and difference involving the
+# sentinel stays exact in float64, and deduced orders never contradict the
 # direct sums.
 BIG = float(2 ** 52)
 BIG_CUT = float(2 ** 51)
@@ -53,26 +54,26 @@ class TargetProductResult:
         return int(self.witnesses[i, j])
 
 
-def as_operand(matrix) -> np.ndarray:
+def _exact_matrix(matrix, infinities) -> np.ndarray:
+    """`matrix` as a float64 array; refuses a matrix that is not
+    two-dimensional, and an entry that is neither an integer of magnitude at
+    most 2^40 nor one of `infinities`."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
-    if np.isnan(arr).any() or np.isneginf(arr).any():
-        raise ValueError("operands allow only finite entries and +inf")
-    if np.any(np.abs(arr[np.isfinite(arr)]) > FINITE_LIMIT):
-        raise ValueError(f"finite entries must stay within +-{FINITE_LIMIT:g}")
+    exact = np.isin(arr, infinities) | ((np.abs(arr) <= FINITE_LIMIT) & (arr == np.trunc(arr)))
+    if not exact.all():
+        raise ValueError("entries must be integers of magnitude at most 2^40, or "
+                         + " or ".join(map(fmt_real, infinities)))
     return arr
+
+
+def as_operand(matrix) -> np.ndarray:
+    return _exact_matrix(matrix, (INF,))
 
 
 def as_target(matrix) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    if np.isnan(arr).any():
-        raise ValueError("targets must not contain NaN")
-    if np.any(np.abs(arr[np.isfinite(arr)]) > FINITE_LIMIT):
-        raise ValueError(f"finite entries must stay within +-{FINITE_LIMIT:g}")
-    return arr
+    return _exact_matrix(matrix, (INF, -INF))
 
 
 def _check_dims(a, b, t):
@@ -81,12 +82,7 @@ def _check_dims(a, b, t):
 
 
 def _encode(arr: np.ndarray) -> np.ndarray:
-    inf_mask = np.isinf(arr)
-    if inf_mask.any():
-        finite = arr[~inf_mask]
-        if np.any(finite != np.round(finite)):
-            raise ValueError("infinite entries require integer-valued finite entries")
-    return np.where(inf_mask, BIG, arr)
+    return np.where(np.isinf(arr), BIG, arr)
 
 
 def default_dominance_width(s: int) -> int:
@@ -358,7 +354,7 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Simple undirected graph with real edge weights."""
+    """Simple undirected graph with integer edge weights of magnitude <= 2^40."""
 
     n: int
     edges: tuple
@@ -368,6 +364,9 @@ class WeightedGraph:
         for (u, v, w) in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"vertex out of range in edge {(u, v)}")
+            if not (abs(w) <= FINITE_LIMIT and float(w).is_integer()):
+                raise ValueError(f"edge {(u, v)} weighs {float(w)!r}: weights must be integers "
+                                 "of magnitude at most 2^40")
             if u == v:
                 raise ValueError("self-loops are not allowed")
             key = (min(u, v), max(u, v))

@@ -637,9 +637,9 @@ def test_box_order_breaks_ties_by_row_then_column():
     assert raws == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0]
 
 
-# duplicates, signed zeros, and magnitudes whose differences round together
-# (1e16 - 1.0 == 1e16 - 0.0), so distinct differences can tie in value
-_POOL = [-1e16, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 1e16, 1e16 + 2]
+# duplicates, signed zeros, and magnitudes near the edge of the exact range,
+# whose differences of differences still reach 2^53 exactly
+_POOL = [-2.0 ** 50, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 2.0 ** 50, 2.0 ** 50 + 2]
 
 
 @given(st.lists(st.tuples(st.one_of(st.lists(st.integers(-4, 4), max_size=5),
@@ -650,7 +650,7 @@ _POOL = [-1e16, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 1e16, 1e16 + 2]
 @settings(max_examples=150, deadline=None)
 def test_difference_ticks_count_the_reference_sort(groups, arity):
     # groups of up to 40 values have rows long enough to bisect, and _POOL's
-    # rounding ties make rows fall and be cut; both counting paths must agree
+    # duplicates tie differences; both counting paths must agree
     segments = sort_segments([(np.array(grp, dtype=float), range(len(grp)), role)
                               for grp, role in groups], ComparisonLedger())
     led = ComparisonLedger()
@@ -702,7 +702,7 @@ def test_sort_differences_of_ascending_groups_is_the_lexsort_at_the_counted_pric
         # twice or once in both roles; the kldt shape: row groups and column
         # groups cut from two lists; the blocked, sampled and sparse shape:
         # values with permuted index tags, each segment sorted by (value,
-        # tag), whose rows rounding can make fall, given twice or once
+        # tag), given twice or once
         shape = trial % 5
         if shape in (0, 3):
             cols = rows
@@ -751,9 +751,23 @@ def test_a_segment_declared_ascending_that_does_not_ascend_trips_an_assertion(va
             sort_differences(segments, ComparisonLedger())
 
 
+def test_a_row_that_rounding_makes_fall_is_refused():
+    # 1e16 - 1 rounds to 1e16 - 0, and the tags of that tie fall: only reals
+    # past the exact range make a row fall, the counted merge refuses the row,
+    # and the solvers' boundary refuses the reals
+    segment = ([0.0, 1.0, 1e16], [2, 1, 0], "row")
+    with pytest.raises(ValueError, match="each run must ascend"):
+        difference_ticks([segment], ComparisonLedger())
+    with pytest.raises(ValueError, match="at most 2\\^51"):
+        as_reals(segment[0])
+
+
 def test_as_reals_refuses_non_finite_values():
-    assert as_reals(np.array([1, 2.5, -3])) == [1.0, 2.5, -3.0]
+    # and every value that is not an integer of magnitude at most 2^51
+    assert as_reals(np.array([1, 2, -3])) == [1.0, 2.0, -3.0]
+    assert as_reals([2.0 ** 51, -2.0 ** 51, -0.0]) == [2.0 ** 51, -2.0 ** 51, -0.0]
     assert as_reals([]) == []
-    for bad in ([1.0, float("nan")], [float("inf")], [0.0, -float("inf")]):
-        with pytest.raises(ValueError):
+    for bad in ([1.0, float("nan")], [float("inf")], [0.0, -float("inf")], [1.0, 2.5],
+                [2.0 ** 51 + 2], [-2.0 ** 51 - 2]):
+        with pytest.raises(ValueError, match="integers of magnitude at most 2\\^51"):
             as_reals(bad)

@@ -1,10 +1,11 @@
 import math
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 import pytest
 
 from threebench import dominance
+from threebench.core import ComparisonLedger
 from threebench.dominance import (
     BLUE,
     BRUTE_FORCE_CUTOFF,
@@ -14,6 +15,8 @@ from threebench.dominance import (
     report_dominating_pairs,
     sorting_permutations,
 )
+from threebench.threesum import solve_subquadratic_simple
+from threebench.trimatrix import target_min_plus_dominance
 
 
 def _collect(points):
@@ -77,11 +80,32 @@ def test_zero_dimension_reports_every_pair():
     assert _collect(pts) == {(0, 0), (0, 1)}
 
 
+def _ranked(coords):
+    """Each coordinate replaced by its rank among all of them, equal ones
+    alike, the way ``match_boxes`` ranks its (value, row tag, col tag)
+    triples."""
+    rank = {c: r for r, c in enumerate(sorted(set(chain.from_iterable(coords))))}
+    return [tuple(rank[c] for c in point) for point in coords]
+
+
 def test_tuple_coordinates_compare_lexicographically():
-    pts = [LabeledPoint(((1.0, 0, 2),), RED, 0),
-           LabeledPoint(((1.0, 0, 1),), BLUE, 0),
-           LabeledPoint(((1.0, 1, 0),), BLUE, 1)]
-    assert _collect(pts) == {(0, 0)}
+    # through their ranks; the tuples themselves are refused
+    tuples = [((1.0, 0, 2),), ((1.0, 0, 1),), ((1.0, 1, 0),)]
+
+    def points(coords):
+        return [LabeledPoint(coords[0], RED, 0), LabeledPoint(coords[1], BLUE, 0),
+                LabeledPoint(coords[2], BLUE, 1)]
+
+    with pytest.raises(ValueError, match="all ints or all floats"):
+        report_dominating_pairs(points(tuples), lambda r, b: None)
+    assert _collect(points(_ranked(tuples))) == {(0, 0)}
+
+
+def test_nan_coordinates_are_refused():
+    for nan in ([math.nan, 0.0], [0.0, math.nan]):
+        pts = [LabeledPoint((nan[0], 1.0), RED, 0), LabeledPoint((nan[1], 0.0), BLUE, 0)]
+        with pytest.raises(ValueError, match="without NaN"):
+            report_dominating_pairs(pts, lambda r, b: None)
 
 
 def test_single_color_inputs_report_nothing():
@@ -159,28 +183,30 @@ def _draw_coordinate(rng, kind):
         return int(rng.integers(0, 6))
     if kind == "tied float":
         return float(rng.choice([0.5, 1.25, 2.0]))
-    if kind == "nan float":
-        return math.nan if rng.random() < 0.2 else float(rng.integers(0, 4))
+    if kind == "wide int":
+        return int(rng.integers(-3, 3)) * 2 ** 61 + int(rng.integers(0, 2))
     return (float(rng.integers(0, 3)), int(rng.integers(-1, 2)), int(rng.integers(-1, 2)))
 
 
 @pytest.mark.parametrize("flush_pairs", [None, 1])
 def test_batched_leaves_equal_the_scalar_recursion(monkeypatch, flush_pairs):
-    # same pairs in the same sink order and the same count, NaN included:
-    # the batched leaves run the scalar recursion's tree and `<` tests
+    # same pairs in the same sink order and the same count: the batched
+    # leaves run the scalar recursion's tree and `<` tests
     if flush_pairs is not None:
         monkeypatch.setattr(dominance, "_FLUSH_PAIRS", flush_pairs)
     rng = np.random.default_rng(21)
     cut = BRUTE_FORCE_CUTOFF
     sizes = [1, 2, cut - 1, cut, cut + 1, cut + 2, 2 * cut + 1, 100, 400]
     for trial in range(160):
-        kind = ("int", "tied float", "nan float", "tuple")[trial % 4]
+        kind = ("int", "tied float", "wide int", "ranked tuple")[trial % 4]
         n = sizes[trial % len(sizes)] if trial % 3 else int(rng.integers(1, 120))
         d = int(rng.integers(0, 7))
         red_share = (0.0, 1.0)[trial % 2] if trial % 11 == 0 else 0.5  # one colour
-        points = [LabeledPoint(tuple(_draw_coordinate(rng, kind) for _ in range(d)),
-                               RED if rng.random() < red_share else BLUE, i)
-                  for i in range(n)]
+        coords = [tuple(_draw_coordinate(rng, kind) for _ in range(d)) for _ in range(n)]
+        if kind == "ranked tuple":
+            coords = _ranked(coords)
+        points = [LabeledPoint(c, RED if rng.random() < red_share else BLUE, i)
+                  for i, c in enumerate(coords)]
         got, want = [], []
         count = report_dominating_pairs(points, lambda r, b: got.append((r, b)))
         assert count == _scalar_report(points, lambda r, b: want.append((r, b)))
@@ -190,11 +216,16 @@ def test_batched_leaves_equal_the_scalar_recursion(monkeypatch, flush_pairs):
 
 
 def test_mixed_and_unbounded_numbers_compare_exactly():
-    # an int beyond float precision against a float, and ints beyond int64
-    assert _collect([LabeledPoint((float(2 ** 53), 0), RED, 0),
-                     LabeledPoint((2 ** 53 + 1, 0), BLUE, 0)]) == set()
-    assert _collect([LabeledPoint((2 ** 70, 1), RED, 0), LabeledPoint((2 ** 70 + 1, 0), BLUE, 0),
-                     LabeledPoint((2 ** 70 + 1, 0), RED, 1)]) == {(1, 0)}
+    # or are refused: an int beyond float precision against a float, and
+    # ints beyond int64; ints within int64 compare exactly
+    for pts in ([LabeledPoint((float(2 ** 53), 0), RED, 0),
+                 LabeledPoint((2 ** 53 + 1, 0), BLUE, 0)],
+                [LabeledPoint((2 ** 70, 1), RED, 0), LabeledPoint((2 ** 70 + 1, 0), BLUE, 0),
+                 LabeledPoint((2 ** 70 + 1, 0), RED, 1)]):
+        with pytest.raises(ValueError, match="all ints or all floats"):
+            report_dominating_pairs(pts, lambda r, b: None)
+    assert _collect([LabeledPoint((2 ** 53, 0), RED, 0), LabeledPoint((2 ** 53 + 1, 0), BLUE, 0),
+                     LabeledPoint((2 ** 62 + 1, 1), RED, 1)]) == {(1, 0)}
 
 
 def test_c_epsilon_values():
@@ -233,14 +264,15 @@ def test_sorting_permutations_of_all_ties_are_the_identity(width):
 
 def _dominance_route(reds, blues, width):
     """The reference: one divide-and-conquer dominance report per permutation
-    on lexicographic (value, tag) coordinates; ``{(r, b): [permutations]}``."""
+    on the ranks of lexicographic (value, tag) coordinates;
+    ``{(r, b): [permutations]}``."""
     matched = {}
     for pi in permutations(range(width)):
         steps = list(zip(pi, pi[1:]))
-        points = [LabeledPoint(tuple((v[q] - v[p], q - p) for p, q in steps), RED, i)
-                  for i, v in enumerate(reds)]
-        points += [LabeledPoint(tuple((v[p] - v[q], 0) for p, q in steps), BLUE, j)
-                   for j, v in enumerate(blues)]
+        coords = _ranked([tuple((v[q] - v[p], q - p) for p, q in steps) for v in reds]
+                         + [tuple((v[p] - v[q], 0) for p, q in steps) for v in blues])
+        points = [LabeledPoint(c, RED, i) for i, c in enumerate(coords[:len(reds)])]
+        points += [LabeledPoint(c, BLUE, j) for j, c in enumerate(coords[len(reds):])]
         report_dominating_pairs(
             points, lambda red, blue, pi=pi: matched.setdefault((red.id, blue.id), []).append(pi))
     return matched
@@ -250,8 +282,8 @@ def test_sorting_permutations_equal_the_dominance_route():
     rng = np.random.default_rng(8)
     universes = (lambda size: rng.integers(-1, 2, size=size).astype(float),
                  lambda size: rng.integers(0, 4, size=size).astype(float),
-                 lambda size: rng.choice([0.1, 0.2, 0.3, 0.7], size=size),
-                 lambda size: rng.uniform(-1.0, 1.0, size=size))
+                 lambda size: rng.choice([1.0, 2.0, 3.0, 7.0], size=size),
+                 lambda size: rng.integers(-2 ** 51, 2 ** 51, size=size).astype(float))
     for trial in range(320):
         width = int(rng.integers(1, 7))
         most = 3 if width == 6 else 8
@@ -259,10 +291,6 @@ def test_sorting_permutations_equal_the_dominance_route():
         draw = universes[trial % len(universes)]
         reds, blues = draw((r, width)), draw((b, width))
         want = _dominance_route(reds.tolist(), blues.tolist(), width)
-        if any(len(found) != 1 for found in want.values()):
-            with pytest.raises(ValueError):
-                sorting_permutations(reds, blues, width)
-            continue
         perms, index = sorting_permutations(reds, blues, width)
         assert perms.tolist() == [list(pi) for pi in permutations(range(width))]
         assert index.shape == (r, b)
@@ -280,13 +308,19 @@ def test_sorting_permutations_reject_rows_of_another_width(reds, blues):
         sorting_permutations(reds, blues, 2)
 
 
-@pytest.mark.parametrize("reds, blues, message", [
+@pytest.mark.parametrize("reds, blues, defect", [
     # 1e16 + 2 - 3 rounds to 1e16, so the rounded differences order the three
     # sums cyclically and three permutations match
     ([[3.0, 1e16 + 2, 1.0]], [[0.1, -1e16, 0.6]], "two permutations"),
     # NaN compares false both ways, so no permutation matches
     ([[math.nan, 0.0]], [[0.0, 0.0]], "no permutation"),
 ])
-def test_sorting_permutations_refuse_a_pair_not_matched_exactly_once(reds, blues, message):
-    with pytest.raises(ValueError, match=message):
+def test_sorting_permutations_refuse_a_pair_not_matched_exactly_once(reds, blues, defect):
+    # only differences that are not exact leave a pair without exactly one
+    # permutation: the kernel asserts, and the solvers refuse such reals
+    with pytest.raises(AssertionError, match="exactly one permutation"):
         sorting_permutations(reds, blues, len(reds[0]))
+    with pytest.raises(ValueError, match="at most 2\\^51"):
+        solve_subquadratic_simple(reds[0] + blues[0], 2, ComparisonLedger())
+    with pytest.raises(ValueError, match="at most 2\\^40"):
+        target_min_plus_dominance(reds, np.transpose(blues), [[0.0]], len(reds[0]))

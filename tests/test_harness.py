@@ -182,7 +182,8 @@ def test_every_solver_books_each_phase_at_its_arities():
 
 
 # ---------------------------------------------------------------------------
-# non-finite inputs are refused at the boundary
+# inexact inputs are refused at the boundary: non-integers, magnitudes above
+# 2^51, NaN and infinities
 
 VECTOR_SOLVERS = {
     "quadratic": lambda v, led: ts.solve_quadratic(v, v, v, led),
@@ -200,12 +201,12 @@ VECTOR_SOLVERS = {
 
 
 @given(st.lists(st.integers(-20, 20).map(float), max_size=12),
-       st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+       st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.5, 2.0 ** 51 + 2]),
        st.integers(0, 12), st.sampled_from(sorted(VECTOR_SOLVERS)))
 @settings(max_examples=200, deadline=None)
 def test_every_vector_solver_refuses_non_finite_reals(values, bad, pos, solver):
     values.insert(pos, bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="integers of magnitude at most 2\\^51"):
         VECTOR_SOLVERS[solver](values, ComparisonLedger())
 
 

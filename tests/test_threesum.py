@@ -118,11 +118,18 @@ def test_quadratic_tick_bound_and_fast_twin():
 
 
 def test_quadratic_twin_reads_no_witness_from_an_overflowed_difference():
-    # -c - a overflows to +inf above every b, then to -inf below every b
+    # the boundary refuses, in every list, reals whose sums could overflow or
+    # round; at the edge of the range every sum is exact and raises no warning
     b = [1.0, 2.0]
-    for a, c in (([-1.7e308], [-1.7e308]), ([1.7e308], [1.7e308])):
-        with np.errstate(over="ignore"):
-            assert _quadratic_pair(a, b, c) == []
+    for a, c in (([-1.7e308], [-1.7e308]), ([1.7e308], [1.7e308]), ([2.0 ** 51 + 2], [1.0])):
+        for lists in ((a, b, c), (b, a, c), (b, b, a)):
+            with pytest.raises(ValueError, match="at most 2\\^51"):
+                solve_quadratic(*lists, ComparisonLedger())
+    edge = 2.0 ** 51
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _quadratic_pair([edge, -edge], [edge, 1 - edge], [-1.0, -edge]) == \
+            [(edge, 1 - edge, -1.0)]
 
 
 def test_quadratic_twin_decides_a_planted_last_key():
@@ -164,15 +171,17 @@ def test_quadratic_twin_decides_keys_past_the_last_full_chunk(monkeypatch, strip
 
 
 def test_quadratic_twin_decides_on_raw_sums_like_the_walk():
-    # -0.9 + 0.1 == -0.8 while -0.8 - -0.9 != 0.1, and the reverse
-    assert _quadratic_pair([-0.9], [0.1], [0.8]) == [(-0.9, 0.1, 0.8)]
-    assert _quadratic_pair([-0.9], [0.7], [0.2]) == []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _quadratic_pair([1.7e308], [1.7e308, 1.0], [-1.0]) == []
+    # in doubles -0.9 + 0.1 == -0.8 while -0.8 - -0.9 != 0.1, and -0.9 + 0.7
+    # != -0.2, so one-decimal reals are refused, in every list; on their
+    # integer counterparts a raw sum and membership decide alike, and exactly
+    for lists in (([-0.9], [0.1], [0.8]), ([1.0], [0.7], [-2.0]), ([1.0], [2.0], [0.2])):
+        with pytest.raises(ValueError, match="at most 2\\^51"):
+            solve_quadratic(*lists, ComparisonLedger())
+    assert _quadratic_pair([-9.0], [1.0], [8.0]) == [(-9.0, 1.0, 8.0)]
+    assert _quadratic_pair([-9.0], [7.0], [2.0]) == [(-9.0, 7.0, 2.0)]
     rng = np.random.default_rng(13)
     for _ in range(1500):
-        a, b, c = (np.round(rng.normal(size=int(rng.integers(1, 41))), 1) for _ in range(3))
+        a, b, c = (np.round(10 * rng.normal(size=int(rng.integers(1, 41)))) for _ in range(3))
         _quadratic_pair(a, b, c)
 
 

@@ -84,6 +84,12 @@ def test_operand_validation():
         as_operand(np.array([[-INF]]))
     with pytest.raises(ValueError):
         as_operand(np.array([[np.nan]]))
+    # finite entries must be integers of magnitude at most 2^40, +inf or all
+    for bad in (0.5, 2.0 ** 40 + 1, -2.0 ** 40 - 1):
+        for check in (as_operand, as_target):
+            with pytest.raises(ValueError, match="integers of magnitude at most 2\\^40"):
+                check(np.array([[1.0, bad]]))
+    assert as_target([[-INF, 2.0 ** 40]]).tolist() == [[-INF, 2.0 ** 40]]
     with pytest.raises(ValueError):
         target_min_plus_trivial([[1.0]], [[1.0, 2.0]], [[0.0]])
 
@@ -416,6 +422,9 @@ def test_graph_validation():
         _graph(2, [(0, 1, 1.0), (1, 0, 2.0)])
     with pytest.raises(ValueError):
         _graph(1, [(0, 1, 1.0)])
+    for w in (1.5, 2.0 ** 40 + 1, -2.0 ** 40 - 1, math.nan, INF, -INF):
+        with pytest.raises(ValueError, match="integers of magnitude at most 2\\^40"):
+            _graph(2, [(0, 1, w)])
 
 
 def test_orientation_star_and_path():
@@ -564,11 +573,15 @@ def test_every_triangle_has_exactly_one_type():
 
 
 def test_graph_roundtrip(tmp_path):
-    g = _graph(4, [(0, 1, 1.5), (1, 2, -2.0), (2, 3, 7.0)])
+    g = _graph(4, [(0, 1, 2.0 ** 40), (1, 2, -2.0), (2, 3, 7.0)])
     path = tmp_path / "graph.txt"
     write_graph(path, g)
     back = read_graph(path)
     assert back.n == g.n and back.edges == g.edges
+    # a weight the graph refuses is refused as it is read
+    path.write_text("4 1\n0 1 1.5\n")
+    with pytest.raises(ValueError, match="integers of magnitude at most 2\\^40"):
+        read_graph(path)
 
 
 def test_matrix_roundtrip_with_infinities():
