@@ -48,6 +48,7 @@ over the level's values.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -187,7 +188,8 @@ def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list
     Every segment must ascend in (value, tag) order, else an assertion
     trips.  Then only the upper half ``x > y`` of a segment's row copy (or
     of its one copy) is sorted: on exact differences row ``x``, read for
-    ``y = x-1`` down to 0, is already a sorted run, and the runs come
+    ``y = x-1`` down to 0, is already a sorted run (a row that rounding
+    makes fall is refused with a ``ValueError``), and the runs come
     segment by segment, then ``x = 1 .. m-1``.  When a segment serves both
     roles, one equality query per adjacent pair of the merged list finds
     its equal-value runs, and each column difference joins the run of its
@@ -214,8 +216,11 @@ def sort_differences(segments, ledger: ComparisonLedger, arity: int = 4) -> list
         assert all(a < b for a, b in zip(grp, grp[1:])), _NOT_ASCENDING
         diagonal += len(grp) * (2 if role == "both" else 1)
         for x, (v, r, c) in enumerate(grp[1:], 1):
+            run = [(v - w, r - s, c - t) for w, s, t in reversed(grp[:x])]
+            if run != sorted(run):
+                raise ValueError("each run must ascend in (value, tag) order")
             rows.append(len(upper))
-            upper.extend(((v - w, r - s, c - t), role == "both") for w, s, t in reversed(grp[:x]))
+            upper.extend(zip(run, repeat(role == "both")))
     upper = merge_sort_counted(upper, compare, rows)
     if any(role == "both" for _, _, role in segments):
         # a column difference (d, 0, r) has its row twin (d, r, 0)'s value: it joins that run

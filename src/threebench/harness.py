@@ -288,8 +288,7 @@ def _sparse(graph, options, ledger, seed):
 
 
 def _sparse_core(graph, options, ledger, seed):
-    k = _given(options, "K", tm.default_degree_threshold, graph.m)
-    return _witness(tm.zero_triangle_core(graph, k, ledger=ledger), K=k)
+    return _witness(tm.zero_triangle_core(graph, ledger))
 
 
 def _target(variant):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import takewhile
 from typing import Optional
 
 import numpy as np
@@ -596,51 +595,22 @@ def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
     return None
 
 
-def default_degree_threshold(m: int) -> int:
-    return max(2, math.ceil(math.sqrt(m)))
-
-
-def zero_triangle_core(graph: WeightedGraph, delta: Optional[int] = None,
-                       ledger: Optional[ComparisonLedger] = None):
-    """Split solve: orient greedily until every remaining vertex has degree
-    >= delta, enumerate out-pairs of the oriented part, and hand the dense
-    remainder (the high-degree core) to the dense difference-list backend."""
-    d = delta if delta is not None else default_degree_threshold(graph.m)
-    if d < 1:
-        raise ValueError("degree threshold must be >= 1")
+def zero_triangle_core(graph: WeightedGraph, ledger: Optional[ComparisonLedger] = None):
+    """Out-pair enumeration (Chiba and Nishizeki): orient the graph acyclically
+    and test, per source vertex, each pair of its out-neighbors that an edge
+    joins.  Every out-degree stays below sqrt(2m), so the tests number under
+    m*sqrt(2m)/2."""
     ledger = ledger if ledger is not None else ComparisonLedger()
-    orientation = acyclic_orient(graph)
-    out = orientation.out_edges()
-    # the peel is the removal prefix whose out-degree stays below delta
-    peeled = list(takewhile(lambda u: len(out.get(u, ())) < d, orientation.removal_order))
-    alive = set(range(graph.n)).difference(peeled)
     wm = graph.weight_map()
-
-    for u in sorted(peeled):
-        nbrs = out.get(u, [])
-        for ai in range(len(nbrs)):
-            v, wv = nbrs[ai]
-            for bi in range(ai + 1, len(nbrs)):
-                x, wx = nbrs[bi]
+    for u, nbrs in sorted(acyclic_orient(graph).out_edges().items()):
+        for ai, (v, wv) in enumerate(nbrs):
+            for x, wx in nbrs[ai + 1:]:
                 wvx = wm.get((v, x))
                 if wvx is not None:
                     ledger.tick(3)  # the sign of wv + wx + wvx
                     if wv + wx + wvx == 0.0:
                         return (u, v, x)
-
-    core_vertices = sorted(alive)
-    if not core_vertices:
-        return None
-    remap = {v: i for i, v in enumerate(core_vertices)}
-    core_edges = []
-    for (u, v, w) in graph.edges:
-        if u in alive and v in alive:
-            core_edges.append((remap[u], remap[v], w))
-    core = WeightedGraph(len(core_vertices), tuple(core_edges))
-    hit = zero_triangle_dense(core, "dt", ledger=ledger)
-    if hit is None:
-        return None
-    return tuple(sorted(core_vertices[x] for x in hit))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ ENTRY_POINTS = {
         ["A", "B", "T", "group_size", "rng", "ledger", "hint_stats"],
     (trimatrix, "zero_triangle_dense"): ["graph", "variant", "group_size", "ledger", "seed"],
     (trimatrix, "zero_triangle_sparse"): ["graph", "color_count", "ledger", "seed"],
-    (trimatrix, "zero_triangle_core"): ["graph", "delta", "ledger"],
+    (trimatrix, "zero_triangle_core"): ["graph", "ledger"],
     (conv3sum, "solve_conv_blocked"): ["values", "group_size", "ledger", "probe_log"],
     (conv3sum, "solve_conv_naive"): ["values", "ledger"],
     (ldt, "solve_kldt"): ["phi", "values", "group_size", "ledger"],

@@ -753,11 +753,13 @@ def test_a_segment_declared_ascending_that_does_not_ascend_trips_an_assertion(va
 
 def test_a_row_that_rounding_makes_fall_is_refused():
     # 1e16 - 1 rounds to 1e16 - 0, and the tags of that tie fall: only reals
-    # past the exact range make a row fall, the counted merge refuses the row,
-    # and the solvers' boundary refuses the reals
+    # past the exact range make a row fall, both difference sorts refuse the
+    # row, and the solvers' boundary refuses the reals
     segment = ([0.0, 1.0, 1e16], [2, 1, 0], "row")
-    with pytest.raises(ValueError, match="each run must ascend"):
-        difference_ticks([segment], ComparisonLedger())
+    for sort in (difference_ticks, sort_differences):
+        for role in ("row", "both"):
+            with pytest.raises(ValueError, match="each run must ascend"):
+                sort([(*segment[:2], role)], ComparisonLedger())
     with pytest.raises(ValueError, match="at most 2\\^51"):
         as_reals(segment[0])
 

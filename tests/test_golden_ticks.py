@@ -8,9 +8,9 @@ means to alter tick counts or decisions regenerates the file with
 
 and says so; any other change must leave every row byte-identical.  Before
 it overwrites the file it prints, per (problem, algo), the old -> new sums
-of ticks3, ticks4 and ticksK, and every cell whose ``found`` flag flips; a
-grid that only grows is compared on the rows it keeps, and its appended
-cells are listed with their counts.
+of ticks3, ticks4 and ticksK, and every cell whose parameters (g, s, p, q,
+K) or ``found`` flag change; a grid that only grows is compared on the rows
+it keeps, and its appended cells are listed with their counts.
 """
 
 import csv
@@ -88,9 +88,9 @@ TICKS = ("ticks3", "ticks4", "ticksK")
 def summary(old, new):
     """What moves from the `old` golden lines to the `new` (both with their
     header): per (problem, algo), the sums of ticks3, ticks4 and ticksK that
-    differ, then each grid cell whose found flag flips.  When `new` only
-    appends rows, the rows both share are compared and the appended cells
-    listed after them."""
+    differ, then each grid cell whose parameters or found flag change.  When
+    `new` only appends rows, the rows both share are compared and the
+    appended cells listed after them."""
     def sums(lines):
         out = {}
         for row in csv.DictReader(lines):
@@ -113,9 +113,10 @@ def summary(old, new):
     cells = list(grid())
     for (problem, algo, n, generator), was, now in zip(cells, csv.DictReader(old),
                                                       csv.DictReader(shared)):
-        if was["found"] != now["found"]:
-            lines.append(f"{problem} {algo} n={n} {generator}: found "
-                         f"{was['found']} -> {now['found']}")
+        moved = [f"{col} {was[col] or '(none)'} -> {now[col] or '(none)'}"
+                 for col in (*harness.PARAMS, "found") if was[col] != now[col]]
+        if moved:
+            lines.append(f"{problem} {algo} n={n} {generator}: " + ", ".join(moved))
     lines = lines or ["no row changed"]
     for (problem, algo, n, generator), row in zip(cells[len(old) - 1:],
                                                   csv.DictReader(new[:1] + new[len(old):])):
@@ -137,6 +138,13 @@ def test_summary_names_the_moved_sums_and_flipped_flags():
                                  "3sum dt: ticksK 0 -> 1",
                                  "3sum dt n=17 uniform: found 1 -> 0"]
     assert summary(old, old) == ["no row changed"]
+    # a parameter cell that changes alone is listed, blanked or filled
+    reparam = [old[0], old[1].replace("3,,,,,,1", "3,,,,,6,1"),
+               old[2].replace("3,,,,,,1", "3,9,,,4,,1"), *old[3:]]
+    assert summary(old, reparam) == ["3sum quadratic n=17 uniform: K (none) -> 6",
+                                     "3sum dt n=17 uniform: g (none) -> 9, q (none) -> 4"]
+    assert summary(reparam, old) == ["3sum quadratic n=17 uniform: K 6 -> (none)",
+                                     "3sum dt n=17 uniform: g 9 -> (none), q 4 -> (none)"]
     assert summary(old, old[:-1])[-1] == \
         f"the grid went from {len(cells)} to {len(cells) - 1} rows; found flags not compared"
     problem, algo, n, generator = cells[-1]
@@ -164,7 +172,7 @@ def test_the_grid_covers_every_solver():
 READS = {("3sum", "quadratic"): (), ("3sum", "subq-det"): ("g", "s", "q"),
          ("3sum", "subq-rand"): ("g", "s", "p", "seed"), ("conv", "naive"): (),
          ("zerotri", "dense-trivial"): (), ("zerotri", "dense-sampled"): ("g", "seed"),
-         ("zerotri", "sparse"): ("K", "seed"), ("zerotri", "sparse-core"): ("K",),
+         ("zerotri", "sparse"): ("K", "seed"), ("zerotri", "sparse-core"): (),
          ("tmp", "trivial"): (), ("tmp", "sampled"): ("g", "seed")}
 
 

@@ -127,6 +127,18 @@ def test_cross_check_catches_lies():
         harness.cross_check("3sum", vals, False, None, {})
 
 
+def test_cross_check_catches_a_wrong_target_product():
+    a, b, t = harness.generate("tmp", 5, "uniform", 3)
+    res = trimatrix.target_min_plus_trivial(a, b, t)
+    harness.cross_check("tmp", (a, b, t), True, res, {})
+    cell = tuple(np.argwhere(np.isfinite(res.values))[0])
+    for field in ("values", "witnesses"):
+        wrong = dataclasses.replace(res, **{field: getattr(res, field).copy()})
+        getattr(wrong, field)[cell] += 1
+        with pytest.raises(harness.OracleMismatch, match="differs from the trivial scan"):
+            harness.cross_check("tmp", (a, b, t), True, wrong, {})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         harness.ExperimentConfig("3sum", ("dt",), (16, 8))
@@ -325,6 +337,8 @@ def test_cli_refuses_k_that_conflicts_with_alphas(tmp_path, capsys):
 def test_cli_refuses_a_parameter_the_solver_does_not_read(tmp_path, capsys):
     path = tmp_path / "in.txt"
     _write_vector(path, [5.0, 1.0, -2.0, 3.0])
+    graph = tmp_path / "graph.txt"
+    write_graph(graph, WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0), (0, 2, -3.0))))
     for problem, algo, flags, err in [
         ("3sum", "dt", ["--s", "5", "--k", "7"], "3sum dt reads no --k, --s"),
         ("3sum", "quadratic", ["--g", "2"], "--g"),
@@ -334,8 +348,10 @@ def test_cli_refuses_a_parameter_the_solver_does_not_read(tmp_path, capsys):
         ("ldt", "kldt", ["--K", "2"], "--K"),
         ("3sum", "dt", ["--seed", "5"], "3sum dt reads no --seed"),
         ("3sum", "subq-det", ["--seed", "0"], "--seed"),
+        ("zerotri", "sparse-core", ["--K", "3"], "zerotri sparse-core reads no --K"),
     ]:
-        assert cli.main(["solve", problem, "--algo", algo, "--input", str(path)] + flags) == 1
+        source = graph if problem == "zerotri" else path
+        assert cli.main(["solve", problem, "--algo", algo, "--input", str(source)] + flags) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and err in captured.err
         assert captured.out == ""
@@ -374,6 +390,7 @@ def test_cli_non_finite_input_is_an_error(tmp_path, capsys):
     ("zerotri", "dense-sampled", "--g"),
     ("zerotri", "dense-dominance", "--g"),
     ("zerotri", "sparse", "--K"),
+    # sparse-core reads no --K, so any value of it is refused
     ("zerotri", "sparse-core", "--K"),
 ])
 def test_cli_zero_group_size_or_color_count_is_an_error(tmp_path, capsys, problem, algo, flag):
@@ -406,8 +423,6 @@ EMPTY_CALLS = {
         _EMPTY_MATRIX, _EMPTY_MATRIX, _EMPTY_MATRIX, g, np.random.default_rng(0), led), 1, 0),
     "sparse K": (lambda k, led: trimatrix.zero_triangle_sparse(WeightedGraph(3, ()), k, led),
                  1, 0),
-    "sparse-core K": (lambda k, led: trimatrix.zero_triangle_core(WeightedGraph(0, ()), k, led),
-                      1, 0),
 }
 
 
@@ -429,6 +444,48 @@ def test_cli_refuses_an_invalid_parameter_on_an_empty_input(tmp_path, capsys):
     assert "decision: no-witness\n" in capsys.readouterr().out
     assert cli.main(solve + ["--g", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# (command line, with {} for the input file; the file's text; what stderr
+# must start with) for input that comes from outside and is refused
+REFUSED_INPUTS = {
+    "graph without header": (["solve", "zerotri", "--algo", "sparse", "--input", "{}"], "3\n",
+                             "error: graph file needs an 'n m' header"),
+    "graph short edge list": (["solve", "zerotri", "--algo", "sparse", "--input", "{}"],
+                              "3 2\n0 1 1\n", "error: expected 6 edge tokens, found 3"),
+    "matrix without header": (["solve", "tmp", "--algo", "dt", "--input", "{}"], "1 1 5\n1\n",
+                              "error: matrix block needs an 'r c' header"),
+    "matrix short block": (["solve", "tmp", "--algo", "dt", "--input", "{}"], "2 2\n1 2\n3\n",
+                           "error: expected 4 entries, found 3"),
+    "csv foreign header": (["fit", "--csv", "{}"], "problem,algo,n\n3sum,dt,8\n",
+                           "error: unrecognized CSV header"),
+    "csv ragged row": (["fit", "--csv", "{}"], harness.CSV_HEADER + "\n3sum,dt,8,0\n",
+                       "error: line 2: 4 cells, the header has 14"),
+    "config line without =": (["bench", "--config", "{}"], "problem = 3sum\nalgos dt\n",
+                              "usage error: bad config line: 'algos dt'"),
+    "bench without problem": (["bench", "--config", "{}"], "algos = dt\nsizes = 8\n",
+                              "usage error: bench needs 'problem'"),
+    "bench zero trials": (["bench", "--config", "{}", "--trials", "0"],
+                          "problem = 3sum\nalgos = dt\nsizes = 8\n",
+                          "usage error: trials must be >= 1"),
+    "bench zero size": (["bench", "--config", "{}"], "problem = 3sum\nalgos = dt\nsizes = 0,8\n",
+                        "usage error: sizes must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_INPUTS)
+def test_cli_refuses_malformed_outside_input(tmp_path, capsys, monkeypatch, name):
+    argv, text, err = REFUSED_INPUTS[name]
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_solver", no_run)
+    assert cli.main([str(path) if arg == "{}" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err) and captured.out == ""
 
 
 def test_cli_oracle_mismatch_returns_two(tmp_path, capsys, monkeypatch):

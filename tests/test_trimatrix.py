@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from threebench import trimatrix
 from threebench.core import ComparisonLedger, difference_ticks, sort_segments
 from threebench.harness import GENERATORS, generate
 from threebench.trimatrix import (
@@ -495,47 +496,43 @@ def test_sparse_triangle_free_graph():
 
 
 def test_core_peel_books_one_sign_query_per_closed_out_pair():
-    # a threshold above every degree peels the whole graph; each triangle
-    # closes exactly one out-pair (v, x) of its peeled source u
+    # each triangle closes exactly one out-pair (v, x) of its source u
     edges = [(u, v, 1.0 + u + v) for u in range(7) for v in range(u + 1, 7) if (u * v) % 3 != 1]
     g = _graph(7, edges)
     adj = g.adjacency()
     triangles = sum(1 for u in range(7) for v in adj[u] for x in adj[u] & adj[v] if u < v < x)
     led = ComparisonLedger()
-    assert zero_triangle_core(g, g.n, led) is None
+    assert zero_triangle_core(g, led) is None
     assert triangles > 0 and led.count_klinear == {3: triangles}
 
 
-def test_core_hands_its_core_to_the_dense_solver():
-    # a complete graph on `m` vertices keeps every vertex at delta = 2; at
-    # delta = 3 it sheds only its ears, degree-2 vertices on a core edge
-    # whose heavy weights close no zero triangle, one sign query each
-    rng = np.random.default_rng(19)
+def _complete_graph(n, seed, span=10 ** 6):
+    rng = np.random.default_rng(seed)
+    return _graph(n, [(u, v, float(rng.integers(-span, span + 1)))
+                      for u in range(n) for v in range(u + 1, n)])
+
+
+def test_core_books_every_triangle_of_a_complete_graph_without_a_zero_one():
+    g = _complete_graph(40, 40)
+    assert oracle_zero_triangle(g) is None
+    led = ComparisonLedger()
+    assert zero_triangle_core(g, led) is None
+    assert led.count_klinear == {3: math.comb(40, 3)}
+
+
+def test_core_agrees_with_enumeration_on_complete_graphs():
+    # weights in +-n close a zero triangle on most of these graphs
     found = set()
-    for trial in range(40):
-        m, ears = int(rng.integers(4, 9)), int(rng.integers(0, 5)) * (trial % 2)
-        ids = rng.permutation(m + ears)
-        core_ids, ear_ids = sorted(ids[:m].tolist()), ids[m:].tolist()
-        edges = [(core_ids[a], core_ids[b], float(rng.integers(-4, 5)))
-                 for a in range(m) for b in range(a + 1, m)]
-        for e in ear_ids:
-            a, b = rng.choice(m, size=2, replace=False)
-            edges += [(e, core_ids[a], 100.0 + e), (core_ids[b], e, 200.0 + e)]
-        g = _graph(m + ears, edges)
-        remap = {v: i for i, v in enumerate(core_ids)}
-        core = _graph(m, [(remap[u], remap[v], w) for u, v, w in edges
-                          if u in remap and v in remap])
-        dense = ComparisonLedger()
-        hit = zero_triangle_dense(core, "dt", ledger=dense)
-        led = ComparisonLedger()
-        got = zero_triangle_core(g, 3 if ears else 2, led)
-        want = {3: ears} if ears else {}
-        for arity, count in dense.count_klinear.items():
-            want[arity] = want.get(arity, 0) + count
-        assert led.count_klinear == want
-        assert got == (None if hit is None else tuple(sorted(core_ids[x] for x in hit)))
-        assert (got is None) == (oracle_zero_triangle(g) is None)
-        found.add(got is not None)
+    for n in range(3, 65):
+        for span in (n, 10 ** 6):
+            g = _complete_graph(n, n, span)
+            hit = zero_triangle_core(g)
+            assert (hit is None) == (oracle_zero_triangle(g) is None), (n, span)
+            if hit is not None:
+                wm = g.weight_map()
+                u, v, x = hit
+                assert wm[(u, v)] + wm[(u, x)] + wm[(v, x)] == 0.0, (n, span)
+            found.add(hit is not None)
     assert found == {False, True}
 
 
@@ -546,6 +543,33 @@ def test_sparse_agrees_with_enumeration():
         led = ComparisonLedger()
         assert (zero_triangle_sparse(graph, None, led, seed=trial) is not None) == expect
         assert (zero_triangle_core(graph) is not None) == expect
+
+
+def test_sparse_greedy_coloring_fallback(monkeypatch):
+    # with no random draw allowed, every solve colors first-fit; the coloring
+    # must keep the monochromatic out-pairs within the random expectation
+    monkeypatch.setattr(trimatrix, "MAX_COLOR_DRAWS", 0)
+    greedy = trimatrix._greedy_coloring
+    bounded = []
+
+    def checked(graph, orientation, n_colors):
+        colors = greedy(graph, orientation, n_colors)
+        out = orientation.out_edges()
+        pairs = sum(len(nbrs) * (len(nbrs) - 1) / 2 for nbrs in out.values())
+        assert trimatrix._mono_pair_count(out, colors, n_colors) <= pairs / n_colors
+        bounded.append(n_colors)
+        return colors
+
+    monkeypatch.setattr(trimatrix, "_greedy_coloring", checked)
+    found = set()
+    for trial in range(40):
+        graph = generate("zerotri", 4 + trial % 20, GENS[trial % len(GENS)], trial)
+        expect = oracle_zero_triangle(graph) is not None
+        for k in (None, 1, 2, 5):
+            got = zero_triangle_sparse(graph, k, ComparisonLedger(), seed=trial)
+            assert (got is not None) == expect, (trial, k)
+        found.add(expect)
+    assert found == {False, True} and len(bounded) == 160 and max(bounded) == 5
 
 
 def test_every_triangle_has_exactly_one_type():
