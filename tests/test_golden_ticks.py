@@ -36,45 +36,56 @@ ALGOS = {
 }
 SIZES = {"3sum": (17, 48), "conv": (17, 40), "ldt": (7, 12), "zerotri": (9, 16),
          "tmp": (4, 7)}
-# group size 3 is chosen from n = 512 on, and quadratic's walk is pinned at
-# that size too; the dt rows on tie-heavy inputs pin probe counts on boxes
-# whose sums repeat
-LARGE = [("3sum", algo, 520, "uniform") for algo in ("subq-det", "subq-rand", "dt",
-                                                      "quadratic")]
-LARGE += [("3sum", "dt", 520, "duplicate-heavy"), ("3sum", "dt", 520, "planted")]
+# each LARGE cell is (problem, algo, n, generator, options), the options
+# passed to the runner as given.  Group size 3 is chosen from n = 512 on, and
+# quadratic's walk is pinned at that size too; the dt rows on tie-heavy inputs
+# pin probe counts on boxes whose sums repeat
+LARGE = [("3sum", algo, 520, "uniform", {}) for algo in ("subq-det", "subq-rand", "dt",
+                                                          "quadratic")]
+LARGE += [("3sum", "dt", 520, "duplicate-heavy", {}), ("3sum", "dt", 520, "planted", {})]
 # the grid's matrix sizes build sample hierarchies of at most two levels;
 # these sizes build three, so the chained hint walk of the sampled variant
 # and the multi-strip merge of the dominance variant are pinned too
-LARGE += [("tmp", algo, 48, "uniform") for algo in ("sampled", "dominance")]
-LARGE += [("zerotri", algo, 72, "uniform") for algo in ("dense-sampled", "dense-dominance")]
+LARGE += [("tmp", algo, 48, "uniform", {}) for algo in ("sampled", "dominance")]
+LARGE += [("zerotri", algo, 72, "uniform", {}) for algo in ("dense-sampled", "dense-dominance")]
 # the benchmark's sizes: the grid's cut conv into at most 6 blocks and kldt
 # into 2 groups a side
-LARGE += [(problem, algo, n, generator)
+LARGE += [(problem, algo, n, generator, {})
           for problem, algo, n in (("conv", "blocked", 384), ("ldt", "kldt", 192))
           for generator in ("uniform", "duplicate-heavy")]
 # subq-simple above the grid's sizes, with a short last group at 521: the
 # uniform cell books the short group's sorts to deduce, the other two find
 # witnesses
-LARGE += [("3sum", "subq-simple", n, generator)
+LARGE += [("3sum", "subq-simple", n, generator, {})
           for n, generator in ((521, "uniform"), (520, "duplicate-heavy"), (521, "planted"))]
-
+# the contour catalog above the default group sizes: subq-det at g = 4 (a 2 x 2
+# anchor grid with gaps of up to 8 cells) and subq-rand at g = 5, the first
+# group size at which its default anchor set leaves positions out
+LARGE += [("3sum", "subq-det", 130, generator, {"g": 4}) for generator in ("uniform", "planted")]
+LARGE += [("3sum", "subq-rand", 130, "uniform", {"g": 5})]
 
 def grid():
     for problem, algos in ALGOS.items():
         for generator in harness.GENERATORS:
             for n in SIZES[problem]:
                 for algo in algos:
-                    yield problem, algo, n, generator
+                    yield problem, algo, n, generator, {}
     yield from LARGE
+
+
+def label(cell) -> str:
+    """A grid cell as the summary names it: its options follow its generator."""
+    problem, algo, n, generator, options = cell
+    return " ".join([problem, algo, f"n={n}", generator, *(f"{k}={v}" for k, v in options.items())])
 
 
 def rows():
     header = harness.CSV_HEADER.rsplit(",", 1)[0]
     out = [header]
-    for problem, algo, n, generator in grid():
+    for problem, algo, n, generator, options in grid():
         instance = harness.generate(problem, n, generator, SEED)
         ledger = ComparisonLedger()
-        found, _, params = harness.run_solver(problem, algo, instance, {}, ledger, SEED)
+        found, _, params = harness.run_solver(problem, algo, instance, options, ledger, SEED)
         record = harness.RunRecord(problem, algo, n, SEED, bool(found),
                                    ledger.count_3linear, ledger.count_4linear,
                                    ledger.other_total(), 0, params)
@@ -111,25 +122,24 @@ def summary(old, new):
         return lines + [f"the grid went from {len(old) - 1} to {len(new) - 1} rows; "
                         "found flags not compared"]
     cells = list(grid())
-    for (problem, algo, n, generator), was, now in zip(cells, csv.DictReader(old),
-                                                      csv.DictReader(shared)):
+    for cell, was, now in zip(cells, csv.DictReader(old), csv.DictReader(shared)):
         moved = [f"{col} {was[col] or '(none)'} -> {now[col] or '(none)'}"
                  for col in (*harness.PARAMS, "found") if was[col] != now[col]]
         if moved:
-            lines.append(f"{problem} {algo} n={n} {generator}: " + ", ".join(moved))
+            lines.append(f"{label(cell)}: " + ", ".join(moved))
     lines = lines or ["no row changed"]
-    for (problem, algo, n, generator), row in zip(cells[len(old) - 1:],
-                                                  csv.DictReader(new[:1] + new[len(old):])):
-        lines.append(f"appended {problem} {algo} n={n} {generator}: found {row['found']}, "
+    for cell, row in zip(cells[len(old) - 1:], csv.DictReader(new[:1] + new[len(old):])):
+        lines.append(f"appended {label(cell)}: found {row['found']}, "
                      + ", ".join(f"{col} {int(row[col]):,}" for col in TICKS))
     return lines
 
 
 def test_summary_names_the_moved_sums_and_flipped_flags():
     cells = list(grid())
-    assert cells[:2] == [("3sum", "quadratic", 17, "uniform"), ("3sum", "dt", 17, "uniform")]
+    assert cells[:2] == [("3sum", "quadratic", 17, "uniform", {}),
+                         ("3sum", "dt", 17, "uniform", {})]
     old = [harness.CSV_HEADER.rsplit(",", 1)[0]] \
-        + [f"{problem},{algo},{n},3,,,,,,1,10,20,0" for problem, algo, n, _ in cells]
+        + [f"{problem},{algo},{n},3,,,,,,1,10,20,0" for problem, algo, n, *_ in cells]
     new = [old[0], old[1].replace(",20,0", ",25,0"), old[2].replace(",1,10,20,0", ",0,10,20,1"),
            *old[3:]]
     quadratic = sum(cell[:2] == ("3sum", "quadratic") for cell in cells)
@@ -147,9 +157,8 @@ def test_summary_names_the_moved_sums_and_flipped_flags():
                                      "3sum dt n=17 uniform: g 9 -> (none), q 4 -> (none)"]
     assert summary(old, old[:-1])[-1] == \
         f"the grid went from {len(cells)} to {len(cells) - 1} rows; found flags not compared"
-    problem, algo, n, generator = cells[-1]
-    appended = f"appended {problem} {algo} n={n} {generator}: found 1, ticks3 10, ticks4 20, " \
-        "ticksK 0"
+    assert label(cells[-1]) == "3sum subq-rand n=130 uniform g=5"
+    appended = f"appended {label(cells[-1])}: found 1, ticks3 10, ticks4 20, ticksK 0"
     assert summary(old[:-1], old) == ["no row changed", appended]
     assert summary(old[:-1], new) == summary(old, new) + [appended]
 
