@@ -13,9 +13,11 @@ group-pair boxes:
   bichromatic dominance.
 * ``solve_subquadratic`` - the contour-catalog algorithm: boxes are
   certified piecewise by pairs of search contours anchored at a fixed
-  position set, legal pairs are enumerated once per parameter choice, and
-  dominance matching, on integer ranks of the tagged differences, assigns
-  a certified layer structure to every box.
+  position set, legal pairs are enumerated once per parameter choice, each
+  with every order of the gap between its contours that a box with
+  ascending rows and columns can take (the linear extensions of the gap's
+  product order), and dominance matching, on integer ranks of the tagged
+  differences, assigns a certified layer structure to every box.
 
 The decision-tree solver runs one vectorised path at every n and on every
 input: it prices each box probe from the depth tables of the canonical
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import permutations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -404,8 +405,9 @@ class CatalogEntry:
 
 @dataclass
 class LegalPairCatalog:
-    """All legal anchored contour pairs with all orderings of the between
-    region; immutable after construction and reusable across instances."""
+    """All legal anchored contour pairs, each with every order of the between
+    region that a box can take (:func:`enumerate_legal_pairs`); immutable
+    after construction and reusable across instances."""
 
     width: int
     point_set: PointSet
@@ -413,10 +415,31 @@ class LegalPairCatalog:
     entries: list
 
 
+def _linear_extensions(cells):
+    """Every order of the sorted tuple `cells` in which no cell comes before a
+    cell it dominates componentwise, lazily and in lexicographic order: each
+    minimal remaining cell, in sorted order, followed by every such order of
+    the rest."""
+    if not cells:
+        yield ()
+    for c in cells:
+        if not any(x <= c[0] and y <= c[1] and (x, y) != c for x, y in cells):
+            rest = tuple(d for d in cells if d != c)
+            for tail in _linear_extensions(rest):
+                yield (c,) + tail
+
+
 def enumerate_legal_pairs(width: int, point_set: PointSet, span: int) -> LegalPairCatalog:
     """Enumerate every (tau, tau', pi) with tau above tau', both anchored at
     point-set positions, and a between region avoiding the point set with at
-    most `span` cells; for each, every ordering of the between region."""
+    most `span` cells; for each, every order of the between region that a
+    box can take.
+
+    A box's rows and columns ascend, so its cells sorted by tagged sum
+    (sum, x, y) list each cell after every cell it dominates componentwise:
+    the orders are the linear extensions of the region's product order, in
+    lexicographic order (:func:`_linear_extensions`).  No other order can
+    match a box."""
     if span < 0:
         raise ValueError("span must be >= 0")
     if point_set.width != width:
@@ -454,7 +477,7 @@ def enumerate_legal_pairs(width: int, point_set: PointSet, span: int) -> LegalPa
                     mid = mid_base - {anchor_p}
                     if len(mid) > span or mid & pset:
                         continue
-                    for pi in permutations(sorted(mid)):
+                    for pi in _linear_extensions(tuple(sorted(mid))):
                         entries.append(CatalogEntry(tau, tau_p, anchor, anchor_p, pi))
                         if len(entries) > CATALOG_BUDGET:
                             raise ValueError(
@@ -516,7 +539,9 @@ def match_boxes(groups, catalog: LegalPairCatalog,
                 report=report_dominating_pairs) -> dict:
     """Assign catalog entries to boxes via bichromatic dominance.
 
-    ``groups`` are the sorted input's groups (:func:`cut_groups`).  For each
+    ``groups`` are the sorted input's groups (:func:`cut_groups`); a full
+    group that does not ascend is a ``ValueError``, since the catalog lists
+    only the gap orders of boxes whose rows and columns ascend.  For each
     entry, every full column group becomes a red point and every full row
     group a blue point, one `report` call per entry; a dominating pair
     certifies that the entry's contours and ordering are correct for that
@@ -533,6 +558,8 @@ def match_boxes(groups, catalog: LegalPairCatalog,
     if not full:
         return {}
     values = np.array([groups[i] for i in full], dtype=np.float64)
+    if (values[:, 1:] < values[:, :-1]).any():
+        raise ValueError("every full group must ascend")
     max_dim = 4 * g - 4 + max(0, catalog.span - 1)
     s, a, b = (ix.ravel() for ix in np.indices((2, g, g)))
     diffs = (2 * s - 1) * (values[:, a] - values[:, b])

@@ -9,18 +9,23 @@ it searches one visit at a time with per-box searchers
 (:func:`build_box_searcher`, :func:`sorted_search`, :class:`OrderSearch`).
 :func:`scalar_subquadratic_simple` and
 :func:`scalar_decision_tree_reference` are the permutation solver and the
-decision tree's reference mode walked so.
+decision tree's reference mode walked so.  :func:`permutation_catalog` is
+the contour catalog with every permutation of each gap, the oracle of the
+catalog's gap orders.
 """
 
 import math
+from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 
 from threebench.core import (as_reals, box_order, cut_groups, sort_differences, sorted_counted,
                              ternary_search)
 from threebench.dominance import report_dominating_pairs, sorting_permutations
-from threebench.threesum import (PERM_BUDGET, Contour, _sort_ticks, _triangle_visits,
-                                 default_group_size, default_simple_group_size, match_boxes)
+from threebench.threesum import (PERM_BUDGET, CatalogEntry, Contour, _sort_ticks,
+                                 _triangle_visits, default_group_size,
+                                 default_simple_group_size, match_boxes)
 
 
 def tagged_sum(box, x, y):
@@ -221,3 +226,21 @@ def per_pair_match_boxes(groups, catalog):
         slot = assignments[(i, j)] = {(e.anchor, e.anchor_prime): e for e in found}
         assert len(slot) == len(found), "two catalog entries matched one box layer"
     return assignments
+
+
+def is_linear_extension(order) -> bool:
+    """True iff no cell of `order` comes before a cell it dominates
+    componentwise: the cells of a box whose rows and columns ascend, sorted
+    by tagged sum, always pass."""
+    return not any(x1 <= x0 and y1 <= y0
+                   for t, (x0, y0) in enumerate(order) for x1, y1 in order[t + 1:])
+
+
+def permutation_catalog(catalog):
+    """`catalog` with each part (tau, tau', anchor, anchor') re-expanded to
+    every permutation of its gap, in lexicographic order, parts in catalog
+    order: it also lists the gap orders that no box can take."""
+    parts = dict.fromkeys((e.tau, e.tau_prime, e.anchor, e.anchor_prime, tuple(sorted(e.order)))
+                          for e in catalog.entries)
+    return replace(catalog, entries=[CatalogEntry(*part[:4], pi)
+                                     for part in parts for pi in permutations(part[4])])

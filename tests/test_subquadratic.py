@@ -1,9 +1,11 @@
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from box_oracles import (build_box_searcher, compute_contour, is_bad, per_pair_match_boxes,
+from box_oracles import (build_box_searcher, compute_contour, is_bad, is_linear_extension,
+                         per_pair_match_boxes, permutation_catalog,
                          scalar_decision_tree_reference, scalar_subquadratic_simple,
                          staircase_walk, tagged_sum)
 from threebench import harness, threesum
@@ -132,6 +134,7 @@ def _entry_is_legal(entry, point_set, span):
     assert not (mid & point_set.positions)
     assert len(mid) <= span
     assert set(entry.order) == mid
+    assert is_linear_extension(entry.order)
 
 
 def test_enumerated_pairs_satisfy_legality():
@@ -163,6 +166,89 @@ def test_catalog_budget_guard(monkeypatch):
     ps = deterministic_point_set(4, 2)
     with pytest.raises(ValueError):
         enumerate_legal_pairs(4, ps, grid_span(4, 2))
+
+
+def _parts(catalog):
+    return {(e.tau, e.tau_prime, e.anchor, e.anchor_prime) for e in catalog.entries}
+
+
+def test_catalog_sizes_are_pinned():
+    det3 = enumerate_legal_pairs(3, deterministic_point_set(3, 1), grid_span(3, 1))
+    assert (len(det3.entries), len(_parts(det3))) == (61, 22)
+    det4 = enumerate_legal_pairs(4, deterministic_point_set(4, 2), grid_span(4, 2))
+    assert (len(det4.entries), len(_parts(det4))) == (2712, 295)
+    # at its defaults the randomized mode anchors all 9 positions of a 3 x 3
+    # box, so every gap is empty and each part has one entry
+    params = resolve_subquadratic_params(100, SubquadraticParams(group_size=3, mode="randomized"))
+    rand3 = enumerate_legal_pairs(3, threesum._anchor_set(params), params.span)
+    assert params.point_count == 9
+    assert len(rand3.entries) == len(_parts(rand3)) == 65
+    assert all(e.order == () for e in rand3.entries)
+
+
+def test_linear_extensions_are_lazy():
+    # a 5 x 5 box has about 7 * 10^8 orders; the first few come at once, the
+    # row-major order first
+    cells = tuple((x, y) for x in range(5) for y in range(5))
+    first = list(islice(threesum._linear_extensions(cells), 3))
+    assert first[0] == cells and len(first) == 3
+    assert all(is_linear_extension(order) for order in first)
+
+
+# catalogs with non-empty gaps: deterministic at the grid span and at a
+# reduced one, randomized with anchors left out
+ORACLE_PARAMS = [
+    SubquadraticParams(group_size=3),
+    SubquadraticParams(group_size=4, grid_side=2, span=4),
+    SubquadraticParams(group_size=3, mode="randomized", point_count=5, span=3, seed=2),
+    SubquadraticParams(group_size=4, mode="randomized", point_count=8, span=4, seed=1),
+]
+
+
+def _oracle_case(params, generator, n=110):
+    params = resolve_subquadratic_params(n, params)
+    assert n % params.group_size  # the last group is short
+    catalog = cached_catalog(params.group_size, threesum._anchor_set(params), params.span)
+    groups = cut_groups(np.sort(harness.generate("3sum", n, generator, 4)), params.group_size)
+    return catalog, groups
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS, ids=range(len(ORACLE_PARAMS)))
+def test_catalog_is_the_permutation_catalog_filtered(params):
+    catalog, _ = _oracle_case(params, "uniform")
+    oracle = permutation_catalog(catalog)
+    assert any(len(e.order) > 1 for e in catalog.entries)
+    assert len(oracle.entries) > len(catalog.entries)
+    assert catalog.entries == [e for e in oracle.entries if is_linear_extension(e.order)]
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS, ids=range(len(ORACLE_PARAMS)))
+@pytest.mark.parametrize("generator", ["uniform", "duplicate-heavy", "planted"])
+def test_match_boxes_equals_the_permutation_catalog(params, generator):
+    catalog, groups = _oracle_case(params, generator)
+    got = match_boxes(groups, catalog)
+    assert got and got == match_boxes(groups, permutation_catalog(catalog))
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS, ids=range(len(ORACLE_PARAMS)))
+@pytest.mark.parametrize("generator", ["duplicate-heavy", "planted"])
+def test_pruned_gap_orders_match_no_box(params, generator):
+    catalog, groups = _oracle_case(params, generator)
+    kept = set(catalog.entries)
+    dead = [e for e in permutation_catalog(catalog).entries if e not in kept]
+    assert dead and match_boxes(groups, catalog)
+    assert match_boxes(groups, replace(catalog, entries=dead)) == {}
+
+
+def test_match_boxes_refuses_groups_that_do_not_ascend():
+    catalog = cached_catalog(3, deterministic_point_set(3, 1), grid_span(3, 1))
+    groups = cut_groups(np.arange(14.0), 3)
+    assert match_boxes(groups, catalog)
+    groups[1] = groups[1][::-1]
+    with pytest.raises(ValueError, match="ascend"):
+        match_boxes(groups, catalog)
+    groups[1], groups[-1] = groups[1][::-1], groups[-1][::-1]  # a short group is not read
+    assert match_boxes(groups, catalog)
 
 
 def test_grid_catalog_covers_every_realizable_consecutive_pair():
