@@ -6,15 +6,17 @@ anything else is refused.  Tie-broken (perturbed) reals are emulated
 exactly by lexicographic (value, row tag, col tag) triples, and the solvers
 pass their integer ranks.
 
-:func:`report_dominating_pairs` runs the recursion on point indices and
-only records its leaves; their candidate pairs are then tested together in
-a few array passes.
+:func:`report_dominating_pairs` runs the recursion on point indices, each
+colour kept sorted on the coordinate it splits, so that only a call one
+dimension down sorts.  It only records its leaves; their candidate pairs
+are then tested together in a few array passes, and the dominating ones
+go to the sink as arrays of positions, one call per batch.
 
 Solvers certify sorted orders by Fredman's trick in one of two ways.  The
 contour catalog's ``threesum.match_boxes`` ranks the triples of every
 difference column once, builds points from each catalog entry's columns,
-calls :func:`report_dominating_pairs` once per entry, and groups the
-reported pairs by box in one sort.
+calls :func:`report_dominating_pairs` once per entry, turns each batch into
+box codes, and groups the reported pairs by box in one sort.
 :func:`sorting_permutations` certifies the permutations of a short sum
 vector for the permutation matchers, as one array kernel that evaluates
 the same coordinate comparisons for all pairs at once and builds no points.
@@ -53,9 +55,8 @@ def c_epsilon(epsilon: float) -> float:
 
 
 def report_dominating_pairs(points: Sequence[LabeledPoint],
-                            sink: Callable[[LabeledPoint, LabeledPoint], None]
-                            ) -> int:
-    """Invoke sink once per dominating (red, blue) pair; return the count.
+                            sink: Callable[[np.ndarray, np.ndarray], None]) -> int:
+    """Send every dominating (red, blue) pair to `sink`; return the count.
 
     Recursion: split at the median of the last coordinate (blue points
     precede red points on ties) and recurse on the two halves plus a cross
@@ -63,25 +64,32 @@ def report_dominating_pairs(points: Sequence[LabeledPoint],
     A call on at most ``BRUTE_FORCE_CUTOFF`` points or in at most one
     dimension is a leaf: each of its reds against each of its blues, the
     pair dominating unless some coordinate of the red is ``<`` the blue's
-    (in dimension 0, every pair).  Leaves are tested in batches, and
-    `sink` sees the pairs leaf by leaf in recursion order, red-major.
-    Refuses, with ValueError, coordinates that are not all ints or all
-    floats without NaN.
+    (in dimension 0, every pair).  Leaves are tested in batches, and each
+    batch with a dominating pair is one call ``sink(red_at, blue_at)``: two
+    aligned integer arrays of the pairs' red and blue positions in
+    `points`.  Batches run leaf by leaf in recursion order, red-major.
+    Refuses, with ValueError, a colour other than ``RED`` and ``BLUE``, and
+    coordinates that are not all ints or all floats without NaN.
     """
     if not points:
         return 0
     dim = len(points[0].coords)
-    for p in points:
+    reds, blues = [], []
+    for at, p in enumerate(points):
         if len(p.coords) != dim:
             raise ValueError("all points must share one dimension")
-    reds = [p for p in points if p.color == RED]
-    blues = [p for p in points if p.color == BLUE]
-    if len({p.id for p in reds}) != len(reds) or len({p.id for p in blues}) != len(blues):
-        raise ValueError("ids must be unique per color")
+        if p.color == RED:
+            reds.append(at)
+        elif p.color == BLUE:
+            blues.append(at)
+        else:
+            raise ValueError(f"colour must be {RED!r} or {BLUE!r}, got {p.color!r}")
+    for side in (reds, blues):
+        if len({points[at].id for at in side}) != len(side):
+            raise ValueError("ids must be unique per color")
     if not reds or not blues:
         return 0
-    points = reds + blues
-    call = _Report(points, len(reds), sink)
+    call = _Report(points, reds + blues, sink)
     call.split(list(range(len(reds))), list(range(len(reds), len(points))), dim)
     return call.flush()
 
@@ -89,8 +97,8 @@ def report_dominating_pairs(points: Sequence[LabeledPoint],
 def _table(rows) -> np.ndarray:
     """The ``(point, dimension)`` array of the coordinates the leaves compare;
     refuses, with ValueError, any but all ints or all floats without NaN.
-    Those are totally ordered, so a stable sort of blues before reds on one
-    coordinate orders by (coordinate, colour)."""
+    Those are totally ordered, so the median split can merge the two
+    colours' stable sorts on one coordinate, blue before red on ties."""
     table = np.array(rows)  # nested coordinates of unequal lengths raise ValueError here
     floats = table.dtype.kind == "f" and not np.isnan(table).any() \
         and all(isinstance(v, float) for v in chain.from_iterable(rows))
@@ -100,42 +108,53 @@ def _table(rows) -> np.ndarray:
 
 
 class _Report:
-    """One call's recursion on point indices, reds being the indices below
-    `nred`, and its pending leaves: tested together, and their dominating
-    pairs sent to the sink, whenever their candidate pairs reach
+    """One call's recursion on point indices, the points being the caller's
+    at positions `order`, reds before blues, and its pending leaves: tested
+    together, and their dominating pairs sent to the sink as positions in
+    the caller's points, whenever their candidate pairs reach
     ``_FLUSH_PAIRS``."""
 
-    def __init__(self, points, nred, sink):
-        self.points = points
-        self.nred = nred
+    def __init__(self, points, order, sink):
+        coords = [points[at].coords for at in order]
+        self.order = np.array(order)
         self.sink = sink
-        self.table = _table([p.coords for p in points])
-        self.keys = list(zip(*(p.coords for p in points)))
+        self.columns = np.ascontiguousarray(_table(coords).T)
+        self.keys = list(zip(*coords))
         self.reds: list = []
         self.blues: list = []
         self.shapes: list = []
         self.size = 0
         self.count = 0
 
-    def split(self, reds, blues, dim) -> None:
+    def split(self, reds, blues, dim, ordered=False) -> None:
+        """Recurse on `reds` against `blues` in `dim` dimensions; `ordered`
+        says each list is already stably sorted on coordinate ``dim - 1``."""
         if dim <= 1 or len(reds) + len(blues) <= BRUTE_FORCE_CUTOFF:
             self.add(reds, blues, dim)
             return
         # Median split on the last coordinate; among equal coordinates blue
         # points precede red points, so no dominating pair has its red point
-        # left of its blue point.
-        merged = sorted(blues + reds, key=self.keys[dim - 1].__getitem__)
-        mid = (len(merged) + 1) // 2
-        left, right = merged[:mid], merged[mid:]
-        nred = self.nred
-        reds_l = [i for i in left if i < nred]
-        blues_l = [i for i in left if i >= nred]
-        reds_r = [i for i in right if i < nred]
-        blues_r = [i for i in right if i >= nred]
+        # left of its blue point.  The left half of that merge is a prefix
+        # of each colour's sort, `a` reds and `mid - a` blues, and each half
+        # is already sorted for its same-dimension child.
+        key = self.keys[dim - 1]
+        if not ordered:
+            reds = sorted(reds, key=key.__getitem__)
+            blues = sorted(blues, key=key.__getitem__)
+        mid = (len(reds) + len(blues) + 1) // 2
+        a, hi = max(0, mid - len(blues)), min(mid, len(reds))
+        while a < hi:  # the fewest reds whose next red is not before the last blue
+            t = (a + hi) // 2
+            if key[reds[t]] < key[blues[mid - t - 1]]:
+                a = t + 1
+            else:
+                hi = t
+        reds_l, reds_r = reds[:a], reds[a:]
+        blues_l, blues_r = blues[:mid - a], blues[mid - a:]
         if reds_l and blues_l:
-            self.split(reds_l, blues_l, dim)
+            self.split(reds_l, blues_l, dim, True)
         if reds_r and blues_r:
-            self.split(reds_r, blues_r, dim)
+            self.split(reds_r, blues_r, dim, True)
         if reds_r and blues_l:
             self.split(reds_r, blues_l, dim - 1)
 
@@ -150,33 +169,37 @@ class _Report:
     def flush(self) -> int:
         """Test the pending leaves; return the pairs reported so far."""
         if self.shapes:
-            red, blue = _dominating(self.table, self.reds, self.blues, self.shapes)
+            red, blue = _dominating(self.columns, self.reds, self.blues, self.shapes)
             self.reds, self.blues, self.shapes, self.size = [], [], [], 0
             self.count += len(red)
-            points, sink = self.points, self.sink
-            for r, b in zip(red.tolist(), blue.tolist()):
-                sink(points[r], points[b])
+            if len(red):
+                self.sink(self.order[red], self.order[blue])
         return self.count
 
 
-def _dominating(table, reds, blues, shapes):
+def _dominating(columns, reds, blues, shapes):
     """The dominating pairs among the leaves' candidate pairs, as arrays of
-    red and blue rows of `table`.  The leaves' reds and blues are listed
-    leaf after leaf, and ``shapes`` holds each leaf's red count, blue count
-    and dimension.  Candidates run leaf after leaf, red-major, and a pair
-    fails where, in one of its leaf's dimensions, its red coordinate is
-    ``<`` its blue one."""
+    red and blue points, indices into each row of the ``(dimension, point)``
+    table `columns`.  The leaves' reds and blues are listed leaf after leaf,
+    and ``shapes`` holds each leaf's red count, blue count and dimension.
+    Candidates run leaf after leaf, red-major, and a pair fails where, in
+    one of its leaf's dimensions, its red coordinate is ``<`` its blue one;
+    the dimensions are tested one at a time."""
     nr, nb, dims = np.array(shapes).T
     run = nb.repeat(nr)  # each red's run of candidates: its leaf's blues
     red = np.array(reds).repeat(run)
     # a candidate's blue: its leaf's first blue plus its place in the run
     first = (nb.cumsum() - nb).repeat(nr) - (run.cumsum() - run)
     blue = np.array(blues)[first.repeat(run) + np.arange(len(red))]
-    width = dims.max()
-    fails = table[red, :width] < table[blue, :width]
-    if dims.min() < width:
-        fails &= np.arange(width) < dims.repeat(nr * nb)[:, None]
-    ok = ~fails.any(axis=1)
+    width, low = dims.max(), dims.min()
+    if low < width:
+        dim_of = dims.repeat(nr * nb)
+    ok = np.ones(len(red), dtype=bool)
+    for k, column in enumerate(columns[:width]):
+        holds = column[red] >= column[blue]
+        if k >= low:
+            holds |= dim_of <= k  # past its leaf's dimensions
+        ok &= holds
     return red[ok], blue[ok]
 
 

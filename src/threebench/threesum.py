@@ -548,8 +548,9 @@ def match_boxes(groups, catalog: LegalPairCatalog,
     box.  A point's coordinates are ranks: every column :func:`_entry_map`
     can name is ranked once, red and blue together, by its (value, row tag,
     col tag) triple, equal triples alike, so each comparison the matcher
-    makes has the triples' outcome.  Each entry's pairs become one array of
-    box codes, and one lexsort groups the matched entries by box.  Returns
+    makes has the triples' outcome.  Each batch of pairs that `report`
+    sends becomes an array of box codes in one expression, and one lexsort
+    groups the matched entries by box.  Returns
     {(i, j): {(anchor, anchor'): entry}}, one dict shared by all boxes that
     the same entries matched.
     """
@@ -570,19 +571,22 @@ def match_boxes(groups, catalog: LegalPairCatalog,
                                          np.concatenate([tags, zeros]).ravel()
                                          ).reshape(2, len(full), -1)
     colors, ids = [RED] * len(full) + [BLUE] * len(full), full + full
+    group_of = np.array(ids, dtype=np.int64)
     m = len(groups)
-    codes = []
-    for entry in catalog.entries:
+    # per batch: box (i, j), blue row group i and red column group j, as
+    # i * m + j, and the index of the entry that matched it
+    codes: list = []
+    owners: list = []
+    for e, entry in enumerate(catalog.entries):
         red_cols, blue_cols = _entry_map(entry)
         assert len(red_cols) <= max_dim
         coords = np.concatenate([red_ranks[:, red_cols], blue_ranks[:, blue_cols]]).tolist()
         points = list(map(LabeledPoint, map(tuple, coords), colors, ids))
-        found: list = []  # box (i, j), blue row group i and red column group j, as i * m + j
-        report(points, lambda red, blue: found.append(blue.id * m + red.id))
-        codes.append(np.array(found, dtype=np.int64))
+        report(points, lambda red, blue: codes.append(group_of[blue] * m + group_of[red]))
+        owners += [e] * (len(codes) - len(owners))
     if not codes:
         return {}
-    entry_of = np.repeat(np.arange(len(codes)), [len(c) for c in codes])
+    entry_of = np.repeat(owners, [len(c) for c in codes])
     codes = np.concatenate(codes)
     order = np.lexsort((entry_of, codes))
     codes, entry_of = codes[order], entry_of[order].tolist()

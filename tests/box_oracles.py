@@ -205,18 +205,20 @@ def scalar_decision_tree_reference(values, group_size, ledger):
 
 def per_pair_match_boxes(groups, catalog):
     """``threesum.match_boxes`` with the pairs folded one at a time: each
-    reported pair appends its entry to its box's list, and every box then
-    builds its own ``{(anchor, anchor'): entry}`` dict.  The points are
-    ``match_boxes``' own, one `report` call per entry in catalog order."""
+    pair of each reported batch appends its entry to its box's list, and
+    every box then builds its own ``{(anchor, anchor'): entry}`` dict.  The
+    points are ``match_boxes``' own, one `report` call per entry in catalog
+    order."""
     entries = iter(catalog.entries)
     matched: dict = {}
 
     def report(points, sink):
         entry = next(entries)
 
-        def fold(red, blue):
-            sink(red, blue)
-            matched.setdefault((red.id, blue.id), []).append(entry)
+        def fold(red_at, blue_at):
+            sink(red_at, blue_at)
+            for r, b in zip(red_at.tolist(), blue_at.tolist()):
+                matched.setdefault((points[r].id, points[b].id), []).append(entry)
 
         return report_dominating_pairs(points, fold)
 

@@ -170,7 +170,11 @@ def test_criterion_06_dominance_matches_brute_force():
         pts = [LabeledPoint(tuple(coords[i]), RED if colors[i] else BLUE, i)
                for i in range(n)]
         got = set()
-        report_dominating_pairs(pts, lambda r, b: got.add((r.id, b.id)))
+
+        def sink(red_at, blue_at):
+            got.update((pts[r].id, pts[b].id) for r, b in zip(red_at.tolist(), blue_at.tolist()))
+
+        report_dominating_pairs(pts, sink)
         reds = coords[colors]
         blues = coords[~colors]
         rid = np.flatnonzero(colors)

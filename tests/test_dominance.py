@@ -19,17 +19,28 @@ from threebench.threesum import solve_subquadratic_simple
 from threebench.trimatrix import target_min_plus_dominance
 
 
+def _reported(points):
+    """The count and the batches `report_dominating_pairs` sends, each batch
+    a list of (red, blue) points; checks the sink's contract: two aligned,
+    non-empty integer arrays of positions in `points`."""
+    batches = []
+
+    def sink(red_at, blue_at):
+        assert isinstance(red_at, np.ndarray) and isinstance(blue_at, np.ndarray)
+        assert red_at.dtype.kind == blue_at.dtype.kind == "i"
+        assert red_at.shape == blue_at.shape and len(red_at) > 0
+        batches.append([(points[r], points[b]) for r, b in zip(red_at.tolist(), blue_at.tolist())])
+
+    return report_dominating_pairs(points, sink), batches
+
+
 def _collect(points):
-    pairs = set()
-
-    def sink(red, blue):
-        key = (red.id, blue.id)
-        assert key not in pairs, "pair reported twice"
-        pairs.add(key)
-
-    count = report_dominating_pairs(points, sink)
+    count, batches = _reported(points)
+    pairs = [(red.id, blue.id) for batch in batches for red, blue in batch]
+    assert all(red.color == RED and blue.color == BLUE for batch in batches for red, blue in batch)
+    assert len(set(pairs)) == len(pairs), "pair reported twice"
     assert count == len(pairs)
-    return pairs
+    return set(pairs)
 
 
 def _brute_pairs(reds, blues):
@@ -126,13 +137,55 @@ def test_duplicate_ids_rejected():
         report_dominating_pairs(pts, lambda r, b: None)
 
 
+@pytest.mark.parametrize("color", ["Blue", "", None])
+def test_a_colour_other_than_red_and_blue_is_refused(color):
+    pts = [LabeledPoint((1,), RED, 0), LabeledPoint((0,), color, 0)]
+    with pytest.raises(ValueError, match="colour must be"):
+        report_dominating_pairs(pts, lambda r, b: None)
+    with pytest.raises(ValueError, match="colour must be"):
+        report_dominating_pairs(pts + [LabeledPoint((0,), BLUE, 0)], lambda r, b: None)
+
+
+def test_positions_index_the_callers_points():
+    # reds and blues interleaved, ids unrelated to positions: each reported
+    # position is the caller's, whatever order the recursion keeps them in
+    rng = np.random.default_rng(5)
+    for n in (6, 40, 300):
+        colors = rng.permutation([RED, BLUE] * (n // 2))
+        ids = {RED: iter(rng.permutation(n)), BLUE: iter(rng.permutation(n))}
+        pts = [LabeledPoint(tuple(int(v) for v in rng.integers(0, 4, size=3)), str(c),
+                            int(next(ids[c]))) for c in colors]
+        reds = [p for p in pts if p.color == RED]
+        blues = [p for p in pts if p.color == BLUE]
+        count, batches = _reported(pts)
+        got = [(red.id, blue.id) for batch in batches for red, blue in batch]
+        assert count == len(got) and set(got) == _brute_pairs(reds, blues)
+
+
+@pytest.mark.parametrize("flush_pairs", [None, 1])
+def test_nothing_dominating_means_no_sink_call(monkeypatch, flush_pairs):
+    if flush_pairs is not None:
+        monkeypatch.setattr(dominance, "_FLUSH_PAIRS", flush_pairs)
+
+    def sink(red_at, blue_at):
+        raise AssertionError("sink called with nothing to report")
+
+    below = [LabeledPoint((t, t % 5), RED, t) for t in range(40)]
+    above = [LabeledPoint((t + 40, 9), BLUE, t) for t in range(40)]
+    for pts in ([], below, above, below + above, above[::-1] + below):
+        assert report_dominating_pairs(pts, sink) == 0
+
+
 # the scalar recursion whose leaves report_dominating_pairs batches: the oracle
 
 
-def _scalar_report(points, sink):
+def _scalar_report(points, sink, leaves=None):
+    """The scalar recursion's count; its pairs go to `sink` one at a time,
+    and its leaves, as (red ids, blue ids, dimension), to `leaves`."""
     reds = [p for p in points if p.color == RED]
     blues = [p for p in points if p.color == BLUE]
-    return _scalar_split(reds, blues, len(points[0].coords) if points else 0, sink)
+    dim = len(points[0].coords) if points else 0
+    return _scalar_split(reds, blues, dim, sink, [] if leaves is None else leaves)
 
 
 def _scalar_brute(reds, blues, dim, sink):
@@ -152,16 +205,12 @@ def _scalar_brute(reds, blues, dim, sink):
     return count
 
 
-def _scalar_split(reds, blues, dim, sink):
+def _scalar_split(reds, blues, dim, sink, leaves):
     if not reds or not blues:
         return 0
-    if dim == 0:
-        for red in reds:
-            for blue in blues:
-                sink(red, blue)
-        return len(reds) * len(blues)
     n = len(reds) + len(blues)
     if n <= BRUTE_FORCE_CUTOFF or dim <= 1:
+        leaves.append(([p.id for p in reds], [p.id for p in blues], dim))
         return _scalar_brute(reds, blues, dim, sink)
     last = dim - 1
     merged = sorted(reds + blues,
@@ -172,9 +221,9 @@ def _scalar_split(reds, blues, dim, sink):
     blues_l = [p for p in left if p.color == BLUE]
     reds_r = [p for p in right if p.color == RED]
     blues_r = [p for p in right if p.color == BLUE]
-    count = _scalar_split(reds_l, blues_l, dim, sink)
-    count += _scalar_split(reds_r, blues_r, dim, sink)
-    count += _scalar_split(reds_r, blues_l, dim - 1, sink)
+    count = _scalar_split(reds_l, blues_l, dim, sink, leaves)
+    count += _scalar_split(reds_r, blues_r, dim, sink, leaves)
+    count += _scalar_split(reds_r, blues_l, dim - 1, sink, leaves)
     return count
 
 
@@ -188,12 +237,9 @@ def _draw_coordinate(rng, kind):
     return (float(rng.integers(0, 3)), int(rng.integers(-1, 2)), int(rng.integers(-1, 2)))
 
 
-@pytest.mark.parametrize("flush_pairs", [None, 1])
-def test_batched_leaves_equal_the_scalar_recursion(monkeypatch, flush_pairs):
-    # same pairs in the same sink order and the same count: the batched
-    # leaves run the scalar recursion's tree and `<` tests
-    if flush_pairs is not None:
-        monkeypatch.setattr(dominance, "_FLUSH_PAIRS", flush_pairs)
+def _draws():
+    """160 point sets over every coordinate kind, size about the cutoff,
+    dimension 0 to 6 and one-colour sets; a point's id is its position."""
     rng = np.random.default_rng(21)
     cut = BRUTE_FORCE_CUTOFF
     sizes = [1, 2, cut - 1, cut, cut + 1, cut + 2, 2 * cut + 1, 100, 400]
@@ -205,14 +251,41 @@ def test_batched_leaves_equal_the_scalar_recursion(monkeypatch, flush_pairs):
         coords = [tuple(_draw_coordinate(rng, kind) for _ in range(d)) for _ in range(n)]
         if kind == "ranked tuple":
             coords = _ranked(coords)
-        points = [LabeledPoint(c, RED if rng.random() < red_share else BLUE, i)
-                  for i, c in enumerate(coords)]
-        got, want = [], []
-        count = report_dominating_pairs(points, lambda r, b: got.append((r, b)))
+        yield (trial, kind), [LabeledPoint(c, RED if rng.random() < red_share else BLUE, i)
+                              for i, c in enumerate(coords)]
+
+
+@pytest.mark.parametrize("flush_pairs", [None, 1])
+def test_batched_leaves_equal_the_scalar_recursion(monkeypatch, flush_pairs):
+    # the batches, concatenated, are the scalar recursion's pairs in its sink
+    # order, with its count: the batched leaves run its tree and `<` tests
+    if flush_pairs is not None:
+        monkeypatch.setattr(dominance, "_FLUSH_PAIRS", flush_pairs)
+    for case, points in _draws():
+        want = []
+        count, batches = _reported(points)
         assert count == _scalar_report(points, lambda r, b: want.append((r, b)))
-        assert count == len(got)
-        assert [(r.id, b.id) for r, b in got] == [(r.id, b.id) for r, b in want], (trial, kind)
-        assert all(r is points[r.id] and b is points[b.id] for r, b in got)
+        got = [pair for batch in batches for pair in batch]
+        assert count == len(got) == len(want)
+        assert all(r is wr and b is wb for (r, b), (wr, wb) in zip(got, want)), case
+
+
+def test_the_recursion_tree_is_the_scalar_one(monkeypatch):
+    # every leaf, in order: its red and blue positions and its dimension
+    leaves = []
+    add = dominance._Report.add
+
+    def record(call, reds, blues, dim):
+        leaves.append((call.order[reds].tolist(), call.order[blues].tolist(), dim))
+        add(call, reds, blues, dim)
+
+    monkeypatch.setattr(dominance._Report, "add", record)
+    for case, points in _draws():
+        leaves.clear()
+        want = []
+        report_dominating_pairs(points, lambda red_at, blue_at: None)
+        _scalar_report(points, lambda r, b: None, want)
+        assert leaves == want, case
 
 
 def test_mixed_and_unbounded_numbers_compare_exactly():
@@ -273,8 +346,9 @@ def _dominance_route(reds, blues, width):
                          + [tuple((v[p] - v[q], 0) for p, q in steps) for v in blues])
         points = [LabeledPoint(c, RED, i) for i, c in enumerate(coords[:len(reds)])]
         points += [LabeledPoint(c, BLUE, j) for j, c in enumerate(coords[len(reds):])]
-        report_dominating_pairs(
-            points, lambda red, blue, pi=pi: matched.setdefault((red.id, blue.id), []).append(pi))
+        for batch in _reported(points)[1]:
+            for red, blue in batch:
+                matched.setdefault((red.id, blue.id), []).append(pi)
     return matched
 
 

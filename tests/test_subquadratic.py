@@ -411,6 +411,20 @@ def test_match_boxes_equals_the_per_pair_fold(mode, generator):
             == len({frozenset(map(id, slot.values())) for slot in got.values()}))
 
 
+@pytest.mark.parametrize("params, n", [
+    # the golden grid's g = 4 setting (q = 2, span 8 at its defaults), the
+    # same grid at span 4, and its randomized g = 5 setting (23 of 25 anchors)
+    (SubquadraticParams(group_size=4), 110),
+    (SubquadraticParams(group_size=4, grid_side=2, span=4), 110),
+    (SubquadraticParams(group_size=5, mode="randomized"), 131),
+], ids=["det-g4-span8", "det-g4-span4", "rand-g5"])
+@pytest.mark.parametrize("generator", ["uniform", "duplicate-heavy", "planted"])
+def test_match_boxes_equals_the_per_pair_fold_at_larger_groups(params, n, generator):
+    catalog, groups = _oracle_case(params, generator, n)
+    got = match_boxes(groups, catalog)
+    assert got and got == per_pair_match_boxes(groups, catalog)
+
+
 def test_two_entries_matching_one_box_layer_trip_the_assertion():
     catalog = cached_catalog(3, deterministic_point_set(3, 1), grid_span(3, 1))
     by_anchors: dict = {}
@@ -419,11 +433,9 @@ def test_two_entries_matching_one_box_layer_trip_the_assertion():
     twins = next(entries for entries in by_anchors.values() if len(entries) > 1)[:2]
 
     def report_every_pair(points, sink):
-        reds = [p for p in points if p.color == RED]
-        blues = [p for p in points if p.color == BLUE]
-        for red in reds:
-            for blue in blues:
-                sink(red, blue)
+        reds = [at for at, p in enumerate(points) if p.color == RED]
+        blues = [at for at, p in enumerate(points) if p.color == BLUE]
+        sink(np.repeat(reds, len(blues)), np.tile(blues, len(reds)))
         return len(reds) * len(blues)
 
     groups = cut_groups(np.arange(12.0), 3)
