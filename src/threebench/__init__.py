@@ -59,7 +59,7 @@ from .trimatrix import (
     zero_triangle_dense,
     zero_triangle_sparse,
 )
-from .conv3sum import antidiagonal_cells, oracle_conv3sum, solve_conv_blocked
+from .conv3sum import oracle_conv3sum, solve_conv_blocked
 from .harness import (
     ExperimentConfig,
     OracleMismatch,

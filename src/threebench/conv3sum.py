@@ -46,15 +46,8 @@ def solve_conv_naive(values: Sequence[float], ledger: ComparisonLedger):
     return witness
 
 
-def antidiagonal_cells(n: int, k: int) -> list[tuple[int, int]]:
-    """All in-range cells (i, k-i); rows and columns are pairwise distinct."""
-    lo = max(0, k - (n - 1))
-    hi = min(k, n - 1)
-    return [(i, k - i) for i in range(lo, hi + 1)]
-
-
 def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
-                       ledger: ComparisonLedger, probe_log: Optional[dict] = None):
+                       ledger: ComparisonLedger):
     """Blocked search; returns a witness (i, j) or None.
 
     For each k the key A(k) is located inside each crossed box via a pair
@@ -64,8 +57,11 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
     least pair.  Boxes go band by band (``bi + bj`` ascending): no box
     after band b crosses a k below ``(b + 1) g``.
 
-    `probe_log`, when given, maps k to the list of candidate cells
-    examined for that key.
+    Not charged (ROADMAP item 22): each k that some crossed box matched is
+    confirmed by one scan of its antidiagonal, ``a[:k + 1] + a[k::-1] ==
+    a[k]``, k + 1 3-linear queries.  On a_i = i + 1 at n = 1024 the search
+    books 814,528 ticks and scans 524,799 cells more; the naive scan books
+    524,800.
     """
     a = np.array(as_reals(values))
     n = len(a)
@@ -98,7 +94,4 @@ def solve_conv_blocked(values: Sequence[float], group_size: Optional[int],
         if witness is not None:
             break
     ledger.tick(3, int(probes[:last + 1].sum()))
-    if probe_log is not None:
-        for k in range(last + 1):
-            probe_log[k] = antidiagonal_cells(n, k)
     return witness

@@ -360,22 +360,40 @@ def _zero_triangle_holds(graph, triangle) -> bool:
     return None not in w and sum(w) == 0.0
 
 
+def _target_product_holds(instance, result) -> bool:
+    a, b, t = instance
+    has = result.witnesses != tm.NO_WITNESS
+    k = result.witnesses[has]
+    if not ((0 <= k) & (k < a.shape[1])).all():
+        return False
+    rows, cols = np.nonzero(has)
+    sums = a[rows, k] + b[k, cols]
+    got = result.values[has]
+    return bool(np.isfinite(sums).all() and (got == sums).all() and (got >= t[has]).all()
+                and (result.values[~has] == tm.INF).all())
+
+
 _WITNESS_CHECKS = {"3sum": _triple_holds, "conv": _conv_pair_holds,
-                  "zerotri": _zero_triangle_holds}
+                   "zerotri": _zero_triangle_holds, "tmp": _target_product_holds}
 
 
 def check_witness(problem, instance, found, payload) -> None:
     """Abort unless a solver returned a witness exactly when it said found,
     and the witness holds: a 3SUM triple drawn from the input with
     a + b == -c, a conv pair (i, j) with A[i] + A[j] == A[i + j], or a
-    triangle whose three edges exist and whose weights sum to zero.  Needs
-    no oracle, so it runs at every n."""
+    triangle whose three edges exist and whose weights sum to zero.  A
+    target product is always returned: it holds when `found` says some
+    value is finite, each witness k is in range with A[i, k] and B[k, j]
+    finite and its value A[i, k] + B[k, j] >= T[i, j], and each cell
+    without a witness holds +inf.  Needs no oracle, so it runs at every n."""
     holds = _WITNESS_CHECKS.get(problem)
     if holds is None:
         return
-    if payload is None and not found:
-        return
-    if payload is None or not found or not holds(instance, payload):
+    if problem == "tmp":
+        ok = bool(found) == bool(np.isfinite(payload.values).any()) and holds(instance, payload)
+    else:
+        ok = (payload is not None and holds(instance, payload)) if found else payload is None
+    if not ok:
         raise OracleMismatch(f"{problem}: solver said {bool(found)} with witness {payload}")
 
 
@@ -413,11 +431,12 @@ def cross_check(problem, instance, found, payload, options) -> None:
 def run_experiment(config: ExperimentConfig) -> list:
     """All (size, trial, algo) runs in deterministic order.
 
-    Each 3SUM, conv and zero-triangle witness is checked, a planted one
-    must be found, the algos run on one instance must agree on `found` (on
-    the values and witnesses, for tmp), and each run under the oracle cap
-    is cross-checked; a failure raises OracleMismatch.  Writes the CSV when
-    the config names a path, which must be writable before the first run.
+    Each witness is checked (for tmp, every cell's value and witness), a
+    planted one must be found, the algos run on one instance must agree on
+    `found` (on the values and witnesses, for tmp), and each run under the
+    oracle cap is cross-checked; a failure raises OracleMismatch.  Writes
+    the CSV when the config names a path, which must be writable before the
+    first run.
     """
     if config.csv_path:
         open(config.csv_path, "a").close()  # refuse an unwritable path now; keeps the contents

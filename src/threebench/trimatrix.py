@@ -231,23 +231,6 @@ class SampleHierarchy:
     levels: int
     members: list  # members[l][p] = sorted np.ndarray of sampled indices
 
-    def validate(self, n: int) -> None:
-        for l in range(self.levels):
-            width = self.base * (1 << l)
-            for p, mem in enumerate(self.members[l]):
-                lo, hi = p * width, min((p + 1) * width, n)
-                if len(mem) != min(self.base, hi - lo):
-                    raise ValueError("per-interval sample size violated")
-                if any(not (lo <= k < hi) for k in mem):
-                    raise ValueError("sample outside its interval")
-                if l > 0:
-                    parent = set(self.members[l - 1][2 * p].tolist())
-                    sib = 2 * p + 1
-                    if sib < len(self.members[l - 1]):
-                        parent |= set(self.members[l - 1][sib].tolist())
-                    if not set(mem.tolist()) <= parent:
-                        raise ValueError("samples must be nested")
-
 
 def build_sample_hierarchy(n: int, base: int, rng: np.random.Generator) -> SampleHierarchy:
     if base < 1 or base > n:
@@ -271,9 +254,8 @@ def build_sample_hierarchy(n: int, base: int, rng: np.random.Generator) -> Sampl
     return SampleHierarchy(base, levels, members)
 
 
-def target_min_plus_sampled(A, B, T, group_size: Optional[int],
-                            rng: np.random.Generator, ledger: ComparisonLedger,
-                            hint_stats: Optional[list] = None) -> TargetProductResult:
+def target_min_plus_sampled(A, B, T, group_size: Optional[int], rng: np.random.Generator,
+                            ledger: ComparisonLedger) -> TargetProductResult:
     """Hierarchy variant for square matrices.
 
     Top-level witnesses come from binary searches; each lower level's
@@ -287,10 +269,8 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
     sum is >= the target, so every level's witness is the plain lower
     bound of its target, and the walk is priced in closed form: from the
     hint's position ``pos`` down to the lower bound ``lb`` it makes
-    ``pos - lb`` successful probes plus one failing probe when ``lb > 0``;
-    ``hint_stats`` receives ``pos - lb`` per hinted child walk, cell by
-    cell, then by level from the top, then by child interval.  (The
-    dominance variant's per-cell lower bound, by contrast, is still
+    ``pos - lb`` successful probes plus one failing probe when ``lb > 0``.
+    (The dominance variant's per-cell lower bound, by contrast, is still
     uncharged: ROADMAP item 2.)
     """
     a, b, t = as_operand(A), as_operand(B), as_target(T)
@@ -314,7 +294,6 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
     difference_ticks(sort_segments(segments, ledger), ledger)
 
     top = hierarchy.levels - 1
-    walks = []  # per interval below the top: (walk length, hinted) per cell
     found = np.zeros((n, n), dtype=np.int64)
     for l in range(top, -1, -1):
         for p, mem in enumerate(hierarchy.members[l]):
@@ -332,8 +311,6 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
                 hinted = hints.any(axis=2)
                 walk = hints.argmax(axis=2) - lb
                 probes = np.where(hinted, walk + (lb > 0), probes)
-                if hint_stats is not None:
-                    walks.append((walk, hinted))
             ledger.tick(3, int(probes.sum()))
             if l == 0:
                 # the first strict minimum over the level-0 witnesses
@@ -341,9 +318,6 @@ def target_min_plus_sampled(A, B, T, group_size: Optional[int],
                 _keep_smaller(c_out, w_out, (lb < m) & (val < BIG_CUT), val, mem[pick])
     # each level-0 witness after a cell's first costs one 4-linear comparison
     ledger.tick(4, int(np.maximum(found - 1, 0).sum()))
-    if walks:
-        lengths, hinted = (np.stack(x, axis=2) for x in zip(*walks))
-        hint_stats.extend(lengths[hinted].tolist())
     return TargetProductResult(c_out, w_out)
 
 
@@ -464,10 +438,6 @@ class Orientation:
             out.setdefault(u, []).append((v, w))
         return out
 
-    def max_outdegree(self) -> int:
-        out = self.out_edges()
-        return max((len(v) for v in out.values()), default=0)
-
 
 def acyclic_orient(graph: WeightedGraph) -> Orientation:
     """Orient edges away from iteratively removed minimum-degree vertices
@@ -574,10 +544,9 @@ def zero_triangle_sparse(graph: WeightedGraph, color_count: Optional[int],
             pairs.append(([w for (_, w) in members], [v for (v, _) in members]))
     difference_ticks(sort_segments([(ws, vs, "both") for ws, vs in pairs], ledger), ledger)
 
+    out_sets = {u: {x for (x, _) in nbrs} for u, nbrs in out.items()}
     for (u, v, w_uv) in sorted(orientation.directed):
-        out_u = {x for (x, _) in out.get(u, [])}
-        out_v = {x for (x, _) in out.get(v, [])}
-        candidates = sorted(out_u & out_v)
+        candidates = sorted(out_sets[u] & out_sets.get(v, set()))
         if not candidates:
             continue
         key = -w_uv

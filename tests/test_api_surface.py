@@ -5,8 +5,10 @@ A new knob on a solver, a new solver, a test-only helper back in the
 package, or a new ledger method has to be added here on purpose.
 """
 
+import ast
 import dataclasses
 import inspect
+import pathlib
 import re
 
 import threebench
@@ -16,8 +18,8 @@ PACKAGE_NAMES = [
     "BLUE", "ComparisonLedger", "Contour", "ExperimentConfig", "LabeledPoint",
     "LegalPairCatalog", "LinearForm", "OracleMismatch", "Orientation", "PointSet", "RED",
     "RunRecord", "SampleHierarchy", "SubquadraticParams",
-    "TargetProductResult", "WeightedGraph", "acyclic_orient", "antidiagonal_cells",
-    "as_reals", "box_order", "c_epsilon", "cut_groups", "default_group_size",
+    "TargetProductResult", "WeightedGraph", "acyclic_orient", "as_reals",
+    "box_order", "c_epsilon", "cut_groups", "default_group_size",
     "deterministic_point_set", "difference_ticks", "enumerate_legal_pairs", "fit_exponent",
     "generate", "grid_span", "leq_positions", "match_boxes", "merge_sort_counted",
     "mergesort_tick_count", "oracle_3sum", "oracle_conv3sum", "oracle_kldt",
@@ -42,11 +44,11 @@ ENTRY_POINTS = {
     (trimatrix, "target_min_plus_dt"): ["A", "B", "T", "group_size", "ledger"],
     (trimatrix, "target_min_plus_dominance"): ["A", "B", "T", "group_size"],
     (trimatrix, "target_min_plus_sampled"):
-        ["A", "B", "T", "group_size", "rng", "ledger", "hint_stats"],
+        ["A", "B", "T", "group_size", "rng", "ledger"],
     (trimatrix, "zero_triangle_dense"): ["graph", "variant", "group_size", "ledger", "seed"],
     (trimatrix, "zero_triangle_sparse"): ["graph", "color_count", "ledger", "seed"],
     (trimatrix, "zero_triangle_core"): ["graph", "ledger"],
-    (conv3sum, "solve_conv_blocked"): ["values", "group_size", "ledger", "probe_log"],
+    (conv3sum, "solve_conv_blocked"): ["values", "group_size", "ledger"],
     (conv3sum, "solve_conv_naive"): ["values", "ledger"],
     (ldt, "solve_kldt"): ["phi", "values", "group_size", "ledger"],
 }
@@ -73,6 +75,25 @@ def test_package_public_names():
     got = sorted(name for name, obj in vars(threebench).items()
                  if not name.startswith("_") and not inspect.ismodule(obj))
     assert got == PACKAGE_NAMES
+
+
+# criterion 6 of the acceptance suite prints the dominance exponent; no
+# solver reads it (ROADMAP item 13 keeps it exported)
+UNUSED_EXPORTS = {"c_epsilon"}
+
+
+def test_every_package_name_is_used_inside_the_package():
+    """A name the package exports but no module of it reads is test-only API."""
+    used = set()
+    for path in pathlib.Path(threebench.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert {name for name in PACKAGE_NAMES if name not in used} == UNUSED_EXPORTS
 
 
 def test_ledger_public_names():

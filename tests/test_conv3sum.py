@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from threebench.conv3sum import antidiagonal_cells, oracle_conv3sum, solve_conv_blocked
+from threebench.conv3sum import oracle_conv3sum, solve_conv_blocked
 from threebench.core import ComparisonLedger, as_reals, box_order, sort_differences, sort_segments
 
 
@@ -20,7 +20,7 @@ def _counted_bound(raws, key, ledger, upper):
     return lo
 
 
-def _conv_scalar(values, group_size, ledger, probe_log=None):
+def _conv_scalar(values, group_size, ledger):
     """The blocked search written out: the reference difference sort, then
     key by key, box by box along the antidiagonal, two counted bisections
     per crossed box."""
@@ -36,9 +36,7 @@ def _conv_scalar(values, group_size, ledger, probe_log=None):
                      ledger)
     for k in range(n):
         key = arr[k]
-        cells = antidiagonal_cells(n, k)
-        if probe_log is not None:
-            probe_log[k] = list(cells)
+        cells = [(i, k - i) for i in range(max(0, k - (n - 1)), min(k, n - 1) + 1)]
         hits = []
         idx = 0
         while idx < len(cells):
@@ -118,31 +116,13 @@ def test_blocked_equals_the_scalar_search():
         values = rng.integers(-uni, uni + 1, size=n).astype(float).tolist()
         g = None if trial % 5 == 0 or n == 0 else int(rng.integers(1, n + 1))
         sizes.add((n, g is not None and n % g != 0))
-        l1, l2, log1, log2 = ComparisonLedger(), ComparisonLedger(), {}, {}
-        got = solve_conv_blocked(values, g, l1, probe_log=log1)
-        assert got == _conv_scalar(values, g, l2, probe_log=log2)
+        l1, l2 = ComparisonLedger(), ComparisonLedger()
+        got = solve_conv_blocked(values, g, l1)
+        assert got == _conv_scalar(values, g, l2)
         assert l1.phases() == l2.phases()
-        assert log1 == log2
         witnesses += got is not None
     assert 0 < witnesses < 500
     assert {0, 1} <= {n for n, _ in sizes} and any(short for _, short in sizes)
-
-
-def test_probed_cells_are_exactly_the_antidiagonal():
-    rng = np.random.default_rng(3)
-    n = 48
-    vals = rng.integers(10 ** 5, 10 ** 6, size=n).astype(float).tolist()
-    log: dict = {}
-    led = ComparisonLedger()
-    solve_conv_blocked(vals, 4, led, probe_log=log)
-    assert set(log) == set(range(n))
-    for k, cells in log.items():
-        want = {(i, k - i) for i in range(max(0, k - n + 1), min(k, n - 1) + 1)}
-        assert set(cells) == want
-        rows = [i for (i, _) in cells]
-        cols = [j for (_, j) in cells]
-        assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
-        assert set(cells) == set(antidiagonal_cells(n, k))
 
 
 def test_only_3linear_probes_after_difference_sort():

@@ -581,13 +581,43 @@ def test_a_wrong_witness_above_the_oracle_cap_is_a_mismatch(monkeypatch, problem
         harness.run_experiment(config)
 
 
+def _retarget_one_witness(a, b, res):
+    """Points the first witnessed cell at an index whose sum is not its value."""
+    w = res.witnesses.copy()
+    i, j = np.argwhere(w != trimatrix.NO_WITNESS)[0]
+    w[i, j] = next(k for k in range(a.shape[1]) if a[i, k] + b[k, j] != res.values[i, j])
+    return trimatrix.TargetProductResult(res.values, w)
+
+
+def _value_without_witness(a, b, res):
+    """Puts a finite value on the first cell that has no witness."""
+    c = res.values.copy()
+    c[tuple(np.argwhere(res.witnesses == trimatrix.NO_WITNESS)[0])] = 0.0
+    return trimatrix.TargetProductResult(c, res.witnesses)
+
+
+@pytest.mark.parametrize("corrupt", [_retarget_one_witness, _value_without_witness])
+def test_a_wrong_target_product_above_the_oracle_cap_is_a_mismatch(monkeypatch, corrupt):
+    n = 40
+    assert n > harness.DEFAULT_ORACLE_CAPS["tmp"]
+    config = harness.ExperimentConfig("tmp", ("dt",), (n,))
+    harness.run_experiment(config)
+    real = harness.tm.target_product
+    monkeypatch.setattr(harness.tm, "target_product",
+                        lambda a, b, t, *rest: corrupt(a, b, real(a, b, t, *rest)))
+    with pytest.raises(harness.OracleMismatch, match="witness"):
+        harness.run_experiment(config)
+
+
 @pytest.mark.parametrize("problem,algos,module,solver,flip", [
     ("3sum", "quadratic,dt", ts, "solve_decision_tree", lambda w: None),
     ("conv", "naive,blocked", conv3sum, "solve_conv_blocked", lambda w: None),
     ("zerotri", "sparse,dense-dt", trimatrix, "zero_triangle_dense", lambda w: None),
+    # the negative cells lose their witness: a result that holds but is not minimal
     ("tmp", "trivial,dt", trimatrix, "target_min_plus_dt",
-     lambda r: trimatrix.TargetProductResult(np.where(r.values < 0, r.values + 1, r.values),
-                                             r.witnesses)),
+     lambda r: trimatrix.TargetProductResult(
+         np.where(r.values < 0, trimatrix.INF, r.values),
+         np.where(r.values < 0, trimatrix.NO_WITNESS, r.witnesses))),
 ])
 def test_algos_that_disagree_above_the_oracle_cap_exit_two(capsys, monkeypatch, problem, algos,
                                                            module, solver, flip):

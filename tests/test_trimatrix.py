@@ -199,22 +199,25 @@ def test_sampled_requires_square():
                                 np.random.default_rng(0), ComparisonLedger())
 
 
+def _assert_nested(h, n):
+    """Each level-l interval holds min(base, its width) samples of its own,
+    all drawn from the two level-(l - 1) intervals it covers."""
+    for l in range(h.levels):
+        width = h.base << l
+        for p, mem in enumerate(h.members[l]):
+            lo, hi = p * width, min((p + 1) * width, n)
+            assert len(mem) == min(h.base, hi - lo)
+            assert all(lo <= k < hi for k in mem)
+            if l > 0:
+                parent = set(np.concatenate(h.members[l - 1][2 * p:2 * p + 2]).tolist())
+                assert set(mem.tolist()) <= parent
+
+
 def test_hierarchy_shape_and_nesting():
     h = build_sample_hierarchy(32, 4, np.random.default_rng(2))
-    h.validate(32)
+    _assert_nested(h, 32)
     assert h.levels >= 2
     assert all(len(mem) == 4 for mem in h.members[1][:-1])
-
-
-def test_hint_distance_stays_small_on_average():
-    rng = np.random.default_rng(10)
-    stats = []
-    while len(stats) < 10_000:
-        a, b, t = _random_triple(rng, 24, 24, 24, inf_frac=0.1)
-        led = ComparisonLedger()
-        target_min_plus_sampled(a, b, t, 3, np.random.default_rng(len(stats)),
-                                led, hint_stats=stats)
-    assert np.mean(stats) <= 2.0
 
 
 def _lower_bound(raws, key, ledger):
@@ -233,7 +236,8 @@ def _lower_bound(raws, key, ledger):
 def _sampled_scalar(A, B, T, group_size, rng, ledger, hint_stats):
     """Per-cell reference of the sampled variant: sorts each interval of
     each cell in Python, binary-searches the top level and walks every
-    hinted child down from its hint one probe at a time."""
+    hinted child down from its hint one probe at a time, appending the
+    walk's length to `hint_stats`."""
     a, b, t = as_operand(A), as_operand(B), as_target(T)
     n = a.shape[0]
     ae, be = _encode(a), _encode(b)
@@ -315,6 +319,16 @@ def _sampled_scalar(A, B, T, group_size, rng, ledger, hint_stats):
     return c_out, w_out
 
 
+def test_hint_distance_stays_small_on_average():
+    rng = np.random.default_rng(10)
+    stats = []
+    while len(stats) < 10_000:
+        a, b, t = _random_triple(rng, 24, 24, 24, inf_frac=0.1)
+        _sampled_scalar(a, b, t, 3, np.random.default_rng(len(stats)), ComparisonLedger(),
+                        stats)
+    assert np.mean(stats) <= 2.0
+
+
 def _small_triple(rng, r, s, t):
     """Entries in -6..6 with about 10 % +inf; targets mix +-inf, values on
     the unconstrained optimum, and random values around it."""
@@ -340,13 +354,10 @@ def test_sampled_equals_the_scalar_oracle():
         a, b, t = _small_triple(rng, n, n, n)
         seed = int(rng.integers(0, 2 ** 32))
         want_led, got_led = ComparisonLedger(), ComparisonLedger()
-        want_stats, got_stats = [], []
-        want = _sampled_scalar(a, b, t, g, np.random.default_rng(seed), want_led, want_stats)
-        got = target_min_plus_sampled(a, b, t, g, np.random.default_rng(seed), got_led,
-                                      hint_stats=got_stats)
+        want = _sampled_scalar(a, b, t, g, np.random.default_rng(seed), want_led, [])
+        got = target_min_plus_sampled(a, b, t, g, np.random.default_rng(seed), got_led)
         cell = (trial, n, g)
         assert got_led.count_klinear == want_led.count_klinear, cell
-        assert got_stats == want_stats, cell
         assert np.array_equal(got.values, want[0]), cell
         assert np.array_equal(got.witnesses, want[1]), cell
         depths.add(build_sample_hierarchy(n, g or max(1, math.ceil(math.sqrt(n))),
@@ -428,14 +439,18 @@ def test_graph_validation():
             _graph(2, [(0, 1, w)])
 
 
+def _max_outdegree(orientation):
+    return max(map(len, orientation.out_edges().values()), default=0)
+
+
 def test_orientation_star_and_path():
     star = _graph(5, [(0, i, 1.0) for i in range(1, 5)])
     o = acyclic_orient(star)
     # leaves go first, each sending its one edge toward the centre
-    assert o.max_outdegree() <= 1
+    assert _max_outdegree(o) <= 1
     path = _graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     o = acyclic_orient(path)
-    assert o.max_outdegree() == 1
+    assert _max_outdegree(o) == 1
 
 
 def test_orientation_bound_and_acyclicity():
@@ -444,7 +459,7 @@ def test_orientation_bound_and_acyclicity():
         if graph.m == 0:
             continue
         o = acyclic_orient(graph)
-        assert o.max_outdegree() < math.sqrt(2 * graph.m)
+        assert _max_outdegree(o) < math.sqrt(2 * graph.m)
         rank = {v: i for i, v in enumerate(o.removal_order)}
         assert all(rank[u] < rank[v] for (u, v, _) in o.directed)
 
